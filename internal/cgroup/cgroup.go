@@ -39,6 +39,11 @@ type Hierarchy struct {
 	mu     sync.RWMutex
 	groups map[string]*group
 	leaf   map[int]string // pid → the one group that directly holds it
+	// gen counts the mutations that changed a group set or a membership;
+	// view is the compiled snapshot of generation gen, built on first use
+	// and dropped by the next such mutation.
+	gen  uint64
+	view *View
 }
 
 // NewHierarchy creates an empty hierarchy.
@@ -47,6 +52,14 @@ func NewHierarchy() *Hierarchy {
 		groups: make(map[string]*group),
 		leaf:   make(map[int]string),
 	}
+}
+
+// changed records a mutation of the group set or of a membership: it starts
+// a new generation and drops the compiled view of the old one. Callers hold
+// h.mu for writing.
+func (h *Hierarchy) changed() {
+	h.gen++
+	h.view = nil
 }
 
 // ValidatePath checks a hierarchy path: one or more "/"-separated segments of
@@ -109,6 +122,7 @@ func (h *Hierarchy) create(path string) *group {
 	}
 	g := &group{path: path, children: make(map[string]*group), members: make(map[int]bool)}
 	h.groups[path] = g
+	h.changed()
 	if anc := Ancestors(path); len(anc) > 0 {
 		parent := h.create(anc[len(anc)-1])
 		parent.children[path] = g
@@ -137,6 +151,7 @@ func (h *Hierarchy) Delete(path string) error {
 			delete(parent.children, path)
 		}
 	}
+	h.changed()
 	return nil
 }
 
@@ -168,6 +183,7 @@ func (h *Hierarchy) Add(path string, pid int) error {
 	}
 	h.create(path).members[pid] = true
 	h.leaf[pid] = path
+	h.changed()
 	return nil
 }
 
@@ -181,6 +197,7 @@ func (h *Hierarchy) Leave(pid int) error {
 	}
 	delete(h.groups[path].members, pid)
 	delete(h.leaf, pid)
+	h.changed()
 	return nil
 }
 
@@ -217,31 +234,114 @@ func (h *Hierarchy) MembersRecursive(path string) []int {
 	if !ok {
 		return nil
 	}
-	var out []int
+	return appendRecursive(nil, g)
+}
+
+// appendRecursive appends the PIDs of g's whole subtree to dst, sorted among
+// themselves, and returns the extended slice. It is the one walk behind both
+// MembersRecursive and the compiled View.
+func appendRecursive(dst []int, g *group) []int {
+	start := len(dst)
 	var walk func(*group)
 	walk = func(g *group) {
 		for pid := range g.members {
-			out = append(out, pid)
+			dst = append(dst, pid)
 		}
 		for _, child := range g.children {
 			walk(child)
 		}
 	}
 	walk(g)
-	sort.Ints(out)
-	return out
+	sort.Ints(dst[start:])
+	return dst
 }
 
 // Paths returns every group path, sorted; parents precede their children.
 func (h *Hierarchy) Paths() []string {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
+	return h.sortedPaths()
+}
+
+// sortedPaths returns every group path, sorted. Callers hold h.mu.
+func (h *Hierarchy) sortedPaths() []string {
 	out := make([]string, 0, len(h.groups))
 	for path := range h.groups {
 		out = append(out, path)
 	}
 	sort.Strings(out)
 	return out
+}
+
+// Generation returns a counter that moves whenever a group is created or
+// deleted or a PID joins, moves or leaves a group (Prune included). While it
+// stays put the memberships are unchanged, so a reader can skip work that
+// depends only on them.
+func (h *Hierarchy) Generation() uint64 {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	return h.gen
+}
+
+// View is an immutable snapshot of a hierarchy's memberships: every group
+// path in Paths order, each with its recursive members in PID order, stored
+// as one flat PID slice plus offsets. The hierarchy compiles one per
+// generation, so per-round readers walk flat slices instead of the tree.
+type View struct {
+	paths   []string
+	offsets []int // group i's members are pids[offsets[i]:offsets[i+1]]
+	pids    []int
+}
+
+// View returns the compiled membership snapshot of the current generation,
+// building it on the first call after a change. The view is shared and must
+// not be modified.
+func (h *Hierarchy) View() *View {
+	h.mu.RLock()
+	v := h.view
+	h.mu.RUnlock()
+	if v != nil {
+		return v
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.view == nil {
+		h.view = h.compile()
+	}
+	return h.view
+}
+
+// compile builds the view of the current generation. Callers hold h.mu for
+// writing.
+func (h *Hierarchy) compile() *View {
+	paths := h.sortedPaths()
+	v := &View{paths: paths, offsets: make([]int, len(paths)+1)}
+	for i, path := range paths {
+		v.pids = appendRecursive(v.pids, h.groups[path])
+		v.offsets[i+1] = len(v.pids)
+	}
+	return v
+}
+
+// Len returns the number of groups.
+func (v *View) Len() int { return len(v.paths) }
+
+// Path returns the path of group i, in Paths order.
+func (v *View) Path(i int) string { return v.paths[i] }
+
+// Members returns the recursive members of group i, sorted — what
+// MembersRecursive returned for its path at the view's generation. The slice
+// aliases the view.
+func (v *View) Members(i int) []int { return v.pids[v.offsets[i]:v.offsets[i+1]] }
+
+// MembersOf returns the recursive members of the group at path (nil if the
+// view has no such group).
+func (v *View) MembersOf(path string) []int {
+	i := sort.SearchStrings(v.paths, path)
+	if i == len(v.paths) || v.paths[i] != path {
+		return nil
+	}
+	return v.Members(i)
 }
 
 // Targets returns one cgroup target per group, in Paths order.
@@ -276,6 +376,9 @@ func (h *Hierarchy) Prune(alive func(pid int) bool) []int {
 		delete(h.groups[path].members, pid)
 		delete(h.leaf, pid)
 		removed = append(removed, pid)
+	}
+	if len(removed) > 0 {
+		h.changed()
 	}
 	sort.Ints(removed)
 	return removed

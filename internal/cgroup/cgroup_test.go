@@ -3,6 +3,7 @@ package cgroup
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"powerapi/internal/target"
@@ -202,5 +203,108 @@ func TestSpecBuild(t *testing.T) {
 	}
 	if _, err := contradiction.Build(nil); err == nil {
 		t.Fatal("member declared in two groups should fail the build")
+	}
+}
+
+// TestGenerationMovesOnEveryChange pins which calls start a new generation:
+// every change of the group set or of a membership, and nothing else.
+func TestGenerationMovesOnEveryChange(t *testing.T) {
+	h := NewHierarchy()
+	step := func(name string, moves bool, op func() error) {
+		t.Helper()
+		before := h.Generation()
+		if err := op(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if moved := h.Generation() != before; moved != moves {
+			t.Fatalf("%s: generation moved = %v, want %v", name, moved, moves)
+		}
+	}
+	step("create", true, func() error { return h.Create("web/api") })
+	step("create existing", false, func() error { return h.Create("web/api") })
+	step("add", true, func() error { return h.Add("web", 1) })
+	step("add again", false, func() error { return h.Add("web", 1) })
+	step("move", true, func() error { return h.Add("web/api", 1) })
+	step("add to a new group", true, func() error { return h.Add("db", 2) })
+	step("leave", true, func() error { return h.Leave(2) })
+	step("delete", true, func() error { return h.Delete("db") })
+	step("prune nothing", false, func() error {
+		h.Prune(func(int) bool { return true })
+		return nil
+	})
+	step("prune", true, func() error {
+		h.Prune(func(int) bool { return false })
+		return nil
+	})
+	step("reads", false, func() error {
+		h.Paths()
+		h.MembersRecursive("web")
+		h.View()
+		return nil
+	})
+	before := h.Generation()
+	if err := h.Delete("nope"); err == nil {
+		t.Fatal("deleting a missing group should fail")
+	}
+	if err := h.Leave(42); err == nil {
+		t.Fatal("leaving without a group should fail")
+	}
+	if h.Generation() != before {
+		t.Fatal("failed mutations moved the generation")
+	}
+}
+
+// TestViewMatchesTree checks the compiled view against Paths and
+// MembersRecursive, and that it is reused until the next change.
+func TestViewMatchesTree(t *testing.T) {
+	h := NewHierarchy()
+	for pid, path := range map[int]string{5: "web", 3: "web/api", 9: "web/api/v2", 1: "db", 7: "web/api"} {
+		if err := h.Add(path, pid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := h.Create("empty"); err != nil {
+		t.Fatal(err)
+	}
+	check := func() *View {
+		t.Helper()
+		v := h.View()
+		paths := h.Paths()
+		if v.Len() != len(paths) {
+			t.Fatalf("view has %d groups, Paths %d", v.Len(), len(paths))
+		}
+		for i, path := range paths {
+			if v.Path(i) != path {
+				t.Fatalf("view path %d = %q, want %q", i, v.Path(i), path)
+			}
+			want := h.MembersRecursive(path)
+			if got := v.Members(i); !slices.Equal(got, want) {
+				t.Fatalf("view members of %q = %v, want %v", path, got, want)
+			}
+			if got := v.MembersOf(path); !slices.Equal(got, want) {
+				t.Fatalf("MembersOf(%q) = %v, want %v", path, got, want)
+			}
+		}
+		if got := v.MembersOf("missing"); got != nil {
+			t.Fatalf("MembersOf(missing) = %v, want nil", got)
+		}
+		return v
+	}
+	v1 := check()
+	if got := v1.MembersOf("web"); !reflect.DeepEqual(got, []int{3, 5, 7, 9}) {
+		t.Fatalf("MembersOf(web) = %v", got)
+	}
+	if h.View() != v1 {
+		t.Fatal("unchanged hierarchy compiled a second view")
+	}
+	if err := h.Add("db", 9); err != nil {
+		t.Fatal(err)
+	}
+	v2 := check()
+	if v2 == v1 {
+		t.Fatal("a move kept the stale view")
+	}
+	if got := v1.MembersOf("web"); !reflect.DeepEqual(got, []int{3, 5, 7, 9}) {
+		t.Fatalf("an old view changed under its reader: %v", got)
 	}
 }

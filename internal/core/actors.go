@@ -576,8 +576,14 @@ func (a *aggregatorBehavior) finish(ctx *actor.Context, ts time.Duration, round 
 			})
 		}
 	}
-	a.rollup(round)
-	a.vmRollup(ctx, round)
+	// One membership snapshot serves both rollups; the hierarchy recompiles
+	// it only after a membership change.
+	var view *cgroup.View
+	if a.hierarchy != nil {
+		view = a.hierarchy.View()
+	}
+	a.rollup(round, view)
+	a.vmRollup(ctx, round, view)
 	if a.resolve != nil && len(report.PerPID) > 0 {
 		perGroup := ensureStringMap(round.buf.perGroup, a.prevGroups)
 		round.buf.perGroup = perGroup
@@ -604,33 +610,22 @@ func (a *aggregatorBehavior) finish(ctx *actor.Context, ts time.Duration, round 
 }
 
 // rollup fills report.PerCgroup: every hierarchy group's power is the sum of
-// the per-PID estimates of its recursive members, and every direct estimate
-// a cgroup-scope source produced is credited to its group and all its
-// ancestors. Each PID's watts are read from the single PerPID entry, so a
-// process reported both standalone and inside a group is counted once in
-// ActiveWatts and merely projected into the group view; nested groups roll
-// up to their parents by construction.
-func (a *aggregatorBehavior) rollup(round *roundState) {
+// the per-PID estimates of its recursive members (read from view, the
+// hierarchy's membership snapshot; nil without a hierarchy), and every
+// direct estimate a cgroup-scope source produced is credited to its group
+// and all its ancestors. Each PID's watts are read from the single PerPID
+// entry, so a process reported both standalone and inside a group is counted
+// once in ActiveWatts and merely projected into the group view; nested
+// groups roll up to their parents by construction.
+func (a *aggregatorBehavior) rollup(round *roundState, view *cgroup.View) {
 	report := &round.buf.report
-	if a.hierarchy == nil && len(round.cgroupDirect) == 0 {
+	if view == nil && len(round.cgroupDirect) == 0 {
 		return
 	}
 	perCgroup := ensureStringMap(round.buf.perCgroup, a.prevCgroups)
 	round.buf.perCgroup = perCgroup
-	if a.hierarchy != nil {
-		for _, path := range a.hierarchy.Paths() {
-			sum := 0.0
-			counted := false
-			for _, pid := range a.hierarchy.MembersRecursive(path) {
-				if watts, ok := report.PerPID[pid]; ok {
-					sum += watts
-					counted = true
-				}
-			}
-			if counted {
-				perCgroup[path] = sum
-			}
-		}
+	if view != nil {
+		sumGroups(perCgroup, report.PerPID, view)
 	}
 	for path, watts := range round.cgroupDirect {
 		perCgroup[path] += watts
@@ -644,15 +639,36 @@ func (a *aggregatorBehavior) rollup(round *roundState) {
 	}
 }
 
+// sumGroups writes every group of view that has a member in perPID into
+// perCgroup: the sum of its recursive members' watts, in PID order.
+//
+//powerapi:hotpath
+func sumGroups(perCgroup map[string]float64, perPID map[int]float64, view *cgroup.View) {
+	for i := 0; i < view.Len(); i++ {
+		sum := 0.0
+		counted := false
+		for _, pid := range view.Members(i) {
+			if watts, ok := perPID[pid]; ok {
+				sum += watts
+				counted = true
+			}
+		}
+		if counted {
+			perCgroup[view.Path(i)] = sum
+		}
+	}
+}
+
 // vmRollup fills report.PerVM: each defined VM's power is the sum of the
 // per-process estimates of its designated members — a cgroup subtree's
-// recursive members or an explicit PID set. Every PID's watts come from its
-// single PerPID entry, so the per-VM view is a projection of the same
-// conserved attribution: VM figures sum into the machine total exactly once.
+// recursive members (read from view) or an explicit PID set. Every PID's
+// watts come from its single PerPID entry, so the per-VM view is a
+// projection of the same conserved attribution: VM figures sum into the
+// machine total exactly once.
 // A PID dynamically claimed by two VMs (a pid-set member that joined another
 // VM's cgroup subtree) is counted for the first VM in name order and
 // reported on the error topic instead of silently double-counted.
-func (a *aggregatorBehavior) vmRollup(ctx *actor.Context, round *roundState) {
+func (a *aggregatorBehavior) vmRollup(ctx *actor.Context, round *roundState, view *cgroup.View) {
 	if len(a.vms) == 0 {
 		return
 	}
@@ -665,7 +681,7 @@ func (a *aggregatorBehavior) vmRollup(ctx *actor.Context, round *roundState) {
 	for _, def := range a.vms {
 		pids := def.PIDs
 		if def.cgroupBacked() {
-			pids = a.hierarchy.MembersRecursive(def.CgroupPath)
+			pids = view.MembersOf(def.CgroupPath)
 		}
 		sum := 0.0
 		counted := false

@@ -231,9 +231,9 @@ func WithLogger(l *slog.Logger) Option {
 // AggregatedReport.PerCgroup, so a group's power is the exact sum of its
 // members, nested groups roll up to their parents, and a PID reported both
 // standalone and inside a group is never double-counted. Membership is
-// re-synchronised on every Collect: members that exit are pruned from the
-// hierarchy and detached from their Sensor shard, members that join are
-// attached.
+// re-synchronised on the first Collect after a membership change or a process
+// exit: members that exit are pruned from the hierarchy and detached from
+// their Sensor shard, members that join are attached.
 func WithCgroups(h *cgroup.Hierarchy) Option {
 	return func(o *options) { o.hierarchy = h }
 }
@@ -262,7 +262,8 @@ func (d VMDef) cgroupBacked() bool { return d.CgroupPath != "" }
 // Every sampling round the Aggregator fills AggregatedReport.PerVM with each
 // VM's power — the exact sum of its members' per-process estimates, each PID
 // counted once — and vm targets become attachable: attaching target.VM(name)
-// monitors the VM's member processes, re-synchronised on every Collect.
+// monitors the VM's member processes, re-synchronised on the first Collect
+// after a membership change or a process exit.
 // Definitions must not overlap (a PID or subtree claimed by two VMs would
 // double-count), which New validates.
 func WithVMs(defs ...VMDef) Option {
@@ -346,6 +347,11 @@ type PowerAPI struct {
 	// contains them. A PID present in both stays attached until it leaves both.
 	monitored map[target.Target]bool
 	members   map[int]bool
+	// synced records the hierarchy generation and the process-table exit
+	// count read before the last membership sync that succeeded; Collect
+	// re-syncs only when either has moved since (or the last sync failed).
+	synced    membershipStamp
+	hasSynced bool
 	closed    bool
 	// lastReport is the pooled round the most recent Collect returned; it is
 	// released when the next Collect replaces it (the Collect retention
@@ -970,8 +976,9 @@ func (p *PowerAPI) Attach(pids ...int) error {
 // routed to their Sensor shard directly. Attaching a cgroup target (which
 // requires WithCgroups unless the attribution source itself has cgroup scope)
 // monitors the group's member processes, descendants included; membership is
-// re-synchronised on every Collect. The machine is always monitored through
-// the pipeline's machine-scope source, so machine targets are rejected.
+// re-synchronised on the first Collect after a membership change or a process
+// exit. The machine is always monitored through the pipeline's machine-scope
+// source, so machine targets are rejected.
 func (p *PowerAPI) AttachTargets(targets ...target.Target) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -1162,15 +1169,33 @@ func (p *PowerAPI) dropHistory(t target.Target) {
 	p.history.Remove(t, p.lastCollect)
 }
 
+// membershipStamp is what a membership sync depends on besides the monitored
+// set: the hierarchy's generation and how many processes have exited.
+type membershipStamp struct {
+	gen, exits uint64
+}
+
+func (p *PowerAPI) membershipStampLocked() membershipStamp {
+	st := membershipStamp{exits: p.machine.Processes().Exits()}
+	if p.hierarchy != nil {
+		st.gen = p.hierarchy.Generation()
+	}
+	return st
+}
+
 // syncCgroupsLocked re-synchronises shard attachments with the cgroup
 // hierarchy and the VM definitions: members that exited are pruned from the
 // hierarchy and detached from their Sensor shard (unless also monitored
 // standalone), members that joined a monitored group or VM are attached.
-// Callers hold p.mu.
-func (p *PowerAPI) syncCgroupsLocked() error {
+// The membership stamp is read before the sync and recorded only if it
+// succeeds, so a mutation racing the sync, or a failed attach or detach, is
+// retried by the next Collect. Callers hold p.mu.
+func (p *PowerAPI) syncCgroupsLocked() (err error) {
 	if p.hierarchy == nil && len(p.vms) == 0 {
 		return nil
 	}
+	stamp := p.membershipStampLocked()
+	defer func() { p.synced, p.hasSynced = stamp, err == nil }()
 	procs := p.machine.Processes()
 	alive := func(pid int) bool {
 		pr, err := procs.Get(pid)
@@ -1291,11 +1316,14 @@ func (p *PowerAPI) Collect() (AggregatedReport, error) {
 		p.mu.Unlock()
 		return AggregatedReport{}, fmt.Errorf("core: no simulated time elapsed since the previous collection (now %v)", now)
 	}
-	// Re-partition before the round: cgroup members that exited since the
-	// previous Collect leave their shard, members that joined are attached.
-	if err := p.syncCgroupsLocked(); err != nil {
-		p.mu.Unlock()
-		return AggregatedReport{}, err
+	// Re-partition before the round if memberships changed since the last
+	// sync: cgroup members that exited leave their shard, members that
+	// joined are attached.
+	if !p.hasSynced || p.membershipStampLocked() != p.synced {
+		if err := p.syncCgroupsLocked(); err != nil {
+			p.mu.Unlock()
+			return AggregatedReport{}, err
+		}
 	}
 	p.lastCollect = now
 	p.mu.Unlock()

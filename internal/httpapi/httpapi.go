@@ -376,7 +376,8 @@ func parseTargetSpec(r *http.Request) (target.Target, error) {
 // handleAttachTarget starts monitoring one target given by spec — the
 // dynamic-attach path for cgroup and vm targets, which the {pid} endpoint
 // cannot express. Attaching a cgroup monitors its member processes
-// (descendants included), re-synchronised every round.
+// (descendants included), re-synchronised on the first round after a member
+// joins, moves, leaves or exits.
 func (s *Server) handleAttachTarget(w http.ResponseWriter, r *http.Request) {
 	t, err := parseTargetSpec(r)
 	if err != nil {

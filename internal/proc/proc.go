@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"powerapi/internal/workload"
@@ -119,15 +120,17 @@ func (p *Process) WorkloadDone(at time.Duration) bool {
 	return gen.Done(at - startedAt)
 }
 
-// exit marks the process as exited at the given instant.
-func (p *Process) exit(at time.Duration) {
+// exit marks the process as exited at the given instant and reports whether
+// it was still runnable.
+func (p *Process) exit(at time.Duration) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.state == StateExited {
-		return
+		return false
 	}
 	p.state = StateExited
 	p.exitedAt = at
+	return true
 }
 
 // ExitedAt returns when the process exited (zero if still runnable).
@@ -166,6 +169,9 @@ type Table struct {
 	// re-sort, which keeps the per-tick Runnable scan O(n) instead of
 	// O(n log n) at 100k processes.
 	sorted []*Process
+	// exits counts runnable→exited transitions, so a reader can tell that
+	// no process exited since it last looked.
+	exits atomic.Uint64
 }
 
 // NewTable creates an empty process table. PIDs start at 1000 to look like a
@@ -216,9 +222,14 @@ func (t *Table) Kill(pid int, at time.Duration) error {
 	if err != nil {
 		return err
 	}
-	p.exit(at)
+	if p.exit(at) {
+		t.exits.Add(1)
+	}
 	return nil
 }
+
+// Exits returns how many processes have exited so far, through Kill or Reap.
+func (t *Table) Exits() uint64 { return t.exits.Load() }
 
 // List returns every process (any state) ordered by PID.
 func (t *Table) List() []*Process {
@@ -264,7 +275,9 @@ func (t *Table) Reap(at time.Duration) []int {
 	var reaped []int
 	for _, p := range t.sorted {
 		if p.State() == StateRunnable && p.WorkloadDone(at) {
-			p.exit(at)
+			if p.exit(at) {
+				t.exits.Add(1)
+			}
 			reaped = append(reaped, p.pid)
 		}
 	}

@@ -193,3 +193,31 @@ func TestListOrderedByPID(t *testing.T) {
 		}
 	}
 }
+
+func TestExitsCountsKillAndReap(t *testing.T) {
+	table := NewTable()
+	short, _ := table.Spawn(mustCPUStress(t, 0.5, 2*time.Second), 0)
+	killed, _ := table.Spawn(mustCPUStress(t, 0.5, 0), 0)
+	if got := table.Exits(); got != 0 {
+		t.Fatalf("Exits() = %d before any exit", got)
+	}
+	if err := table.Kill(killed.PID(), time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := table.Kill(killed.PID(), time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := table.Exits(); got != 1 {
+		t.Fatalf("Exits() = %d after killing one process twice, want 1", got)
+	}
+	table.Reap(time.Second)
+	if got := table.Exits(); got != 1 {
+		t.Fatalf("Exits() = %d after a Reap that reaped nothing, want 1", got)
+	}
+	if reaped := table.Reap(3 * time.Second); len(reaped) != 1 || reaped[0] != short.PID() {
+		t.Fatalf("Reap = %v, want [%d]", reaped, short.PID())
+	}
+	if got := table.Exits(); got != 2 {
+		t.Fatalf("Exits() = %d after a reap, want 2", got)
+	}
+}

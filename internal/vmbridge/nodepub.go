@@ -39,7 +39,51 @@ type NodePublisher struct {
 	// consumer that chokes on the new JSON fields).
 	noProvenance atomic.Bool
 
+	// layout is the row order of the previous frame, owned by the run
+	// goroutine.
+	layout rowLayout
+
 	closeOnce sync.Once
+}
+
+// rowLayout caches a node frame's row order across rounds: the sorted cgroup
+// paths and their "cgroup:"+path row keys. The cgroup set of a monitor
+// rarely changes, so most rounds only look their watts up in cached order.
+type rowLayout struct {
+	paths []string
+	keys  []string
+}
+
+// fill writes perCgroup into rows (len(perCgroup) long) in the cached order
+// and reports whether the round's path set is the cached one; on false the
+// rows are partly written and the layout must be rebuilt.
+//
+//powerapi:hotpath
+func (l *rowLayout) fill(rows []TargetRow, perCgroup map[string]float64) bool {
+	if len(l.paths) != len(rows) {
+		return false
+	}
+	for i, path := range l.paths {
+		w, ok := perCgroup[path]
+		if !ok {
+			return false
+		}
+		rows[i] = TargetRow{Key: l.keys[i], Watts: w}
+	}
+	return true
+}
+
+// rebuild caches the sorted path set of perCgroup and its row keys.
+func (l *rowLayout) rebuild(perCgroup map[string]float64) {
+	l.paths = l.paths[:0]
+	for path := range perCgroup {
+		l.paths = append(l.paths, path)
+	}
+	sort.Strings(l.paths)
+	l.keys = l.keys[:0]
+	for _, path := range l.paths {
+		l.keys = append(l.keys, "cgroup:"+path)
+	}
 }
 
 // SetProvenance enables or disables the provenance stamps (EmitMono, Round,
@@ -75,35 +119,7 @@ func (p *NodePublisher) run() {
 	for report := range p.sub.C() {
 		ts := report.Timestamp
 		traceStart := p.tracer.Now()
-		// One frame per round. Rows carry the cgroup rollup (the unit the
-		// collector aggregates across nodes) in deterministic sorted order;
-		// the node total rides in Watts, so a collector ingesting only
-		// headers still gets per-node and fleet watts right. Rows and batch
-		// are freshly allocated per round because the transport retains them
-		// until written.
-		rows := make([]TargetRow, 0, len(report.PerCgroup))
-		for path, w := range report.PerCgroup {
-			rows = append(rows, TargetRow{Key: "cgroup:" + path, Watts: w})
-		}
-		sort.Slice(rows, func(i, j int) bool { return rows[i].Key < rows[j].Key })
-		seq := p.seq.Add(1)
-		frame := VMPowerFrame{
-			VM:             p.node,
-			Seq:            seq,
-			Timestamp:      report.Timestamp,
-			Watts:          report.TotalWatts,
-			HostTotalWatts: report.TotalWatts,
-			SourceMode:     report.SourceMode,
-			Rows:           rows,
-		}
-		if !p.noProvenance.Load() {
-			// One frame per round, so the round number IS the frame sequence.
-			// EmitMono is the daemon's tracer clock: the collector differences
-			// it against arrival stamps for lag/skew estimates.
-			frame.EmitMono = time.Duration(p.tracer.Now())
-			frame.Round = seq
-			frame.TraceID = FrameTraceID(p.node, seq)
-		}
+		frame := p.frame(report)
 		report.Release()
 		if err := p.tr.SendBatch([]VMPowerFrame{frame}); err != nil {
 			p.sendErrs.Add(1)
@@ -113,6 +129,39 @@ func (p *NodePublisher) run() {
 		}
 		p.tracer.Record(ts, obs.StagePublish, 0, traceStart, p.tracer.Now())
 	}
+}
+
+// frame builds the node frame of one round. Rows carry the cgroup rollup (the
+// unit the collector aggregates across nodes) in sorted key order; the node
+// total rides in Watts, so a collector ingesting only headers still gets
+// per-node and fleet watts right. The rows slice is allocated per frame
+// because the transport retains frames until they are written; everything
+// else a row needs comes from the cached layout.
+func (p *NodePublisher) frame(report core.AggregatedReport) VMPowerFrame {
+	rows := make([]TargetRow, len(report.PerCgroup))
+	if !p.layout.fill(rows, report.PerCgroup) {
+		p.layout.rebuild(report.PerCgroup)
+		p.layout.fill(rows, report.PerCgroup)
+	}
+	seq := p.seq.Add(1)
+	frame := VMPowerFrame{
+		VM:             p.node,
+		Seq:            seq,
+		Timestamp:      report.Timestamp,
+		Watts:          report.TotalWatts,
+		HostTotalWatts: report.TotalWatts,
+		SourceMode:     report.SourceMode,
+		Rows:           rows,
+	}
+	if !p.noProvenance.Load() {
+		// One frame per round, so the round number IS the frame sequence.
+		// EmitMono is the daemon's tracer clock: the collector differences
+		// it against arrival stamps for lag/skew estimates.
+		frame.EmitMono = time.Duration(p.tracer.Now())
+		frame.Round = seq
+		frame.TraceID = FrameTraceID(p.node, seq)
+	}
+	return frame
 }
 
 // Node returns the node name the publisher stamps on its frames.

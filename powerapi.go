@@ -441,8 +441,8 @@ func ParseTarget(s string) (Target, error) { return target.Parse(s) }
 // the per-cgroup power rollup (MonitorReport.PerCgroup) — a group's power is
 // the exact sum of its member processes, descendants included, with nested
 // groups rolling up to their parents and no double counting — and
-// memberships are re-synchronised on every sampling round as members exit
-// or join.
+// memberships are re-synchronised on the first sampling round after a member
+// exits or joins.
 func WithCgroups(h *CgroupHierarchy) MonitorOption { return core.WithCgroups(h) }
 
 // WithProcessNameGrouping aggregates power by process name in addition to the
