@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
@@ -17,9 +16,9 @@ import (
 // passive in-process nodes feed pre-encoded wire payloads straight into the
 // ingest queues (collector.FeedPayload — the exact worker/commit path a socket
 // reader drives, minus the socket), and every fleet round is one synchronous
-// Rollup over the committed contributions. The claim under test is twofold:
-// steady-state allocations per fleet round must not grow with the node count,
-// and the binary codec must ingest rows at least twice as fast as JSON-lines.
+// Rollup over the committed contributions. The claim under test is that
+// steady-state allocations per fleet round do not grow with the node count;
+// a pure ingest-rate cell reports decode throughput alongside.
 
 // FleetCell is one measured point of the fleet matrix.
 type FleetCell struct {
@@ -49,26 +48,21 @@ type FleetCell struct {
 	IngestMBPerSec float64 `json:"ingestMBPerSec"`
 }
 
-// CodecReport compares ingest throughput of the two wire codecs over the same
-// logical frames on identical collectors.
+// CodecReport is the ingest throughput of the wire format: pre-encoded
+// messages fed through the real decode/commit path.
 type CodecReport struct {
 	Nodes             int     `json:"nodes"`
 	TargetsPerNode    int     `json:"targetsPerNode"`
 	Rounds            int     `json:"rounds"`
 	BinaryRowsPerSec  float64 `json:"binaryRowsPerSec"`
-	JSONRowsPerSec    float64 `json:"jsonRowsPerSec"`
 	BinaryMBPerSec    float64 `json:"binaryMBPerSec"`
-	JSONMBPerSec      float64 `json:"jsonMBPerSec"`
 	BinaryBytesPerRow float64 `json:"binaryBytesPerRow"`
-	JSONBytesPerRow   float64 `json:"jsonBytesPerRow"`
-	// RowRateRatio is binary over JSON rows/sec — the ≥2× claim.
-	RowRateRatio float64 `json:"rowRateRatio"`
 }
 
 // benchCollector builds one passive collector sized for the cell. Rounds are
 // driven manually (Interval 0); history capacity is kept small so its lazy
 // ring growth finishes inside the warm-up and steady state stays clean.
-func benchCollector(nodes, shards int, codec vmbridge.Codec) (*collector.Collector, []string, error) {
+func benchCollector(nodes, shards int) (*collector.Collector, []string, error) {
 	addrs := make([]string, nodes)
 	names := make([]string, nodes)
 	for i := range addrs {
@@ -80,7 +74,6 @@ func benchCollector(nodes, shards int, codec vmbridge.Codec) (*collector.Collect
 		Passive:         true,
 		Shards:          shards,
 		StaleAfter:      time.Hour,
-		Codec:           codec,
 		HistoryCapacity: 16,
 	})
 	return col, names, err
@@ -96,14 +89,14 @@ func benchRows(targetsPerNode int) []vmbridge.TargetRow {
 	return rows
 }
 
-// measureFleet meters one fleet cell on the binary codec. Frames carry full
-// version-2 provenance stamps, so the metered path includes offset tracking,
+// measureFleet meters one fleet cell. Frames carry full provenance stamps,
+// so the metered path includes offset tracking,
 // the per-round health pass and the e2e latency histogram — the claim is
 // allocation-flat rounds with the whole observability layer live. With
 // subscribers > 0, that many Conflate subscribers drain the fanout while the
 // rounds run.
 func measureFleet(nodes, targetsPerNode, shards, subscribers, warmup, rounds int) (FleetCell, error) {
-	col, names, err := benchCollector(nodes, shards, vmbridge.CodecBinary)
+	col, names, err := benchCollector(nodes, shards)
 	if err != nil {
 		return FleetCell{}, err
 	}
@@ -158,7 +151,7 @@ func measureFleet(nodes, targetsPerNode, shards, subscribers, warmup, rounds int
 			batch[0].EmitMono = emit
 			batch[0].Round = seq
 			batch[0].TraceID = vmbridge.FrameTraceID(names[i], seq)
-			scratch = vmbridge.AppendBinaryBatchVersion(scratch[:0], batch, vmbridge.BinaryVersionProvenance)
+			scratch = vmbridge.AppendBinaryBatch(scratch[:0], batch)
 			wireBytes += uint64(len(scratch))
 			if err := col.FeedPayload(i, scratch); err != nil {
 				return err
@@ -217,13 +210,13 @@ func measureFleet(nodes, targetsPerNode, shards, subscribers, warmup, rounds int
 	}, nil
 }
 
-// measureCodecRate meters pure ingest throughput for one codec: payloads for
-// every (round, node) are pre-encoded, so the metered loop is feed → decode →
-// commit with no encoding cost inside. Returns rows/sec and wire bytes/sec.
-func measureCodecRate(codec vmbridge.Codec, nodes, targetsPerNode, warmup, rounds int, encode func(frame vmbridge.VMPowerFrame) []byte) (rowsPerSec, bytesPerSec float64, err error) {
-	col, names, err := benchCollector(nodes, 2, codec)
+// measureCodec meters pure ingest throughput: messages for every (round,
+// node) are pre-encoded with full provenance stamps, so the metered loop is
+// feed → decode → commit with no encoding cost inside.
+func measureCodec(nodes, targetsPerNode, warmup, rounds int) (CodecReport, error) {
+	col, names, err := benchCollector(nodes, 2)
 	if err != nil {
-		return 0, 0, err
+		return CodecReport{}, err
 	}
 	defer col.Close()
 
@@ -233,14 +226,18 @@ func measureCodecRate(codec vmbridge.Codec, nodes, targetsPerNode, warmup, round
 	for r := 0; r < total; r++ {
 		payloads[r] = make([][]byte, nodes)
 		for i := 0; i < nodes; i++ {
-			payloads[r][i] = encode(vmbridge.VMPowerFrame{
+			seq := uint64(r + 1)
+			payloads[r][i] = vmbridge.AppendBinaryBatch(nil, []vmbridge.VMPowerFrame{{
 				VM:             names[i],
-				Seq:            uint64(r + 1),
+				Seq:            seq,
 				Watts:          float64(targetsPerNode),
 				HostTotalWatts: float64(targetsPerNode),
 				SourceMode:     "bench",
 				Rows:           rows,
-			})
+				EmitMono:       time.Duration(seq),
+				Round:          seq,
+				TraceID:        vmbridge.FrameTraceID(names[i], seq),
+			}})
 		}
 	}
 
@@ -260,7 +257,7 @@ func measureCodecRate(codec vmbridge.Codec, nodes, targetsPerNode, warmup, round
 	}
 	for r := 0; r < warmup; r++ {
 		if err := feed(r); err != nil {
-			return 0, 0, err
+			return CodecReport{}, err
 		}
 	}
 	var wireBytes uint64
@@ -272,7 +269,7 @@ func measureCodecRate(codec vmbridge.Codec, nodes, targetsPerNode, warmup, round
 	start := time.Now()
 	for r := warmup; r < total; r++ {
 		if err := feed(r); err != nil {
-			return 0, 0, err
+			return CodecReport{}, err
 		}
 	}
 	elapsed := time.Since(start).Seconds()
@@ -282,48 +279,16 @@ func measureCodecRate(codec vmbridge.Codec, nodes, targetsPerNode, warmup, round
 	live, keys := rep.Nodes, len(rep.PerTarget)
 	rep.Release()
 	if live != nodes || keys != targetsPerNode {
-		return 0, 0, fmt.Errorf("codec %s ingested %d live nodes / %d keys, want %d / %d", codec, live, keys, nodes, targetsPerNode)
+		return CodecReport{}, fmt.Errorf("ingested %d live nodes / %d keys, want %d / %d", live, keys, nodes, targetsPerNode)
 	}
 	totalRows := float64(rounds) * float64(nodes) * float64(targetsPerNode)
-	return totalRows / elapsed, float64(wireBytes) / elapsed, nil
-}
-
-// measureCodecs runs the binary-vs-JSON ingest comparison.
-func measureCodecs(nodes, targetsPerNode, warmup, rounds int) (CodecReport, error) {
-	binRows, binBytes, err := measureCodecRate(vmbridge.CodecBinary, nodes, targetsPerNode, warmup, rounds,
-		func(frame vmbridge.VMPowerFrame) []byte {
-			// FeedPayload takes the whole message; version-2 framing so the
-			// measured decode includes the provenance fields.
-			frame.EmitMono = time.Duration(frame.Seq)
-			frame.Round = frame.Seq
-			frame.TraceID = vmbridge.FrameTraceID(frame.VM, frame.Seq)
-			return vmbridge.AppendBinaryBatchVersion(nil, []vmbridge.VMPowerFrame{frame}, vmbridge.BinaryVersionProvenance)
-		})
-	if err != nil {
-		return CodecReport{}, fmt.Errorf("binary: %w", err)
-	}
-	jsonRows, jsonBytes, err := measureCodecRate(vmbridge.CodecJSON, nodes, targetsPerNode, warmup, rounds,
-		func(frame vmbridge.VMPowerFrame) []byte {
-			line, merr := json.Marshal(frame)
-			if merr != nil {
-				panic(merr)
-			}
-			return line
-		})
-	if err != nil {
-		return CodecReport{}, fmt.Errorf("json: %w", err)
-	}
 	return CodecReport{
 		Nodes:             nodes,
 		TargetsPerNode:    targetsPerNode,
 		Rounds:            rounds,
-		BinaryRowsPerSec:  binRows,
-		JSONRowsPerSec:    jsonRows,
-		BinaryMBPerSec:    binBytes / 1e6,
-		JSONMBPerSec:      jsonBytes / 1e6,
-		BinaryBytesPerRow: binBytes / binRows,
-		JSONBytesPerRow:   jsonBytes / jsonRows,
-		RowRateRatio:      binRows / jsonRows,
+		BinaryRowsPerSec:  totalRows / elapsed,
+		BinaryMBPerSec:    float64(wireBytes) / 1e6 / elapsed,
+		BinaryBytesPerRow: float64(wireBytes) / totalRows,
 	}, nil
 }
 

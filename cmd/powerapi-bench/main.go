@@ -86,14 +86,13 @@ func main() {
 		budgetPath = flag.String("budget", "", "enforce the allocs/round budget file (JSON array of {targets,shards,maxAllocsPerRound})")
 		pr         = flag.String("pr", "PR6", "label recorded in the report")
 
-		fleet         = flag.Bool("fleet", false, "meter the fleet collector (nodes × targets-per-node ingest + rollup) instead of the daemon pipeline")
-		fleetNodes    = flag.String("fleet-nodes", "10,100,1000", "comma-separated node counts for the fleet matrix")
-		fleetTargets  = flag.Int("fleet-targets", 1000, "route keys per node frame in the fleet matrix")
-		fleetShards   = flag.Int("fleet-shards", 4, "rollup fan-out width of the fleet collector")
-		fleetRounds   = flag.Int("fleet-rounds", 25, "steady-state fleet rounds metered per cell")
-		fleetWarmup   = flag.Int("fleet-warmup", 20, "fleet warm-up rounds per cell (must outlast history ring growth)")
-		fleetSubs     = flag.String("fleet-subscribers", "0", "comma-separated fanout subscriber counts crossed with -fleet-nodes (0 allowed; fanout cost must stay sub-linear)")
-		minCodecRatio = flag.Float64("min-codec-ratio", 0, "fail unless binary ingests rows at least this many times faster than JSON (0 reports only)")
+		fleet        = flag.Bool("fleet", false, "meter the fleet collector (nodes × targets-per-node ingest + rollup) instead of the daemon pipeline")
+		fleetNodes   = flag.String("fleet-nodes", "10,100,1000", "comma-separated node counts for the fleet matrix")
+		fleetTargets = flag.Int("fleet-targets", 1000, "route keys per node frame in the fleet matrix")
+		fleetShards  = flag.Int("fleet-shards", 4, "rollup fan-out width of the fleet collector")
+		fleetRounds  = flag.Int("fleet-rounds", 25, "steady-state fleet rounds metered per cell")
+		fleetWarmup  = flag.Int("fleet-warmup", 20, "fleet warm-up rounds per cell (must outlast history ring growth)")
+		fleetSubs    = flag.String("fleet-subscribers", "0", "comma-separated fanout subscriber counts crossed with -fleet-nodes (0 allowed; fanout cost must stay sub-linear)")
 	)
 	flag.Parse()
 
@@ -138,19 +137,14 @@ func main() {
 				report.FleetCells = append(report.FleetCells, cell)
 			}
 		}
-		codec, err := measureCodecs(32, 250, 5, 30)
+		codec, err := measureCodec(32, 250, 5, 30)
 		if err != nil {
-			fatalf("measure codecs: %v", err)
+			fatalf("measure codec: %v", err)
 		}
-		fmt.Fprintf(os.Stderr, "codec: binary %.0f rows/s (%.1f MB/s, %.1f B/row)  json %.0f rows/s (%.1f MB/s, %.1f B/row)  ratio %.2fx\n",
-			codec.BinaryRowsPerSec, codec.BinaryMBPerSec, codec.BinaryBytesPerRow,
-			codec.JSONRowsPerSec, codec.JSONMBPerSec, codec.JSONBytesPerRow, codec.RowRateRatio)
+		fmt.Fprintf(os.Stderr, "codec: binary %.0f rows/s (%.1f MB/s, %.1f B/row)\n",
+			codec.BinaryRowsPerSec, codec.BinaryMBPerSec, codec.BinaryBytesPerRow)
 		report.Codec = &codec
 		failed = checkFleetBudget(report.FleetCells, budget)
-		if *minCodecRatio > 0 && codec.RowRateRatio < *minCodecRatio {
-			fmt.Fprintf(os.Stderr, "BUDGET EXCEEDED: binary/JSON row-rate ratio %.2f < required %.2f\n", codec.RowRateRatio, *minCodecRatio)
-			failed = true
-		}
 	} else {
 		for _, targets := range scales {
 			for _, shards := range shardCounts {

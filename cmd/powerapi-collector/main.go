@@ -10,8 +10,6 @@
 //	powerapi-collector -nodes 127.0.0.1:9292,127.0.0.1:9293
 //	powerapi-collector -nodes ... -listen 127.0.0.1:9090
 //	                                    # Prometheus /metrics + JSON /api/v1
-//	powerapi-collector -nodes ... -codec json
-//	                                    # legacy JSON-lines ingest
 //	powerapi-collector -nodes ... -debug-addr 127.0.0.1:6060
 //	                                    # net/http/pprof profiling surface
 //	powerapi-collector -nodes ... -interval 500ms -stale-after 5s -shards 8
@@ -25,10 +23,9 @@
 //
 // Each node link dials with capped exponential backoff and reconnects for as
 // long as the collector runs; a silent node's last contribution is used until
-// -stale-after, then the node is skipped and accounted as stale. By default
-// the collector negotiates the compact binary frame codec with every node —
-// one length-prefixed message per node round — and its steady-state ingest
-// allocates nothing per frame.
+// -stale-after, then the node is skipped and accounted as stale. Every node
+// link speaks one binary frame format — one length-prefixed message per node
+// round — and the collector's steady-state ingest allocates nothing per frame.
 //
 // The collector meters its own consumption (the -self-ref-watts model of one
 // busy core) and reports it as a self row next to the fleet it rolls up, the
@@ -53,7 +50,6 @@ import (
 	"powerapi/internal/collector"
 	"powerapi/internal/core"
 	"powerapi/internal/httpapi"
-	"powerapi/internal/vmbridge"
 )
 
 func main() {
@@ -72,7 +68,6 @@ func run(args []string) error {
 		interval   = fs.Duration("interval", time.Second, "fleet rollup period")
 		duration   = fs.Duration("duration", 0, "stop after this long (0 runs until SIGINT/SIGTERM)")
 		staleAfter = fs.Duration("stale-after", 5*time.Second, "how long a node's last frame stays eligible for rollup before the node is skipped")
-		codecName  = fs.String("codec", "binary", "wire encoding negotiated with each node: binary|json")
 		shardCount = fs.Int("shards", 4, "rollup fan-out width")
 		workers    = fs.Int("workers", 0, "ingest worker pool size (0 picks min(8, GOMAXPROCS))")
 		histCap    = fs.Int("history", 1024, "retained samples per fleet target for /api/v1/query (0 disables)")
@@ -98,15 +93,6 @@ func run(args []string) error {
 	}
 	if *interval <= 0 {
 		return fmt.Errorf("interval must be positive, got %v", *interval)
-	}
-	var codec vmbridge.Codec
-	switch *codecName {
-	case "binary":
-		codec = vmbridge.CodecBinary
-	case "json":
-		codec = vmbridge.CodecJSON
-	default:
-		return fmt.Errorf("invalid codec %q (want binary or json)", *codecName)
 	}
 	logger, err := buildLogger(*logLevel, *logFormat)
 	if err != nil {
@@ -158,7 +144,6 @@ func run(args []string) error {
 		GoneAfter:       *goneAfter,
 		SpikeFactor:     *spike,
 		JournalCapacity: *journalCap,
-		Codec:           codec,
 		HistoryCapacity: *histCap,
 		SelfRefWatts:    *selfRef,
 		Logger:          logger,
@@ -218,8 +203,8 @@ func run(args []string) error {
 		defer cancel()
 	}
 
-	fmt.Printf("Gathering %d node(s) every %v (%s codec, %d shard(s), stale after %v)\n",
-		len(addrs), *interval, codec, *shardCount, *staleAfter)
+	fmt.Printf("Gathering %d node(s) every %v (%d shard(s), stale after %v)\n",
+		len(addrs), *interval, *shardCount, *staleAfter)
 
 	// The per-round summary consumes the same fanout every other subscriber
 	// uses; Conflate keeps a slow terminal from ever stalling the rollup.

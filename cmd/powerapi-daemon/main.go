@@ -50,18 +50,17 @@
 //
 // The VM bridge connects two daemons across the host/guest boundary. On the
 // host, -vms designates named VMs over the workload indices and -vm-publish
-// streams each VM's per-round power as JSON lines over TCP (the virtio-serial
-// stand-in). On the guest, -vm-delegate dials that address and -vm-name picks
-// the VM: the guest daemon's machine power is then whatever the host
-// delegated, re-attributed across the guest's own workloads — the nested
-// PowerAPI instance of the paper. -vm-stale selects what the guest reports
-// when frames stop arriving (zero|hold).
+// streams each VM's per-round power over TCP as length-prefixed binary
+// frames (the virtio-serial stand-in). On the guest, -vm-delegate dials that
+// address and -vm-name picks the VM: the guest daemon's machine power is then
+// whatever the host delegated, re-attributed across the guest's own
+// workloads — the nested PowerAPI instance of the paper. -vm-stale selects
+// what the guest reports when frames stop arriving (zero|hold).
 //
 // With -fleet-publish the daemon becomes one node of a fleet: every completed
 // round streams one frame carrying the node total and its per-cgroup rows for
-// a powerapi-collector to gather. The collector negotiates the compact binary
-// codec per connection; legacy JSON receivers on the same socket keep their
-// JSON-lines stream.
+// a powerapi-collector to gather, stamped with its emit time, round and trace
+// id, in the same binary frame the VM bridge speaks.
 package main
 
 import (
@@ -126,9 +125,8 @@ func run(args []string) error {
 		retention = fs.Int("retention", 300, "most recent rounds RunMonitored keeps in memory (0 keeps all)")
 		fleetPub  = fs.String("fleet-publish", "", `fleet side of the bridge: stream this node's per-round power (total plus per-cgroup rows) over TCP on this address for a powerapi-collector to gather`)
 		nodeName  = fs.String("node-name", "", "with -fleet-publish, this node's name in the fleet rollup (default: the hostname)")
-		fleetProv = fs.Bool("fleet-provenance", true, "with -fleet-publish, stamp frames with emit time, round and trace id (off emulates a pre-provenance daemon)")
 		vms       = fs.String("vms", "", `designate named VMs over the workloads, e.g. "vma=1,2;vmb=3" (1-based workload indices)`)
-		vmPublish = fs.String("vm-publish", "", `host side of the VM bridge: stream per-VM power frames as JSON lines over TCP on this address (requires -vms)`)
+		vmPublish = fs.String("vm-publish", "", `host side of the VM bridge: stream per-VM power frames as binary messages over TCP on this address (requires -vms)`)
 		vmDial    = fs.String("vm-delegate", "", `guest side of the VM bridge: dial a host's -vm-publish address and use the delegated figure as this instance's machine power`)
 		vmName    = fs.String("vm-name", "", "with -vm-delegate, the VM whose frames this guest consumes")
 		vmStale   = fs.String("vm-stale", "zero", "with -vm-delegate, what to report once frames stop arriving: zero|hold")
@@ -492,7 +490,6 @@ func run(args []string) error {
 		if nerr != nil {
 			return nerr
 		}
-		np.SetProvenance(*fleetProv)
 		defer np.Close()
 		fmt.Printf("Publishing node power frames on %s (node %q)\n", fleetTransport.Addr(), *nodeName)
 	}

@@ -9,8 +9,7 @@
 // one cheap reader goroutine per node link feeds a small per-node drop-oldest
 // payload ring, and a fixed pool of workers decodes payloads into each node's
 // retained contribution — route keys resolved to dense fleet-global slots
-// (core.KeySlots) so the binary-codec steady state allocates nothing per
-// frame. Rollup is sharded: S shard workers sweep their subset of nodes into
+// (core.KeySlots) so the steady state allocates nothing per frame. Rollup is sharded: S shard workers sweep their subset of nodes into
 // epoch-reset accumulators (core.SparseSet) and the driver merges them into a
 // pooled, refcounted FleetReport whose maps are cleared, never reallocated —
 // steady-state allocations per fleet round depend on the shard count, not on
@@ -31,7 +30,6 @@ import (
 	"powerapi/internal/history"
 	"powerapi/internal/obs"
 	"powerapi/internal/target"
-	"powerapi/internal/vmbridge"
 )
 
 // Config shapes a Collector. The zero value is usable: no nodes yet (AddNode
@@ -63,9 +61,10 @@ type Config struct {
 	// JournalCapacity bounds the event journal ring
 	// (DefaultJournalCapacity when zero).
 	JournalCapacity int
-	// Codec selects the wire encoding negotiated with each node
-	// (vmbridge.CodecJSON by default; CodecBinary for fleet-scale ingest).
-	Codec vmbridge.Codec
+	// Codec is ignored: every node link speaks the one binary frame.
+	//
+	// Deprecated: leave it unset.
+	Codec int
 	// DialBackoff is the base reconnect pause, growing exponentially with
 	// jitter up to an internal cap (default 100ms).
 	DialBackoff time.Duration
@@ -280,7 +279,8 @@ type NodeStats struct {
 	// Frames counts accepted frame commits; Bytes counts wire bytes read.
 	Frames uint64 `json:"frames"`
 	Bytes  uint64 `json:"bytes"`
-	// DecodeErrors counts undecodable payloads; DroppedPayloads counts
+	// DecodeErrors counts messages that failed to frame or decode;
+	// DroppedPayloads counts
 	// payloads shed by the node's drop-oldest ring; Reconnects counts link
 	// re-establishments; StaleSkips counts rounds that skipped the node.
 	DecodeErrors    uint64 `json:"decodeErrors"`

@@ -1,7 +1,6 @@
 package collector
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"testing"
@@ -47,76 +46,75 @@ func frames(c *Collector, name string) uint64 {
 }
 
 func TestFleetConservation(t *testing.T) {
-	for _, codec := range []vmbridge.Codec{vmbridge.CodecJSON, vmbridge.CodecBinary} {
-		t.Run(codec.String(), func(t *testing.T) {
-			const nodes = 3
-			pubs := make([]*vmbridge.TCPPublisher, nodes)
-			addrs := make([]string, nodes)
-			for i := range pubs {
-				pub, err := vmbridge.ListenTCP("127.0.0.1:0")
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer pub.Close()
-				pubs[i], addrs[i] = pub, pub.Addr().String()
-			}
-			c, err := New(Config{Nodes: addrs, Codec: codec, Shards: 2, StaleAfter: time.Minute})
+	// The subtest is named for the wire format the node links speak.
+	t.Run("binary", func(t *testing.T) {
+		const nodes = 3
+		pubs := make([]*vmbridge.TCPPublisher, nodes)
+		addrs := make([]string, nodes)
+		for i := range pubs {
+			pub, err := vmbridge.ListenTCP("127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer c.Close()
-			for _, pub := range pubs {
-				p := pub
-				waitUntil(t, "collector connected", func() bool { return p.Connections() == 1 })
-			}
+			defer pub.Close()
+			pubs[i], addrs[i] = pub, pub.Addr().String()
+		}
+		c, err := New(Config{Nodes: addrs, Shards: 2, StaleAfter: time.Minute})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		for _, pub := range pubs {
+			p := pub
+			waitUntil(t, "collector connected", func() bool { return p.Connections() == 1 })
+		}
 
-			// Each node reports a shared cgroup ("cgroup:web") plus one of its
-			// own, so the fleet rollup must both sum across nodes and keep
-			// per-node keys apart.
-			var wantTotal float64
-			for i, pub := range pubs {
-				total := 10.0 + float64(i)
-				wantTotal += total
-				rows := []vmbridge.TargetRow{
-					{Key: "cgroup:web", Watts: 4.0 + float64(i)},
-					{Key: fmt.Sprintf("cgroup:own-%d", i), Watts: total - 4.0 - float64(i)},
-				}
-				if err := pub.SendBatch([]vmbridge.VMPowerFrame{nodeFrame(fmt.Sprintf("node-%d", i), 1, total, rows)}); err != nil {
-					t.Fatal(err)
-				}
+		// Each node reports a shared cgroup ("cgroup:web") plus one of its
+		// own, so the fleet rollup must both sum across nodes and keep
+		// per-node keys apart.
+		var wantTotal float64
+		for i, pub := range pubs {
+			total := 10.0 + float64(i)
+			wantTotal += total
+			rows := []vmbridge.TargetRow{
+				{Key: "cgroup:web", Watts: 4.0 + float64(i)},
+				{Key: fmt.Sprintf("cgroup:own-%d", i), Watts: total - 4.0 - float64(i)},
 			}
-			for i := range pubs {
-				name := fmt.Sprintf("node-%d", i)
-				waitUntil(t, "frame from "+name, func() bool { return frames(c, name) >= 1 })
+			if err := pub.SendBatch([]vmbridge.VMPowerFrame{nodeFrame(fmt.Sprintf("node-%d", i), 1, total, rows)}); err != nil {
+				t.Fatal(err)
 			}
+		}
+		for i := range pubs {
+			name := fmt.Sprintf("node-%d", i)
+			waitUntil(t, "frame from "+name, func() bool { return frames(c, name) >= 1 })
+		}
 
-			rep := c.Rollup()
-			defer rep.Release()
-			if rep.Nodes != nodes || rep.StaleNodes != 0 {
-				t.Fatalf("nodes = %d stale = %d, want %d live", rep.Nodes, rep.StaleNodes, nodes)
-			}
-			if math.Abs(rep.TotalWatts-wantTotal) > 1e-6 {
-				t.Fatalf("fleet total %.9f, want %.9f", rep.TotalWatts, wantTotal)
-			}
-			var nodeSum float64
-			for _, w := range rep.PerNode {
-				nodeSum += w
-			}
-			if math.Abs(nodeSum-wantTotal) > 1e-6 {
-				t.Fatalf("per-node sum %.9f, want %.9f", nodeSum, wantTotal)
-			}
-			if got, want := rep.PerTarget["cgroup:web"], 4.0+5.0+6.0; math.Abs(got-want) > 1e-6 {
-				t.Fatalf("cgroup:web across nodes = %.9f, want %.9f", got, want)
-			}
-			var targetSum float64
-			for _, w := range rep.PerTarget {
-				targetSum += w
-			}
-			if math.Abs(targetSum-wantTotal) > 1e-6 {
-				t.Fatalf("per-target sum %.9f, want %.9f (rows must conserve the node totals)", targetSum, wantTotal)
-			}
-		})
-	}
+		rep := c.Rollup()
+		defer rep.Release()
+		if rep.Nodes != nodes || rep.StaleNodes != 0 {
+			t.Fatalf("nodes = %d stale = %d, want %d live", rep.Nodes, rep.StaleNodes, nodes)
+		}
+		if math.Abs(rep.TotalWatts-wantTotal) > 1e-6 {
+			t.Fatalf("fleet total %.9f, want %.9f", rep.TotalWatts, wantTotal)
+		}
+		var nodeSum float64
+		for _, w := range rep.PerNode {
+			nodeSum += w
+		}
+		if math.Abs(nodeSum-wantTotal) > 1e-6 {
+			t.Fatalf("per-node sum %.9f, want %.9f", nodeSum, wantTotal)
+		}
+		if got, want := rep.PerTarget["cgroup:web"], 4.0+5.0+6.0; math.Abs(got-want) > 1e-6 {
+			t.Fatalf("cgroup:web across nodes = %.9f, want %.9f", got, want)
+		}
+		var targetSum float64
+		for _, w := range rep.PerTarget {
+			targetSum += w
+		}
+		if math.Abs(targetSum-wantTotal) > 1e-6 {
+			t.Fatalf("per-target sum %.9f, want %.9f (rows must conserve the node totals)", targetSum, wantTotal)
+		}
+	})
 }
 
 func TestNodeChurn(t *testing.T) {
@@ -133,7 +131,6 @@ func TestNodeChurn(t *testing.T) {
 
 	c, err := New(Config{
 		Nodes:      []string{pubA.Addr().String(), addrB},
-		Codec:      vmbridge.CodecBinary,
 		StaleAfter: 150 * time.Millisecond,
 	})
 	if err != nil {
@@ -214,7 +211,7 @@ func TestNodeChurn(t *testing.T) {
 }
 
 func TestSubscribeFanout(t *testing.T) {
-	c, err := New(Config{Codec: vmbridge.CodecBinary})
+	c, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,65 +239,61 @@ func TestSubscribeFanout(t *testing.T) {
 // payloads through the real queue/worker/commit path, and NodeLastSeq is the
 // poll that tells the feeder its frames have landed.
 func TestPassiveFeed(t *testing.T) {
-	for _, codec := range []vmbridge.Codec{vmbridge.CodecBinary, vmbridge.CodecJSON} {
-		t.Run(codec.String(), func(t *testing.T) {
-			c, err := New(Config{
-				Nodes:      []string{"bench://a", "bench://b"},
-				Passive:    true,
-				Codec:      codec,
-				StaleAfter: time.Hour,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-
-			encode := func(node string, seq uint64, watts float64) []byte {
-				frame := nodeFrame(node, seq, watts, []vmbridge.TargetRow{{Key: "cgroup:app", Watts: watts}})
-				if codec == vmbridge.CodecBinary {
-					// FeedPayload wants the whole wire message, header included.
-					return vmbridge.AppendBinaryBatch(nil, []vmbridge.VMPowerFrame{frame})
-				}
-				line, err := json.Marshal(frame)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return append(line, '\n')
-			}
-			if err := c.FeedPayload(0, encode("a", 1, 12)); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.FeedPayload(1, encode("b", 1, 30)); err != nil {
-				t.Fatal(err)
-			}
-			waitUntil(t, "both feeds committed", func() bool {
-				return c.NodeLastSeq(0) >= 1 && c.NodeLastSeq(1) >= 1
-			})
-
-			rep := c.Rollup()
-			defer rep.Release()
-			if rep.Nodes != 2 || math.Abs(rep.TotalWatts-42) > 1e-6 {
-				t.Fatalf("nodes=%d total=%.3f, want 2 nodes 42 W", rep.Nodes, rep.TotalWatts)
-			}
-			if got := rep.PerTarget["cgroup:app"]; math.Abs(got-42) > 1e-6 {
-				t.Fatalf("cgroup:app = %.3f, want 42 (summed across fed nodes)", got)
-			}
-
-			if err := c.FeedPayload(2, nil); err == nil {
-				t.Fatal("FeedPayload(2) on a 2-node collector should fail")
-			}
-			if got := c.NodeLastSeq(-1); got != 0 {
-				t.Fatalf("NodeLastSeq(-1) = %d, want 0", got)
-			}
+	// The subtest is named for the wire format the feed carries.
+	t.Run("binary", func(t *testing.T) {
+		c, err := New(Config{
+			Nodes:      []string{"bench://a", "bench://b"},
+			Passive:    true,
+			StaleAfter: time.Hour,
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+
+		encode := func(node string, seq uint64, watts float64) []byte {
+			frame := nodeFrame(node, seq, watts, []vmbridge.TargetRow{{Key: "cgroup:app", Watts: watts}})
+			// FeedPayload wants the whole wire message, header included.
+			return vmbridge.AppendBinaryBatch(nil, []vmbridge.VMPowerFrame{frame})
+		}
+		msg := encode("a", 1, 12)
+		if err := c.FeedPayload(0, msg); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.FeedPayload(1, encode("b", 1, 30)); err != nil {
+			t.Fatal(err)
+		}
+		waitUntil(t, "both feeds committed", func() bool {
+			return c.NodeLastSeq(0) >= 1 && c.NodeLastSeq(1) >= 1
+		})
+
+		rep := c.Rollup()
+		defer rep.Release()
+		if rep.Nodes != 2 || math.Abs(rep.TotalWatts-42) > 1e-6 {
+			t.Fatalf("nodes=%d total=%.3f, want 2 nodes 42 W", rep.Nodes, rep.TotalWatts)
+		}
+		if got := rep.PerTarget["cgroup:app"]; math.Abs(got-42) > 1e-6 {
+			t.Fatalf("cgroup:app = %.3f, want 42 (summed across fed nodes)", got)
+		}
+		// A fed message counts in full, header included, as a socket read does.
+		if got := c.Stats().Nodes[0].Bytes; got != uint64(len(msg)) {
+			t.Fatalf("node a counted %d bytes, want the %d-byte message", got, len(msg))
+		}
+
+		if err := c.FeedPayload(2, nil); err == nil {
+			t.Fatal("FeedPayload(2) on a 2-node collector should fail")
+		}
+		if got := c.NodeLastSeq(-1); got != 0 {
+			t.Fatalf("NodeLastSeq(-1) = %d, want 0", got)
+		}
+	})
 }
 
 // TestIngestAllocationFlat drives the binary ingest path directly and asserts
 // the steady state allocates nothing per payload: keys interned, buffers
 // ping-ponging, map probes on byte slices.
 func TestIngestAllocationFlat(t *testing.T) {
-	c, err := New(Config{Codec: vmbridge.CodecBinary})
+	c, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,14 +311,14 @@ func TestIngestAllocationFlat(t *testing.T) {
 	ingestOnce := func() {
 		seq++
 		batch[0].Seq = seq
-		// Provenance-stamped version-2 frames: the steady-state claim must
-		// hold with the new fields decoded and the offset tracking live.
+		// Provenance-stamped frames: the steady-state claim must hold with
+		// the stamps decoded and the offset tracking live.
 		batch[0].EmitMono = time.Duration(seq) * time.Millisecond
 		batch[0].Round = seq
 		batch[0].TraceID = vmbridge.FrameTraceID("bench-node", seq)
-		scratch = vmbridge.AppendBinaryBatchVersion(scratch[:0], batch, vmbridge.BinaryVersionProvenance)
-		// Skip magic + length: the wire framing ReadBinaryMessageVersion strips.
-		c.ingestBinary(n, scratch[vmbridge.BinaryMessageHeader:], vmbridge.BinaryVersionProvenance)
+		scratch = vmbridge.AppendBinaryBatch(scratch[:0], batch)
+		// Skip magic + length: the wire framing ReadBinaryMessage strips.
+		c.ingestBinary(n, scratch[vmbridge.BinaryMessageHeader:])
 	}
 	for i := 0; i < 10; i++ {
 		ingestOnce() // warm: intern keys, grow buffers
@@ -347,7 +340,7 @@ func TestRollupAllocationFlat(t *testing.T) {
 	measure := func(nodes int) float64 {
 		// Small history capacity so the per-target rings fill during warm-up;
 		// their lazy growth is a warm-up cost, not steady state.
-		c, err := New(Config{Codec: vmbridge.CodecBinary, Shards: 4, StaleAfter: time.Hour, HistoryCapacity: 8})
+		c, err := New(Config{Shards: 4, StaleAfter: time.Hour, HistoryCapacity: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -361,8 +354,8 @@ func TestRollupAllocationFlat(t *testing.T) {
 			frame.EmitMono = time.Millisecond
 			frame.Round = 1
 			frame.TraceID = vmbridge.FrameTraceID(frame.VM, 1)
-			scratch := vmbridge.AppendBinaryBatchVersion(nil, []vmbridge.VMPowerFrame{frame}, vmbridge.BinaryVersionProvenance)
-			c.ingestBinary(n, scratch[vmbridge.BinaryMessageHeader:], vmbridge.BinaryVersionProvenance)
+			scratch := vmbridge.AppendBinaryBatch(nil, []vmbridge.VMPowerFrame{frame})
+			c.ingestBinary(n, scratch[vmbridge.BinaryMessageHeader:])
 			c.nodesMu.Lock()
 			c.nodes = append(c.nodes, n)
 			c.nodesMu.Unlock()

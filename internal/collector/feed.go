@@ -13,30 +13,24 @@ import (
 // ring, worker decode, seq-strict commit — is exactly the one a socket reader
 // feeds, minus the socket.
 
-// FeedPayload hands one encoded wire message — a complete binary message
-// (header included, so the declared version travels with the bytes), or one
-// JSON frame line, matching the collector's configured codec — to node i's
-// ingest queue exactly as the link reader would. The message is copied into a
-// pooled buffer, so the caller may reuse it immediately. Nodes are indexed in
-// Config.Nodes order.
+// FeedPayload hands one complete wire message (AppendBinaryBatch output,
+// header included) to node i's ingest queue exactly as the link reader would,
+// and counts the whole message in the node's Bytes as the reader does. The
+// payload is copied into a pooled buffer, so the caller may reuse msg
+// immediately. Nodes are indexed in Config.Nodes order.
 func (c *Collector) FeedPayload(node int, msg []byte) error {
 	n, err := c.nodeAt(node)
 	if err != nil {
 		return err
 	}
-	item := payloadItem{buf: getBuf()}
-	if c.cfg.Codec == vmbridge.CodecBinary {
-		payload, wire, err := vmbridge.SplitBinaryMessage(msg)
-		if err != nil {
-			putBuf(item.buf)
-			return fmt.Errorf("collector: feed node %d: %w", node, err)
-		}
-		item.wire = uint8(wire)
-		msg = payload
+	payload, err := vmbridge.SplitBinaryMessage(msg)
+	if err != nil {
+		return fmt.Errorf("collector: feed node %d: %w", node, err)
 	}
 	n.bytes.Add(uint64(len(msg)))
-	*item.buf = append(*item.buf, msg...)
-	c.enqueue(n, item)
+	pb := getBuf()
+	*pb = append(*pb, payload...)
+	c.enqueue(n, pb)
 	return nil
 }
 

@@ -93,7 +93,7 @@ func (c *Collector) lagThresholds() (lagAfter, goneAfter int64) {
 
 // evaluateHealth is the per-round anomaly pass: classify every node, observe
 // end-to-end latency for fresh provenance-stamped frames, and journal each
-// transition, violation edge, seq gap, reconnect and codec fallback. Called
+// transition, violation edge, seq gap and reconnect. Called
 // under roundMu with the round's node snapshot; per-node fields are read
 // under that node's mutex, atomics outside it.
 //
@@ -107,7 +107,6 @@ func (c *Collector) evaluateHealth(now int64) {
 	}
 	for _, n := range c.roundNodes {
 		recon := n.reconnects.Load()
-		sawV1 := n.sawV1.Load()
 
 		n.mu.Lock()
 		name := n.name
@@ -128,10 +127,6 @@ func (c *Collector) evaluateHealth(now int64) {
 		fresh := lastSeq != n.prevSeq
 		gapDelta := seqGaps - n.prevSeqGaps
 		prevTotal := n.prevTotal
-		v1Edge := sawV1 && !n.v1Noted
-		if v1Edge {
-			n.v1Noted = true
-		}
 		n.prevSeq = lastSeq
 		n.prevSeqGaps = seqGaps
 		if fresh {
@@ -228,12 +223,6 @@ func (c *Collector) evaluateHealth(now int64) {
 				Detail: "link re-established", Value: float64(d),
 			})
 		}
-		if v1Edge {
-			c.journal.append(Event{
-				Type: EventCodecFallback, Node: name,
-				Detail: "peer answered provenance negotiation with version-1 frames",
-			})
-		}
 	}
 }
 
@@ -273,9 +262,6 @@ type NodeHealth struct {
 	SeqGaps    uint64 `json:"seqGaps"`
 	Violations uint64 `json:"violations"`
 	Reconnects uint64 `json:"reconnects"`
-	// WireV1 reports an old peer answering provenance negotiation with
-	// version-1 messages.
-	WireV1 bool `json:"wireV1,omitempty"`
 }
 
 // HealthView is the /api/v1/health document: the fleet round clock, the
@@ -305,7 +291,6 @@ func (c *Collector) Health() HealthView {
 		h.State = NodeState(n.state.Load()).String()
 		h.Violations = n.violations.Load()
 		h.Reconnects = n.reconnects.Load()
-		h.WireV1 = n.sawV1.Load()
 		n.mu.Lock()
 		h.Name = n.name
 		if n.lastWall != 0 {

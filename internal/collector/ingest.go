@@ -2,8 +2,6 @@ package collector
 
 import (
 	"bufio"
-	"encoding/json"
-	"math/rand"
 	"net"
 	"strings"
 	"sync"
@@ -30,10 +28,6 @@ import (
 // are saturated and older rounds are worthless anyway.
 const payloadRingSize = 4
 
-// maxReconnectBackoff caps the exponential climb of a node link's redial
-// pause.
-const maxReconnectBackoff = 5 * time.Second
-
 // bufPool recycles payload buffers across all node links. Buffers travel as
 // *[]byte end to end — pool to ring to worker and back — so returning one
 // re-uses its box instead of allocating a fresh one per payload (the classic
@@ -44,19 +38,11 @@ var bufPool = sync.Pool{New: func() any { return new([]byte) }}
 func getBuf() *[]byte  { return bufPool.Get().(*[]byte) }
 func putBuf(b *[]byte) { *b = (*b)[:0]; bufPool.Put(b) }
 
-// payloadItem is one queued wire payload plus the binary wire version its
-// message header declared (0 on JSON-lines) — the version must travel with the
-// bytes because the decode worker never sees the stripped message header.
-type payloadItem struct {
-	buf  *[]byte
-	wire uint8
-}
-
 // payloadRing is one node's pending-payload queue: push never blocks, evicting
 // the oldest payload (whose buffer the pusher recycles) when full.
 type payloadRing struct {
 	mu      sync.Mutex
-	items   [payloadRingSize]payloadItem
+	items   [payloadRingSize]*[]byte
 	head, n int
 	dropped atomic.Uint64
 }
@@ -64,11 +50,11 @@ type payloadRing struct {
 // push enqueues a payload, returning the evicted oldest buffer (nil if none).
 //
 //powerapi:hotpath
-func (r *payloadRing) push(p payloadItem) (evicted *[]byte) {
+func (r *payloadRing) push(p *[]byte) (evicted *[]byte) {
 	r.mu.Lock()
 	if r.n == payloadRingSize {
-		evicted = r.items[r.head].buf
-		r.items[r.head] = payloadItem{}
+		evicted = r.items[r.head]
+		r.items[r.head] = nil
 		r.head = (r.head + 1) % payloadRingSize
 		r.n--
 		r.dropped.Add(1)
@@ -79,21 +65,21 @@ func (r *payloadRing) push(p payloadItem) (evicted *[]byte) {
 	return evicted
 }
 
-// pop dequeues the oldest pending payload.
+// pop dequeues the oldest pending payload, nil when none is pending.
 //
 //powerapi:hotpath
-func (r *payloadRing) pop() (payloadItem, bool) {
+func (r *payloadRing) pop() *[]byte {
 	r.mu.Lock()
 	if r.n == 0 {
 		r.mu.Unlock()
-		return payloadItem{}, false
+		return nil
 	}
 	p := r.items[r.head]
-	r.items[r.head] = payloadItem{}
+	r.items[r.head] = nil
 	r.head = (r.head + 1) % payloadRingSize
 	r.n--
 	r.mu.Unlock()
-	return p, true
+	return p
 }
 
 // nodeConn is one gathered daemon link: the dial/read goroutine's state, the
@@ -113,8 +99,8 @@ type nodeConn struct {
 	// Decode scratch, guarded by drainMu (one worker drains a node at a
 	// time). building ping-pongs with the retained slices at commit, so the
 	// steady state allocates neither. frameCB/rowCB are the decode callbacks,
-	// built once on the node's first binary payload and reused for every
-	// later message so the per-message ingest path stays allocation-free.
+	// built once on the node's first payload and reused for every later
+	// message so the per-message ingest path stays allocation-free.
 	drainMu  sync.Mutex
 	building rowBuf
 	pending  pendingFrame
@@ -138,7 +124,7 @@ type nodeConn struct {
 	topWatts float64
 	badRows  int
 	// Provenance-derived link quality, meaningful only while lastEmit != 0
-	// (a version-1 peer never stamps). Offsets are arrival−emit deltas in
+	// (an unstamped frame carries zero). Offsets are arrival−emit deltas in
 	// nanoseconds across two unrelated monotonic clocks: only their movement
 	// means anything. minOffset approximates the true clock offset (the
 	// least-queued delivery ever seen), so lastOffset−minOffset estimates
@@ -163,10 +149,8 @@ type nodeConn struct {
 	prevSeqGaps uint64
 	prevRecon   uint64
 	prevTotal   float64
-	v1Noted     bool
 
 	connected  atomic.Bool
-	sawV1      atomic.Bool // binary wire version 1 seen while provenance was requested
 	frames     atomic.Uint64
 	bytes      atomic.Uint64
 	decodeErrs atomic.Uint64
@@ -223,33 +207,24 @@ func (n *nodeConn) setConn(conn net.Conn) bool {
 	return true
 }
 
-// nodeLoop owns one link: dial with capped exponential backoff and jitter,
-// read until link loss, reset and redial — forever, until the node is retired
-// or the collector closes.
+// nodeLoop owns one link: dial with vmbridge.Backoff pauses, read until the
+// link ends, reset and redial — forever, until the node is retired or the
+// collector closes.
 func (c *Collector) nodeLoop(n *nodeConn) {
 	defer c.wg.Done()
-	backoff := c.cfg.DialBackoff
 	for attempt := 1; ; attempt++ {
 		if c.closed() || n.isRetired() {
 			return
 		}
 		conn, err := net.Dial("tcp", n.addr)
-		if err == nil && c.cfg.Codec == vmbridge.CodecBinary {
-			if herr := vmbridge.RequestBinaryProvenance(conn); herr != nil {
-				conn.Close()
-				err = herr
-			}
-		}
 		if err != nil {
+			pause := vmbridge.Backoff(c.cfg.DialBackoff, attempt)
 			c.log.Warn("collector: node dial failed, backing off",
-				"addr", n.addr, "attempt", attempt, "backoff", backoff, "err", err)
+				"addr", n.addr, "attempt", attempt, "backoff", pause, "err", err)
 			select {
 			case <-c.done:
 				return
-			case <-time.After(jitter(backoff)):
-			}
-			if backoff *= 2; backoff > maxReconnectBackoff {
-				backoff = maxReconnectBackoff
+			case <-time.After(pause):
 			}
 			continue
 		}
@@ -259,7 +234,7 @@ func (c *Collector) nodeLoop(n *nodeConn) {
 		if attempt > 1 {
 			c.log.Info("collector: node connected after retries", "addr", n.addr, "attempt", attempt)
 		}
-		backoff, attempt = c.cfg.DialBackoff, 0
+		attempt = 0
 		n.connected.Store(true)
 		c.readConn(n, conn)
 		n.connected.Store(false)
@@ -269,57 +244,33 @@ func (c *Collector) nodeLoop(n *nodeConn) {
 		// The daemon restarts its sequence from 1 on reconnect; forget the
 		// old numbering so the fresh stream is accepted. Its monotonic clock
 		// restarted too, so the offset baseline resets with it.
-		n.sawV1.Store(false)
 		n.mu.Lock()
 		n.lastSeq = 0
 		n.lastEmit = 0
 		n.hasOffset = false
-		n.v1Noted = false
 		n.mu.Unlock()
 	}
 }
 
-// jitter spreads a backoff pause uniformly over ±25% of its nominal value.
-func jitter(d time.Duration) time.Duration {
-	if d <= 0 {
-		return d
-	}
-	spread := d / 2
-	return d - spread/2 + time.Duration(rand.Int63n(int64(spread)+1))
-}
-
-// readConn pumps one live connection's payloads into the node's ring until
-// link loss. On the binary codec a payload is one length-prefixed message; on
-// JSON-lines it is one line. Buffers come from the shared pool and return to
-// it when evicted or drained.
+// readConn pumps one live connection's messages into the node's ring until
+// the link ends. Buffers come from the shared pool and return to it when
+// evicted or drained. A message that fails to frame (bad magic, over-limit
+// length) ends the link like link loss does, but counts as a decode error.
 func (c *Collector) readConn(n *nodeConn, conn net.Conn) {
-	if c.cfg.Codec == vmbridge.CodecBinary {
-		br := bufio.NewReaderSize(conn, 64*1024)
-		for {
-			pb := getBuf()
-			payload, wire, err := vmbridge.ReadBinaryMessageVersion(br, *pb)
-			if err != nil {
-				putBuf(pb)
-				return
-			}
-			*pb = payload // ReadBinaryMessageVersion may have grown the backing array
-			n.bytes.Add(uint64(len(payload)) + vmbridge.BinaryMessageHeader)
-			if wire == vmbridge.BinaryVersionBase {
-				// Provenance was requested; a version-1 answer marks an old
-				// peer. The health pass turns this into a codec_fallback event.
-				n.sawV1.Store(true)
-			}
-			c.enqueue(n, payloadItem{buf: pb, wire: uint8(wire)})
-		}
-	}
-	scanner := bufio.NewScanner(conn)
-	scanner.Buffer(make([]byte, 4096), 1<<20)
-	for scanner.Scan() {
-		line := scanner.Bytes()
-		n.bytes.Add(uint64(len(line)) + 1)
+	br := bufio.NewReaderSize(conn, 64*1024)
+	for {
 		pb := getBuf()
-		*pb = append(*pb, line...)
-		c.enqueue(n, payloadItem{buf: pb})
+		payload, err := vmbridge.ReadBinaryMessage(br, *pb)
+		if err != nil {
+			putBuf(pb)
+			if !vmbridge.LinkLost(err) {
+				n.decodeErrs.Add(1)
+			}
+			return
+		}
+		*pb = payload // ReadBinaryMessage may have grown the backing array
+		n.bytes.Add(uint64(len(payload)) + vmbridge.BinaryMessageHeader)
+		c.enqueue(n, pb)
 	}
 }
 
@@ -327,8 +278,8 @@ func (c *Collector) readConn(n *nodeConn, conn net.Conn) {
 // pending payload if its ring is full.
 //
 //powerapi:hotpath
-func (c *Collector) enqueue(n *nodeConn, item payloadItem) {
-	if evicted := n.ring.push(item); evicted != nil {
+func (c *Collector) enqueue(n *nodeConn, pb *[]byte) {
+	if evicted := n.ring.push(pb); evicted != nil {
 		putBuf(evicted)
 	}
 	if n.queued.CompareAndSwap(false, true) {
@@ -353,13 +304,9 @@ func (c *Collector) worker() {
 		case n := <-c.notify:
 			n.queued.Store(false)
 			n.drainMu.Lock()
-			for {
-				item, ok := n.ring.pop()
-				if !ok {
-					break
-				}
-				c.ingest(n, *item.buf, int(item.wire))
-				putBuf(item.buf)
+			for pb := n.ring.pop(); pb != nil; pb = n.ring.pop() {
+				c.ingest(n, *pb)
+				putBuf(pb)
 			}
 			n.drainMu.Unlock()
 		}
@@ -369,25 +316,20 @@ func (c *Collector) worker() {
 // ingest decodes one payload and commits its frames. Caller holds n.drainMu.
 // The span is recorded against timestamp 0 — ingest happens between fleet
 // rounds, so it feeds the stage histogram without joining a round trace.
-func (c *Collector) ingest(n *nodeConn, payload []byte, wire int) {
+func (c *Collector) ingest(n *nodeConn, payload []byte) {
 	start := c.tracer.Now()
-	if c.cfg.Codec == vmbridge.CodecBinary {
-		c.ingestBinary(n, payload, wire)
-	} else {
-		c.ingestJSON(n, payload)
-	}
+	c.ingestBinary(n, payload)
 	c.tracer.Record(0, obs.StageIngest, 0, start, c.tracer.Now())
 }
 
 // ingestBinary folds a binary batch allocation-free: row keys resolve to
 // fleet-global slots through the byte-keyed lookup, rows append into the
 // node's reusable building buffers (accumulating the top-level-row sum the
-// conservation contract checks), and commit swaps them into place. wire is
-// the message's declared version — provenance stamps land on version 2,
-// version 1 frames commit with zero stamps exactly as an old peer sent them.
+// conservation contract checks), and commit swaps them into place. An
+// unstamped frame commits with zero provenance stamps.
 //
 //powerapi:hotpath
-func (c *Collector) ingestBinary(n *nodeConn, payload []byte, wire int) {
+func (c *Collector) ingestBinary(n *nodeConn, payload []byte) {
 	n.pending.valid = false
 	n.building.reset()
 	if n.frameCB == nil {
@@ -408,36 +350,12 @@ func (c *Collector) ingestBinary(n *nodeConn, payload []byte, wire int) {
 			n.building.note(top, watts)
 		}
 	}
-	err := vmbridge.DecodeBinaryBatchVersion(payload, wire, n.frameCB, n.rowCB)
+	err := vmbridge.DecodeBinaryBatch(payload, n.frameCB, n.rowCB)
 	if err != nil {
 		n.pending.valid = false
 		n.building.reset()
 		n.decodeErrs.Add(1)
 		return
-	}
-	c.commit(n)
-}
-
-// ingestJSON folds one JSON-lines frame — the compatibility path, which pays
-// per-frame allocation the way any JSON decode does. Provenance fields decode
-// when the peer stamps them and stay zero otherwise (an old daemon's lines
-// simply lack the keys).
-func (c *Collector) ingestJSON(n *nodeConn, payload []byte) {
-	var frame vmbridge.VMPowerFrame
-	if err := json.Unmarshal(payload, &frame); err != nil {
-		n.decodeErrs.Add(1)
-		return
-	}
-	n.building.reset()
-	for _, row := range frame.Rows {
-		slot, top := c.keys.slotTop(row.Key)
-		n.building.slots = append(n.building.slots, slot)
-		n.building.watts = append(n.building.watts, row.Watts)
-		n.building.note(top, row.Watts)
-	}
-	n.pending = pendingFrame{
-		valid: true, vm: []byte(frame.VM), source: []byte(frame.SourceMode), seq: frame.Seq, ts: frame.Timestamp, watts: frame.Watts,
-		emit: frame.EmitMono, round: frame.Round, trace: frame.TraceID,
 	}
 	c.commit(n)
 }
@@ -548,33 +466,9 @@ type keyTable struct {
 	topLevel []bool
 }
 
-//powerapi:hotpath
-func (t *keyTable) slotBytes(key []byte) int32 {
-	t.mu.RLock()
-	s, ok := t.ks.LookupBytes(key)
-	t.mu.RUnlock()
-	if ok {
-		return s
-	}
-	//powerapi:allow hotpath miss path: a never-seen key interns once, every later round hits the byte-keyed lookup
-	return t.assign(string(key))
-}
-
-//powerapi:hotpath
-func (t *keyTable) slot(key string) int32 {
-	t.mu.RLock()
-	s, ok := t.ks.Lookup(key)
-	t.mu.RUnlock()
-	if ok {
-		return s
-	}
-	//powerapi:allow hotpath miss path: a never-seen key interns once, every later round hits the lookup
-	return t.assign(key)
-}
-
-// slotBytesTop is slotBytes plus the slot's top-level flag, resolved under
-// the same shared-lock acquisition so the ingest row callback pays one lock
-// round-trip per row, not two.
+// slotBytesTop resolves a row key to its fleet-global slot plus the slot's
+// top-level flag, under one shared-lock acquisition so the ingest row
+// callback pays one lock round-trip per row. A never-seen key interns once.
 //
 //powerapi:hotpath
 func (t *keyTable) slotBytesTop(key []byte) (int32, bool) {
@@ -588,21 +482,6 @@ func (t *keyTable) slotBytesTop(key []byte) (int32, bool) {
 	t.mu.RUnlock()
 	//powerapi:allow hotpath miss path: a never-seen key interns once, every later round hits the byte-keyed lookup
 	s = t.assign(string(key))
-	return s, t.top(s)
-}
-
-//powerapi:hotpath
-func (t *keyTable) slotTop(key string) (int32, bool) {
-	t.mu.RLock()
-	s, ok := t.ks.Lookup(key)
-	if ok {
-		top := t.topLevel[s]
-		t.mu.RUnlock()
-		return s, top
-	}
-	t.mu.RUnlock()
-	//powerapi:allow hotpath miss path: a never-seen key interns once, every later round hits the lookup
-	s = t.assign(key)
 	return s, t.top(s)
 }
 
@@ -634,12 +513,6 @@ func (t *keyTable) assign(key string) int32 {
 func isTopLevelKey(key string) bool {
 	const p = "cgroup:"
 	return strings.HasPrefix(key, p) && !strings.Contains(key[len(p):], "/")
-}
-
-func (t *keyTable) key(slot int32) string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.ks.Key(slot)
 }
 
 func (t *keyTable) target(slot int32) target.Target {

@@ -8,7 +8,7 @@ import (
 
 // The event journal is the fleet's flight recorder: a bounded in-memory ring
 // of notable moments — membership changes, health transitions, contract
-// violations, reconnects, codec fallbacks — each stamped with a global
+// violations, reconnects — each stamped with a global
 // sequence number so pollers (and the push-output layer) can resume from
 // where they left off. The ring is preallocated and events are value-only
 // with static detail strings, so appending from the health pass costs no
@@ -30,9 +30,6 @@ const (
 	EventContractViolation
 	// EventReconnect records a node link re-establishing after loss.
 	EventReconnect
-	// EventCodecFallback records a peer answering a provenance-capable
-	// binary negotiation with version-1 messages (an old daemon).
-	EventCodecFallback
 
 	numEventTypes
 )
@@ -43,7 +40,6 @@ var eventTypeNames = [numEventTypes]string{
 	"node_state_change",
 	"contract_violation",
 	"reconnect",
-	"codec_fallback",
 }
 
 func (t EventType) String() string {

@@ -24,10 +24,10 @@ func provFrame(node string, seq uint64, total float64, rows []vmbridge.TargetRow
 	return f
 }
 
-// feedV2 pushes one provenance-stamped binary frame through FeedPayload.
-func feedV2(t *testing.T, c *Collector, node int, f vmbridge.VMPowerFrame) {
+// feedFrame pushes one frame through FeedPayload.
+func feedFrame(t *testing.T, c *Collector, node int, f vmbridge.VMPowerFrame) {
 	t.Helper()
-	msg := vmbridge.AppendBinaryBatchVersion(nil, []vmbridge.VMPowerFrame{f}, vmbridge.BinaryVersionProvenance)
+	msg := vmbridge.AppendBinaryBatch(nil, []vmbridge.VMPowerFrame{f})
 	if err := c.FeedPayload(node, msg); err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,6 @@ func TestHealthTransitions(t *testing.T) {
 	c, err := New(Config{
 		Nodes:      []string{"bench://n"},
 		Passive:    true,
-		Codec:      vmbridge.CodecBinary,
 		LagAfter:   250 * time.Millisecond,
 		StaleAfter: 750 * time.Millisecond,
 		GoneAfter:  2 * time.Second,
@@ -69,7 +68,7 @@ func TestHealthTransitions(t *testing.T) {
 		return f
 	}
 
-	feedV2(t, c, 0, liveFrame(1))
+	feedFrame(t, c, 0, liveFrame(1))
 	waitUntil(t, "frame committed", func() bool { return c.NodeLastSeq(0) >= 1 })
 	if got := stateOf(); got != "healthy" {
 		t.Fatalf("state after fresh frame = %q, want healthy", got)
@@ -112,7 +111,7 @@ func TestHealthTransitions(t *testing.T) {
 	}
 
 	// A new frame resurrects the node; the journal hears gone>healthy.
-	feedV2(t, c, 0, liveFrame(2))
+	feedFrame(t, c, 0, liveFrame(2))
 	waitUntil(t, "resurrection committed", func() bool { return c.NodeLastSeq(0) >= 2 })
 	waitUntil(t, "state healthy again", func() bool { return stateOf() == "healthy" })
 	events := c.Journal().Since(0, 0)
@@ -218,7 +217,6 @@ func TestOutputRetryNoDuplicates(t *testing.T) {
 	c, err := New(Config{
 		Nodes:      []string{"bench://n"},
 		Passive:    true,
-		Codec:      vmbridge.CodecBinary,
 		StaleAfter: time.Hour,
 	})
 	if err != nil {
@@ -243,7 +241,7 @@ func TestOutputRetryNoDuplicates(t *testing.T) {
 	// constructor already journaled.
 	const rounds = 6
 	for i := 1; i <= rounds; i++ {
-		feedV2(t, c, 0, provFrame("n", uint64(i), 20, []vmbridge.TargetRow{{Key: "cgroup:app", Watts: 20}}))
+		feedFrame(t, c, 0, provFrame("n", uint64(i), 20, []vmbridge.TargetRow{{Key: "cgroup:app", Watts: 20}}))
 		waitUntil(t, "feed committed", func() bool { return c.NodeLastSeq(0) >= uint64(i) })
 		rep := c.Rollup()
 		rep.Release()
@@ -272,7 +270,7 @@ func TestOutputRetryNoDuplicates(t *testing.T) {
 		return st.Queued == 0 && st.LastError == ""
 	})
 	// One more round after recovery proves the output is still live.
-	feedV2(t, c, 0, provFrame("n", rounds+1, 20, []vmbridge.TargetRow{{Key: "cgroup:app", Watts: 20}}))
+	feedFrame(t, c, 0, provFrame("n", rounds+1, 20, []vmbridge.TargetRow{{Key: "cgroup:app", Watts: 20}}))
 	waitUntil(t, "post-recovery feed", func() bool { return c.NodeLastSeq(0) >= rounds+1 })
 	rep := c.Rollup()
 	rep.Release()
@@ -344,15 +342,14 @@ func TestOutputRetryNoDuplicates(t *testing.T) {
 	}
 }
 
-// TestMixedVersionFleetConservation is the mixed-fleet invariant: one node
-// still on wire version 1 and two on version 2 must conserve power to 1e-6
-// through the same rollup, with provenance populated only where the wire
-// carried it.
-func TestMixedVersionFleetConservation(t *testing.T) {
+// TestMixedStampFleetConservation is the mixed-fleet invariant: one node
+// sending unstamped frames and two sending stamped ones must conserve power
+// to 1e-6 through the same rollup, with provenance populated only where the
+// frames carried it.
+func TestMixedStampFleetConservation(t *testing.T) {
 	c, err := New(Config{
-		Nodes:      []string{"bench://v1", "bench://v2a", "bench://v2b"},
+		Nodes:      []string{"bench://plain", "bench://stamped-a", "bench://stamped-b"},
 		Passive:    true,
-		Codec:      vmbridge.CodecBinary,
 		StaleAfter: time.Hour,
 		Shards:     2,
 	})
@@ -362,7 +359,7 @@ func TestMixedVersionFleetConservation(t *testing.T) {
 	defer c.Close()
 
 	var wantTotal float64
-	for i, name := range []string{"v1", "v2a", "v2b"} {
+	for i, name := range []string{"plain", "stamped-a", "stamped-b"} {
 		total := 10.0 + float64(i)
 		wantTotal += total
 		rows := []vmbridge.TargetRow{
@@ -370,13 +367,9 @@ func TestMixedVersionFleetConservation(t *testing.T) {
 			{Key: fmt.Sprintf("cgroup:own-%d", i), Watts: total - 4.0 - float64(i)},
 		}
 		if i == 0 {
-			// The old peer: version-1 message, no stamps possible.
-			msg := vmbridge.AppendBinaryBatch(nil, []vmbridge.VMPowerFrame{nodeFrame(name, 1, total, rows)})
-			if err := c.FeedPayload(i, msg); err != nil {
-				t.Fatal(err)
-			}
+			feedFrame(t, c, i, nodeFrame(name, 1, total, rows))
 		} else {
-			feedV2(t, c, i, provFrame(name, 1, total, rows))
+			feedFrame(t, c, i, provFrame(name, 1, total, rows))
 		}
 	}
 	waitUntil(t, "all three nodes committed", func() bool {
@@ -401,13 +394,13 @@ func TestMixedVersionFleetConservation(t *testing.T) {
 
 	for _, n := range c.Stats().Nodes {
 		switch n.Name {
-		case "v1":
+		case "plain":
 			if n.Round != 0 || n.LagSeconds != 0 {
-				t.Fatalf("v1 node carries provenance it never sent: %+v", n)
+				t.Fatalf("unstamped node carries provenance it never sent: %+v", n)
 			}
-		case "v2a", "v2b":
+		case "stamped-a", "stamped-b":
 			if n.Round != 1 {
-				t.Fatalf("v2 node %s lost its round stamp: %+v", n.Name, n)
+				t.Fatalf("stamped node %s lost its round stamp: %+v", n.Name, n)
 			}
 		}
 		if n.State != "healthy" {
@@ -416,74 +409,41 @@ func TestMixedVersionFleetConservation(t *testing.T) {
 	}
 }
 
-// TestCodecFallbackEvent wires a fake old daemon — a listener that ignores
-// the provenance capability and answers in version-1 messages — and asserts
-// the collector both ingests the frames and journals exactly one
-// codec_fallback event for the node.
-func TestCodecFallbackEvent(t *testing.T) {
+// TestGatherLinkCountsFramingErrors points a gather link at a raw listener
+// that writes one message in the retired PWB1 layout: the collector must count
+// a decode error, commit no frame, and drop the link.
+func TestGatherLinkCountsFramingErrors(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	stop := make(chan struct{})
-	defer close(stop)
 	go func() {
 		conn, err := ln.Accept()
 		if err != nil {
 			return
 		}
 		defer conn.Close()
-		// An old publisher never looks past the hello; this one reads nothing
-		// at all and pushes version-1 messages.
 		frame := nodeFrame("old-node", 1, 30, []vmbridge.TargetRow{{Key: "cgroup:app", Watts: 30}})
-		for seq := uint64(1); ; seq++ {
-			frame.Seq = seq
-			msg := vmbridge.AppendBinaryBatch(nil, []vmbridge.VMPowerFrame{frame})
-			if _, err := conn.Write(msg); err != nil {
-				return
-			}
-			select {
-			case <-stop:
-				return
-			case <-time.After(10 * time.Millisecond):
-			}
-		}
+		msg := vmbridge.AppendBinaryBatch(nil, []vmbridge.VMPowerFrame{frame})
+		msg[3] = '1'
+		conn.Write(msg)
+		// Hold the link open: the collector must end it on its own.
+		var b [1]byte
+		conn.Read(b[:])
 	}()
 
-	c, err := New(Config{
-		Nodes:      []string{ln.Addr().String()},
-		Codec:      vmbridge.CodecBinary,
-		StaleAfter: time.Minute,
-	})
+	c, err := New(Config{Nodes: []string{ln.Addr().String()}, StaleAfter: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
-	waitUntil(t, "frames from the old peer", func() bool { return frames(c, "old-node") >= 1 })
-	rep := c.Rollup()
-	rep.Release()
-
-	var fallbacks int
-	for _, e := range c.Journal().Since(0, 0) {
-		if e.Type == EventCodecFallback {
-			fallbacks++
-			if e.Node != "old-node" {
-				t.Fatalf("codec_fallback names %q, want old-node", e.Node)
-			}
-		}
-	}
-	if fallbacks != 1 {
-		t.Fatalf("journal holds %d codec_fallback events, want exactly 1", fallbacks)
-	}
-	// The edge stays down on later rounds.
-	rep = c.Rollup()
-	rep.Release()
-	if got := c.Journal().Counts()[EventCodecFallback]; got != 1 {
-		t.Fatalf("codec_fallback count grew to %d on a quiet edge", got)
-	}
-	if hv := c.Health(); len(hv.Nodes) != 1 || !hv.Nodes[0].WireV1 {
-		t.Fatalf("health view does not mark the old peer: %+v", hv.Nodes)
+	waitUntil(t, "the framing error", func() bool {
+		ns := c.Stats().Nodes[0]
+		return ns.DecodeErrors >= 1 && ns.Reconnects >= 1
+	})
+	if ns := c.Stats().Nodes[0]; ns.Frames != 0 || ns.LastSeq != 0 {
+		t.Fatalf("a foreign-magic message committed: %+v", ns)
 	}
 }

@@ -11,8 +11,9 @@ import (
 // This file exposes the VM-bridge transports of a daemon on its /metrics
 // exposition: per-connection sent/dropped counters of every registered
 // publisher (one row per downstream collector or guest, labelled by remote
-// address and negotiated codec) and decode-error/drop counters of every
-// registered receiver. Registration is explicit — the daemon wires in the
+// address) and decode-error/drop counters of every registered receiver. Every
+// link speaks the one binary frame; the codec="binary" label stays so that
+// the families keep their label sets. Registration is explicit — the daemon wires in the
 // transports it actually opened — so a daemon without bridges pays nothing.
 
 // bridgeSet is the registered bridge transports of one server, scraped on
@@ -78,16 +79,16 @@ func (bs *bridgeSet) writeBridgeMetrics(b *strings.Builder) {
 		b.WriteString("# TYPE powerapi_bridge_conn_sent_frames_total counter\n")
 		for _, np := range pubs {
 			for _, cs := range np.pub.ConnStats() {
-				fmt.Fprintf(b, "powerapi_bridge_conn_sent_frames_total{publisher=%q,remote=%q,codec=%q} %d\n",
-					escapeLabel(np.name), escapeLabel(cs.Remote), cs.Codec, cs.SentFrames)
+				fmt.Fprintf(b, "powerapi_bridge_conn_sent_frames_total{publisher=%q,remote=%q,codec=\"binary\"} %d\n",
+					escapeLabel(np.name), escapeLabel(cs.Remote), cs.SentFrames)
 			}
 		}
 		b.WriteString("# HELP powerapi_bridge_conn_dropped_batches_total Frame batches evicted unsent from one slow downstream connection's queue.\n")
 		b.WriteString("# TYPE powerapi_bridge_conn_dropped_batches_total counter\n")
 		for _, np := range pubs {
 			for _, cs := range np.pub.ConnStats() {
-				fmt.Fprintf(b, "powerapi_bridge_conn_dropped_batches_total{publisher=%q,remote=%q,codec=%q} %d\n",
-					escapeLabel(np.name), escapeLabel(cs.Remote), cs.Codec, cs.DroppedBatches)
+				fmt.Fprintf(b, "powerapi_bridge_conn_dropped_batches_total{publisher=%q,remote=%q,codec=\"binary\"} %d\n",
+					escapeLabel(np.name), escapeLabel(cs.Remote), cs.DroppedBatches)
 			}
 		}
 	}
@@ -95,14 +96,14 @@ func (bs *bridgeSet) writeBridgeMetrics(b *strings.Builder) {
 		b.WriteString("# HELP powerapi_bridge_decode_errors_total Wire messages one bridge receiver failed to decode.\n")
 		b.WriteString("# TYPE powerapi_bridge_decode_errors_total counter\n")
 		for _, nr := range receivers {
-			fmt.Fprintf(b, "powerapi_bridge_decode_errors_total{receiver=%q,codec=%q} %d\n",
-				escapeLabel(nr.name), nr.recv.Codec(), nr.recv.DecodeErrors())
+			fmt.Fprintf(b, "powerapi_bridge_decode_errors_total{receiver=%q,codec=\"binary\"} %d\n",
+				escapeLabel(nr.name), nr.recv.DecodeErrors())
 		}
 		b.WriteString("# HELP powerapi_bridge_receiver_dropped_frames_total Decoded frames one bridge receiver's buffer evicted unread.\n")
 		b.WriteString("# TYPE powerapi_bridge_receiver_dropped_frames_total counter\n")
 		for _, nr := range receivers {
-			fmt.Fprintf(b, "powerapi_bridge_receiver_dropped_frames_total{receiver=%q,codec=%q} %d\n",
-				escapeLabel(nr.name), nr.recv.Codec(), nr.recv.DroppedFrames())
+			fmt.Fprintf(b, "powerapi_bridge_receiver_dropped_frames_total{receiver=%q,codec=\"binary\"} %d\n",
+				escapeLabel(nr.name), nr.recv.DroppedFrames())
 		}
 	}
 }

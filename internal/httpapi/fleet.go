@@ -246,7 +246,7 @@ func writeNodeLinkMetrics(b *strings.Builder, nodes []collector.NodeStats) {
 	b.WriteString("# HELP powerapi_node_link_bytes_total Wire bytes read from one node.\n")
 	b.WriteString("# TYPE powerapi_node_link_bytes_total counter\n")
 	row("powerapi_node_link_bytes_total", func(n collector.NodeStats) string { return fmt.Sprintf("%d", n.Bytes) })
-	b.WriteString("# HELP powerapi_node_link_decode_errors_total Undecodable payloads received from one node.\n")
+	b.WriteString("# HELP powerapi_node_link_decode_errors_total Messages from one node that failed to frame or decode.\n")
 	b.WriteString("# TYPE powerapi_node_link_decode_errors_total counter\n")
 	row("powerapi_node_link_decode_errors_total", func(n collector.NodeStats) string { return fmt.Sprintf("%d", n.DecodeErrors) })
 	b.WriteString("# HELP powerapi_node_link_dropped_payloads_total Payloads shed by one node's drop-oldest ingest ring.\n")

@@ -14,8 +14,8 @@ import (
 )
 
 // newServedFleet builds a one-node fleet: a TCP publisher standing in for a
-// daemon's fleet-publish socket, a binary-codec collector gathering from it,
-// and a FleetServer on top.
+// daemon's fleet-publish socket, a collector gathering from it, and a
+// FleetServer on top.
 func newServedFleet(t *testing.T) (*vmbridge.TCPPublisher, *collector.Collector, *FleetServer) {
 	t.Helper()
 	pub, err := vmbridge.ListenTCP("127.0.0.1:0")
@@ -25,7 +25,6 @@ func newServedFleet(t *testing.T) (*vmbridge.TCPPublisher, *collector.Collector,
 	t.Cleanup(func() { pub.Close() })
 	col, err := collector.New(collector.Config{
 		Nodes:      []string{pub.Addr().String()},
-		Codec:      vmbridge.CodecBinary,
 		StaleAfter: time.Minute,
 	})
 	if err != nil {
@@ -213,7 +212,7 @@ func TestBridgeMetricsRegistration(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { pub.Close() })
-	recv, err := vmbridge.DialTCPCodec(pub.Addr().String(), vmbridge.CodecBinary)
+	recv, err := vmbridge.DialTCP(pub.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -462,7 +462,7 @@ func TestHostGuestConservationOverLoopback(t *testing.T) {
 	}
 }
 
-// TestTCPBridgeEndToEnd drives frames over the TCP/JSON-lines transport: a
+// TestTCPBridgeEndToEnd drives frames over the TCP transport: a
 // publisher listening on a loopback socket, a dialed receiver feeding a
 // delegated source, then link loss when the publisher closes.
 func TestTCPBridgeEndToEnd(t *testing.T) {

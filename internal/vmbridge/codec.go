@@ -1,101 +1,40 @@
 package vmbridge
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"time"
 )
 
-// The wire speaks two codecs. JSON-lines is the original format and the
-// default: one frame per line, self-describing, debuggable with nc. The binary
-// codec is for the fleet tier, where a collector ingests thousands of frames
-// per second and the JSON costs (quoting, float formatting, per-frame
-// allocation on decode) dominate: one length-prefixed message carries a whole
-// round's batch, strings are length-prefixed bytes, floats are raw IEEE 754.
-// A connection's codec is negotiated once, by the receiver: its first bytes
-// are either a codec hello line (binary from then on) or nothing (a legacy
-// receiver never writes, so the publisher falls back to JSON after a short
-// wait).
+// Every TCPPublisher link — the VM bridge and the fleet link alike — speaks
+// one wire format: one length-prefixed binary message per published batch.
+// Strings are length-prefixed bytes, floats raw IEEE 754, and every frame
+// carries its three provenance stamps, zero when unstamped. Nothing is
+// negotiated: a publisher writes from its first byte, a receiver never
+// writes, and a reader checks each message's magic.
 
-// Codec identifies the wire encoding of one publisher connection.
-type Codec int
+// CodecBinary names the one wire encoding.
+//
+// Deprecated: every link speaks the one binary frame, so there is nothing to
+// select. The name stays for callers that still set collector.Config.Codec,
+// which the collector ignores.
+const CodecBinary = 1
 
-// Wire codecs.
-const (
-	// CodecJSON is one JSON-encoded frame per newline-terminated line — the
-	// compatibility default.
-	CodecJSON Codec = iota
-	// CodecBinary is length-prefixed binary batches: one message per
-	// published batch, one write per round.
-	CodecBinary
-)
+// BinaryVersionProvenance is the version of the one frame layout (magic
+// PWB2), which every ConnStats.WireVersion reports.
+const BinaryVersionProvenance = 2
 
-// String implements fmt.Stringer ("json", "binary").
-func (c Codec) String() string {
-	if c == CodecBinary {
-		return "binary"
-	}
-	return "json"
-}
-
-// helloLine is the exact line a receiver writes as its very first bytes to
-// switch its connection to the binary codec. It never changes across wire
-// versions: an old publisher peeks exactly these bytes, so any extension must
-// ride AFTER them (capsLine) where a peer that does not expect it simply never
-// reads it.
-const helloLine = "powerapi-codec binary\n"
-
-// capsLine is the optional capability line a receiver writes immediately after
-// the hello to request provenance-stamped binary messages (wire version 2).
-// Old publishers stop reading after the hello, so the line is harmless to
-// them; new publishers peek for it within the same negotiation deadline and
-// fall back to version 1 when it does not arrive.
-const capsLine = "powerapi-caps provenance\n"
-
-// Binary wire versions. The version is carried per message in the magic
-// (PWB1/PWB2), so a decoder never guesses from negotiation state alone.
-const (
-	// BinaryVersionBase is the original layout: no provenance fields.
-	BinaryVersionBase = 1
-	// BinaryVersionProvenance adds three uvarints per frame (EmitMono, Round,
-	// TraceID) between the source mode and the row count.
-	BinaryVersionProvenance = 2
-)
-
-// RequestBinary asks the publisher on the other end of the connection to
-// speak the binary codec. It must be the first thing the receiver writes,
-// before any frame has a chance to arrive; DialTCPCodec does this.
-func RequestBinary(w io.Writer) error {
-	_, err := io.WriteString(w, helloLine)
-	return err
-}
-
-// RequestBinaryProvenance asks for the binary codec with provenance stamps
-// (wire version 2). Hello and capability go out as one write so the
-// publisher's negotiation peek sees them together; an old publisher reads only
-// the hello and keeps speaking version 1, which the receiver must still accept.
-func RequestBinaryProvenance(w io.Writer) error {
-	_, err := io.WriteString(w, helloLine+capsLine)
-	return err
-}
-
-// binaryMagic opens every binary message, so a receiver that accidentally
-// points at a JSON publisher (or vice versa) fails loudly instead of decoding
-// garbage. binaryMagicV2 marks a provenance-stamped message; carrying the
-// version in the magic keeps every message self-describing.
-var (
-	binaryMagic   = [4]byte{'P', 'W', 'B', '1'}
-	binaryMagicV2 = [4]byte{'P', 'W', 'B', '2'}
-)
+// binaryMagic opens every message, so a reader pointed at anything else fails
+// loudly instead of decoding garbage.
+var binaryMagic = [4]byte{'P', 'W', 'B', '2'}
 
 // BinaryMessageHeader is the size of the fixed message prefix (magic plus
 // uint32 payload length). AppendBinaryBatch emits it; ReadBinaryMessage
-// consumes it and returns the bare payload — a feeder handing payloads
-// straight to a decoder (collector.FeedPayload) strips this many bytes.
+// consumes it and returns the bare payload.
 const BinaryMessageHeader = 8
 
 // maxBinaryPayload bounds one binary message. It is sized for a full fleet
@@ -121,32 +60,17 @@ const minRowBytes = 9
 // capacity is exceeded, so a publisher reusing its scratch buffer encodes
 // steady-state rounds allocation-free.
 //
-// Message layout: magic, uint32 LE payload length, payload. Payload layout:
-// uvarint frame count, then per frame: uvarint-prefixed VM name, uvarint Seq,
-// uvarint Timestamp (ns), float64 LE Watts, float64 LE HostTotalWatts,
-// uvarint-prefixed SourceMode, uvarint row count, then per row a
-// uvarint-prefixed key and a float64 LE watts. AppendBinaryBatch always emits
-// wire version 1 (provenance fields dropped) — the encoding an old receiver
-// negotiated; AppendBinaryBatchVersion emits a chosen version.
+// Message layout: magic "PWB2", uint32 LE payload length, payload. Payload
+// layout: uvarint frame count, then per frame: uvarint-prefixed VM name,
+// uvarint Seq, uvarint Timestamp (ns), float64 LE Watts, float64 LE
+// HostTotalWatts, uvarint-prefixed SourceMode, uvarint EmitMono, uvarint
+// Round, uvarint TraceID, uvarint row count, then per row a uvarint-prefixed
+// key and a float64 LE watts. An unstamped frame costs one zero byte per
+// stamp.
 //
 //powerapi:hotpath
 func AppendBinaryBatch(dst []byte, frames []VMPowerFrame) []byte {
-	return AppendBinaryBatchVersion(dst, frames, BinaryVersionBase)
-}
-
-// AppendBinaryBatchVersion appends one binary wire message at the given wire
-// version. Version 2 (BinaryVersionProvenance) inserts three uvarints per
-// frame — EmitMono, Round, TraceID — between the source mode and the row
-// count; version 1 drops those fields, which is exactly what an old peer
-// expects.
-//
-//powerapi:hotpath
-func AppendBinaryBatchVersion(dst []byte, frames []VMPowerFrame, version int) []byte {
-	if version >= BinaryVersionProvenance {
-		dst = append(dst, binaryMagicV2[:]...)
-	} else {
-		dst = append(dst, binaryMagic[:]...)
-	}
+	dst = append(dst, binaryMagic[:]...)
 	lenAt := len(dst)
 	dst = append(dst, 0, 0, 0, 0) // payload length backfilled below
 	dst = binary.AppendUvarint(dst, uint64(len(frames)))
@@ -158,11 +82,9 @@ func AppendBinaryBatchVersion(dst []byte, frames []VMPowerFrame, version int) []
 		dst = appendFloat(dst, f.Watts)
 		dst = appendFloat(dst, f.HostTotalWatts)
 		dst = appendString(dst, f.SourceMode)
-		if version >= BinaryVersionProvenance {
-			dst = binary.AppendUvarint(dst, uint64(f.EmitMono))
-			dst = binary.AppendUvarint(dst, f.Round)
-			dst = binary.AppendUvarint(dst, f.TraceID)
-		}
+		dst = binary.AppendUvarint(dst, uint64(f.EmitMono))
+		dst = binary.AppendUvarint(dst, f.Round)
+		dst = binary.AppendUvarint(dst, f.TraceID)
 		dst = binary.AppendUvarint(dst, uint64(len(f.Rows)))
 		for _, row := range f.Rows {
 			dst = appendString(dst, row.Key)
@@ -184,40 +106,23 @@ func appendFloat(dst []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 }
 
-// ReadBinaryMessage reads one version-1 binary message from r and returns its
-// payload, reusing buf's backing array when it is large enough. The returned
-// slice is only valid until the next call with the same buffer. A version-2
-// message is a bad magic here — version-aware readers use
-// ReadBinaryMessageVersion.
+// ReadBinaryMessage reads one binary message from r and returns its payload,
+// reusing buf's backing array when it is large enough. The returned slice is
+// only valid until the next call with the same buffer.
 //
 //powerapi:hotpath
 func ReadBinaryMessage(r io.Reader, buf []byte) ([]byte, error) {
-	payload, version, err := ReadBinaryMessageVersion(r, buf)
-	if err == nil && version != BinaryVersionBase {
-		return nil, errBadMagic
-	}
-	return payload, err
-}
-
-// ReadBinaryMessageVersion reads one binary message of either wire version
-// from r, returning the bare payload and the version its magic declared. The
-// payload reuses buf's backing array when it is large enough and is only valid
-// until the next call with the same buffer.
-//
-//powerapi:hotpath
-func ReadBinaryMessageVersion(r io.Reader, buf []byte) ([]byte, int, error) {
 	var head [BinaryMessageHeader]byte
 	if _, err := io.ReadFull(r, head[:]); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	version, ok := magicVersion([4]byte(head[:4]))
-	if !ok {
-		return nil, 0, errBadMagic
+	if [4]byte(head[:4]) != binaryMagic {
+		return nil, errBadMagic
 	}
 	n := binary.LittleEndian.Uint32(head[4:])
 	if n > maxBinaryPayload {
 		//powerapi:allow hotpath error path: only a malformed or hostile header reaches this
-		return nil, 0, fmt.Errorf("vmbridge: binary payload of %d bytes exceeds the %d limit", n, maxBinaryPayload)
+		return nil, fmt.Errorf("vmbridge: binary payload of %d bytes exceeds the %d limit", n, maxBinaryPayload)
 	}
 	if uint32(cap(buf)) < n {
 		//powerapi:allow hotpath amortized growth: the caller reuses the returned buffer across reads
@@ -225,38 +130,35 @@ func ReadBinaryMessageVersion(r io.Reader, buf []byte) ([]byte, int, error) {
 	}
 	buf = buf[:n]
 	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return buf, version, nil
+	return buf, nil
+}
+
+// LinkLost reports whether a read error means the link went away — end of
+// stream, a closed connection, or a message cut off mid-read — rather than a
+// framing or decode error. Binary framing cannot resync mid-stream, so every
+// read error ends a link; readers count the ones that are not link loss as
+// decode errors.
+func LinkLost(err error) bool {
+	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, net.ErrClosed)
 }
 
 // SplitBinaryMessage validates one complete in-memory wire message (header
 // plus payload, as a feeder hands collector.FeedPayload) and returns its bare
-// payload view and wire version without copying.
-func SplitBinaryMessage(msg []byte) (payload []byte, version int, err error) {
+// payload view without copying.
+func SplitBinaryMessage(msg []byte) ([]byte, error) {
 	if len(msg) < BinaryMessageHeader {
-		return nil, 0, errMalformed
+		return nil, errMalformed
 	}
-	version, ok := magicVersion([4]byte(msg[:4]))
-	if !ok {
-		return nil, 0, errBadMagic
+	if [4]byte(msg[:4]) != binaryMagic {
+		return nil, errBadMagic
 	}
 	n := binary.LittleEndian.Uint32(msg[4:])
 	if n > maxBinaryPayload || uint64(n) != uint64(len(msg)-BinaryMessageHeader) {
-		return nil, 0, errMalformed
+		return nil, errMalformed
 	}
-	return msg[BinaryMessageHeader:], version, nil
-}
-
-//powerapi:hotpath
-func magicVersion(magic [4]byte) (int, bool) {
-	switch magic {
-	case binaryMagic:
-		return BinaryVersionBase, true
-	case binaryMagicV2:
-		return BinaryVersionProvenance, true
-	}
-	return 0, false
+	return msg[BinaryMessageHeader:], nil
 }
 
 // FrameHeader is the fixed part of one binary frame as the streaming decoder
@@ -270,39 +172,29 @@ type FrameHeader struct {
 	HostTotalWatts float64
 	SourceMode     []byte
 	Rows           int
-	// EmitMono/Round/TraceID are the provenance stamps of a version-2 frame;
-	// all zero when the message was wire version 1.
+	// EmitMono/Round/TraceID are the frame's provenance stamps; all zero
+	// when the publisher did not stamp it.
 	EmitMono time.Duration
 	Round    uint64
 	TraceID  uint64
 }
 
-// DecodeBinaryBatch walks one version-1 binary payload, calling frame once per
-// frame and row once per row of that frame, in wire order. All byte slices
-// handed to the callbacks alias the payload — the zero-copy contract that lets
-// the collector fold a million rows per second into its slot maps without
+// DecodeBinaryBatch walks one binary payload, calling frame once per frame
+// and row once per row of that frame, in wire order. All byte slices handed
+// to the callbacks alias the payload — the zero-copy contract that lets the
+// collector fold a million rows per second into its slot maps without
 // allocating per row. If frame returns false the frame's rows are skipped
 // (decoded to advance, not reported). A nil row callback skips all rows.
 //
 //powerapi:hotpath
 func DecodeBinaryBatch(payload []byte, frame func(h FrameHeader) bool, row func(key []byte, watts float64)) error {
-	return DecodeBinaryBatchVersion(payload, BinaryVersionBase, frame, row)
-}
-
-// DecodeBinaryBatchVersion walks one binary payload of the given wire version
-// (as ReadBinaryMessageVersion or SplitBinaryMessage reported it) with
-// DecodeBinaryBatch's callback and aliasing contract. Version-1 payloads yield
-// zero provenance fields.
-//
-//powerapi:hotpath
-func DecodeBinaryBatchVersion(payload []byte, version int, frame func(h FrameHeader) bool, row func(key []byte, watts float64)) error {
 	count, payload, ok := takeUvarint(payload)
 	if !ok {
 		return errMalformed
 	}
 	for i := uint64(0); i < count; i++ {
 		var h FrameHeader
-		var seq, ts, rows uint64
+		var seq, ts, emit, rows uint64
 		if h.VM, payload, ok = takeBytes(payload); !ok {
 			return errMalformed
 		}
@@ -321,18 +213,14 @@ func DecodeBinaryBatchVersion(payload []byte, version int, frame func(h FrameHea
 		if h.SourceMode, payload, ok = takeBytes(payload); !ok {
 			return errMalformed
 		}
-		if version >= BinaryVersionProvenance {
-			var emit, traceID uint64
-			if emit, payload, ok = takeUvarint(payload); !ok {
-				return errMalformed
-			}
-			if h.Round, payload, ok = takeUvarint(payload); !ok {
-				return errMalformed
-			}
-			if traceID, payload, ok = takeUvarint(payload); !ok {
-				return errMalformed
-			}
-			h.EmitMono, h.TraceID = time.Duration(emit), traceID
+		if emit, payload, ok = takeUvarint(payload); !ok {
+			return errMalformed
+		}
+		if h.Round, payload, ok = takeUvarint(payload); !ok {
+			return errMalformed
+		}
+		if h.TraceID, payload, ok = takeUvarint(payload); !ok {
+			return errMalformed
 		}
 		if rows, payload, ok = takeUvarint(payload); !ok {
 			return errMalformed
@@ -340,7 +228,7 @@ func DecodeBinaryBatchVersion(payload []byte, version int, frame func(h FrameHea
 		if rows > uint64(len(payload))/minRowBytes {
 			return errMalformed
 		}
-		h.Seq, h.Timestamp, h.Rows = seq, time.Duration(ts), int(rows)
+		h.Seq, h.Timestamp, h.EmitMono, h.Rows = seq, time.Duration(ts), time.Duration(emit), int(rows)
 		want := frame(h) && row != nil
 		for j := uint64(0); j < rows; j++ {
 			var key []byte
@@ -362,17 +250,10 @@ func DecodeBinaryBatchVersion(payload []byte, version int, frame func(h FrameHea
 	return nil
 }
 
-// decodeBinaryFrames decodes a version-1 payload into owned VMPowerFrame
-// values — the guest receiver's channel path, where per-frame allocation is
-// fine.
+// decodeBinaryFrames decodes a payload into owned VMPowerFrame values — the
+// guest receiver's channel path, where per-frame allocation is fine.
 func decodeBinaryFrames(payload []byte, dst []VMPowerFrame) ([]VMPowerFrame, error) {
-	return decodeBinaryFramesVersion(payload, BinaryVersionBase, dst)
-}
-
-// decodeBinaryFramesVersion decodes a payload of the given wire version into
-// owned VMPowerFrame values.
-func decodeBinaryFramesVersion(payload []byte, version int, dst []VMPowerFrame) ([]VMPowerFrame, error) {
-	err := DecodeBinaryBatchVersion(payload, version,
+	err := DecodeBinaryBatch(payload,
 		func(h FrameHeader) bool {
 			f := VMPowerFrame{
 				VM:             string(h.VM),
@@ -422,30 +303,4 @@ func takeFloat(b []byte) (float64, []byte, bool) {
 		return 0, b, false
 	}
 	return math.Float64frombits(binary.LittleEndian.Uint64(b)), b[8:], true
-}
-
-// readHello consumes a receiver's codec hello from the connection if one
-// arrives before the deadline expires. Legacy receivers never write, so a
-// timeout (or anything that is not the hello) selects JSON-lines.
-func readHello(r *bufio.Reader) Codec {
-	peek, err := r.Peek(len(helloLine))
-	if err != nil || string(peek) != helloLine {
-		return CodecJSON
-	}
-	r.Discard(len(helloLine))
-	return CodecBinary
-}
-
-// readCaps consumes the provenance capability line if the receiver sent one
-// after its hello. A receiver that does not (an old peer, or one that stopped
-// at the hello) never writes again, so the peek runs out the negotiation
-// deadline and the connection stays on wire version 1 — the once-per-connection
-// cost the hello wait already established.
-func readCaps(r *bufio.Reader) bool {
-	peek, err := r.Peek(len(capsLine))
-	if err != nil || string(peek) != capsLine {
-		return false
-	}
-	r.Discard(len(capsLine))
-	return true
 }

@@ -88,62 +88,3 @@ func TestEncodeSteadyStateAllocFree(t *testing.T) {
 		t.Fatalf("encode into warm buffer allocates %.1f/op, want 0", avg)
 	}
 }
-
-// TestCodecNegotiation exercises the per-connection codec switch end to end:
-// a binary receiver gets binary batches with rows intact, while a legacy
-// JSON receiver on the same publisher keeps its JSON-lines stream.
-func TestCodecNegotiation(t *testing.T) {
-	pub, err := ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pub.Close()
-
-	binRecv, err := DialTCPCodec(pub.Addr().String(), CodecBinary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer binRecv.Close()
-	jsonRecv, err := DialTCP(pub.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jsonRecv.Close()
-
-	waitUntil(t, "both connections", func() bool { return pub.Connections() == 2 })
-	// The JSON connection only commits to its codec after the hello window
-	// lapses; wait until the publisher reports both codecs settled.
-	waitUntil(t, "codec negotiation", func() bool {
-		stats := pub.ConnStats()
-		if len(stats) != 2 {
-			return false
-		}
-		n := 0
-		for _, cs := range stats {
-			if cs.Codec == CodecBinary {
-				n++
-			}
-		}
-		return n == 1
-	})
-
-	batch := testBatch()
-	if err := pub.SendBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-	for name, recv := range map[string]*TCPReceiver{"binary": binRecv, "json": jsonRecv} {
-		for i := range batch {
-			select {
-			case got := <-recv.Frames():
-				if !reflect.DeepEqual(got, batch[i]) {
-					t.Fatalf("%s receiver frame %d:\n got %+v\nwant %+v", name, i, got, batch[i])
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatalf("%s receiver: frame %d never arrived", name, i)
-			}
-		}
-		if recv.DecodeErrors() != 0 {
-			t.Fatalf("%s receiver counted %d decode errors", name, recv.DecodeErrors())
-		}
-	}
-}

@@ -3,7 +3,7 @@ package vmbridge
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
+	"errors"
 	"testing"
 	"time"
 )
@@ -20,139 +20,92 @@ func fuzzSeedFrames() []VMPowerFrame {
 	}
 }
 
-// FuzzDecodeFrame exercises the JSON-lines receive path: one line, one frame,
-// exactly as TCPReceiver.readLoop unmarshals it. A decode error is fine (the
-// read loop counts it and resyncs on the next newline); a panic is not.
-func FuzzDecodeFrame(f *testing.F) {
-	for _, frame := range fuzzSeedFrames() {
-		line, err := json.Marshal(frame)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(line)
-	}
-	f.Add([]byte(`{"vm":"a","seq":-1}`))
-	f.Add([]byte(`{"vm":"a","rows":[{"key":"x","watts":1e309}]}`))
-	f.Add([]byte(`not json at all`))
-	f.Fuzz(func(t *testing.T, line []byte) {
-		var frame VMPowerFrame
-		if err := json.Unmarshal(line, &frame); err != nil {
-			return
-		}
-		// A frame that decoded must re-encode; Unmarshal rejects the
-		// non-finite floats that would make Marshal fail.
-		if _, err := json.Marshal(frame); err != nil {
-			t.Fatalf("decoded frame does not re-encode: %v", err)
-		}
-	})
-}
-
-// FuzzDecodeBatch exercises the binary codec's payload walk: the zero-copy
-// streaming decoder and the owning frame decoder must agree, never panic, and
-// never let a hostile header drive allocation past the payload itself.
+// FuzzDecodeBatch exercises the one wire decoder's payload walk from
+// unstamped seeds: the zero-copy streaming decoder and the owning frame decoder
+// must agree, never panic, and never let a hostile header drive allocation
+// past the payload itself.
 func FuzzDecodeBatch(f *testing.F) {
 	msg := AppendBinaryBatch(nil, fuzzSeedFrames())
-	f.Add(msg[BinaryMessageHeader:]) // well-formed payload
+	f.Add(msg[BinaryMessageHeader:]) // well-formed unstamped payload
 	f.Add(msg[BinaryMessageHeader : len(msg)-5])
 	f.Add([]byte{})
 	f.Add(hostileRowsPayload())
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		var streamRows int
-		streamErr := DecodeBinaryBatch(payload,
-			func(h FrameHeader) bool { return true },
-			func(key []byte, watts float64) { streamRows++ })
-		frames, ownErr := decodeBinaryFrames(payload, nil)
-		if (streamErr == nil) != (ownErr == nil) {
-			t.Fatalf("decoders disagree: stream=%v own=%v", streamErr, ownErr)
-		}
-		if streamErr != nil {
-			return
-		}
-		var ownRows int
-		for i := range frames {
-			ownRows += len(frames[i].Rows)
-		}
-		if ownRows != streamRows {
-			t.Fatalf("row counts disagree: stream=%d own=%d", streamRows, ownRows)
-		}
-		// A payload that decoded must survive a re-encode/re-decode round
-		// trip unchanged. Equality is checked on the re-encoded bytes, not the
-		// structs: floats round-trip as raw bits, and a NaN watts value is
-		// legal on the wire but never compares equal to itself.
-		enc := AppendBinaryBatch(nil, frames)[BinaryMessageHeader:]
-		again, err := decodeBinaryFrames(enc, nil)
-		if err != nil {
-			t.Fatalf("re-encoded payload does not decode: %v", err)
-		}
-		enc2 := AppendBinaryBatch(nil, again)[BinaryMessageHeader:]
-		if !bytes.Equal(enc, enc2) {
-			t.Fatalf("round trip changed the encoding:\n  first:  %x\n  second: %x", enc, enc2)
-		}
-	})
+	f.Fuzz(checkDecodeBatch)
 }
 
-// FuzzDecodeBatchV2 is FuzzDecodeBatch for the provenance wire version: the
-// streaming and owning decoders must agree on version-2 payloads, stamps must
-// survive the owning decode, and a decodable payload must round-trip to the
-// same bytes through a version-2 re-encode.
+// FuzzDecodeBatchV2 checks the FuzzDecodeBatch property from
+// provenance-stamped seeds, the layout once numbered wire version 2; its
+// checked-in corpus keeps that name and includes an old version-1 payload,
+// which the one decoder must reject or misparse loudly, never panic on.
 func FuzzDecodeBatchV2(f *testing.F) {
-	frames := fuzzSeedFrames()
-	for i := range frames {
-		frames[i].EmitMono = time.Duration(1+i) * time.Second
-		frames[i].Round = uint64(40 + i)
-		frames[i].TraceID = FrameTraceID(frames[i].VM, frames[i].Round)
+	stamped := fuzzSeedFrames()
+	for i := range stamped {
+		stamped[i].EmitMono = time.Duration(1+i) * time.Second
+		stamped[i].Round = uint64(40 + i)
+		stamped[i].TraceID = FrameTraceID(stamped[i].VM, stamped[i].Round)
 	}
-	msg := AppendBinaryBatchVersion(nil, frames, BinaryVersionProvenance)
-	f.Add(msg[BinaryMessageHeader:]) // well-formed v2 payload
+	msg := AppendBinaryBatch(nil, stamped)
+	f.Add(msg[BinaryMessageHeader:]) // well-formed stamped payload
 	f.Add(msg[BinaryMessageHeader : len(msg)-5])
-	// A version-1 payload read as version 2: the decoder must reject or
-	// misparse it loudly, never panic.
-	f.Add(AppendBinaryBatch(nil, fuzzSeedFrames())[BinaryMessageHeader:])
+	// A stamped and an unstamped frame in one batch.
+	mixed := AppendBinaryBatch(nil, []VMPowerFrame{stamped[0], fuzzSeedFrames()[1]})
+	f.Add(mixed[BinaryMessageHeader:])
 	f.Add([]byte{})
 	f.Add(hostileRowsPayload())
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		var streamRows int
-		streamErr := DecodeBinaryBatchVersion(payload, BinaryVersionProvenance,
-			func(h FrameHeader) bool { return true },
-			func(key []byte, watts float64) { streamRows++ })
-		frames, ownErr := decodeBinaryFramesVersion(payload, BinaryVersionProvenance, nil)
-		if (streamErr == nil) != (ownErr == nil) {
-			t.Fatalf("decoders disagree: stream=%v own=%v", streamErr, ownErr)
-		}
-		if streamErr != nil {
-			return
-		}
-		var ownRows int
-		for i := range frames {
-			ownRows += len(frames[i].Rows)
-		}
-		if ownRows != streamRows {
-			t.Fatalf("row counts disagree: stream=%d own=%d", streamRows, ownRows)
-		}
-		enc := AppendBinaryBatchVersion(nil, frames, BinaryVersionProvenance)[BinaryMessageHeader:]
-		again, err := decodeBinaryFramesVersion(enc, BinaryVersionProvenance, nil)
-		if err != nil {
-			t.Fatalf("re-encoded payload does not decode: %v", err)
-		}
-		enc2 := AppendBinaryBatchVersion(nil, again, BinaryVersionProvenance)[BinaryMessageHeader:]
-		if !bytes.Equal(enc, enc2) {
-			t.Fatalf("round trip changed the encoding:\n  first:  %x\n  second: %x", enc, enc2)
-		}
-	})
+	f.Fuzz(checkDecodeBatch)
+}
+
+// checkDecodeBatch is the property both fuzz targets check on one payload.
+func checkDecodeBatch(t *testing.T, payload []byte) {
+	var streamRows int
+	streamErr := DecodeBinaryBatch(payload,
+		func(h FrameHeader) bool { return true },
+		func(key []byte, watts float64) { streamRows++ })
+	frames, ownErr := decodeBinaryFrames(payload, nil)
+	if (streamErr == nil) != (ownErr == nil) {
+		t.Fatalf("decoders disagree: stream=%v own=%v", streamErr, ownErr)
+	}
+	if streamErr != nil {
+		return
+	}
+	var ownRows int
+	for i := range frames {
+		ownRows += len(frames[i].Rows)
+	}
+	if ownRows != streamRows {
+		t.Fatalf("row counts disagree: stream=%d own=%d", streamRows, ownRows)
+	}
+	// A payload that decoded must survive a re-encode/re-decode round trip
+	// unchanged, stamps included. Equality is checked on the re-encoded
+	// bytes, not the structs: floats round-trip as raw bits, and a NaN watts
+	// value is legal on the wire but never compares equal to itself.
+	enc := AppendBinaryBatch(nil, frames)[BinaryMessageHeader:]
+	again, err := decodeBinaryFrames(enc, nil)
+	if err != nil {
+		t.Fatalf("re-encoded payload does not decode: %v", err)
+	}
+	enc2 := AppendBinaryBatch(nil, again)[BinaryMessageHeader:]
+	if !bytes.Equal(enc, enc2) {
+		t.Fatalf("round trip changed the encoding:\n  first:  %x\n  second: %x", enc, enc2)
+	}
 }
 
 // hostileRowsPayload builds a tiny payload whose one frame claims 2^32 rows —
 // the input that made decodeBinaryFrames presize gigabytes before the row
 // count was bounded by the remaining payload.
-func hostileRowsPayload() []byte {
-	p := binary.AppendUvarint(nil, 1)          // one frame
-	p = append(p, 0)                           // empty VM name
-	p = binary.AppendUvarint(p, 1)             // seq
-	p = binary.AppendUvarint(p, 0)             // timestamp
-	p = append(p, make([]byte, 16)...)         // watts, hostTotalWatts
-	p = append(p, 0)                           // empty source mode
-	p = binary.AppendUvarint(p, uint64(1)<<32) // claimed row count
-	return p
+func hostileRowsPayload() []byte { return claimRowsPayload(1 << 32) }
+
+// claimRowsPayload builds one frame with empty strings and zero numbers and
+// stamps, whose header claims the given row count but carries no row bytes.
+func claimRowsPayload(rows uint64) []byte {
+	p := binary.AppendUvarint(nil, 1)  // one frame
+	p = append(p, 0)                   // empty VM name
+	p = binary.AppendUvarint(p, 1)     // seq
+	p = binary.AppendUvarint(p, 0)     // timestamp
+	p = append(p, make([]byte, 16)...) // watts, hostTotalWatts
+	p = append(p, 0)                   // empty source mode
+	p = append(p, 0, 0, 0)             // emitMono, round, traceID: unstamped
+	return binary.AppendUvarint(p, rows)
 }
 
 // TestDecodeBinaryFramesRowsBound pins the fix for the unbounded presize: a
@@ -167,6 +120,11 @@ func TestDecodeBinaryFramesRowsBound(t *testing.T) {
 	if err == nil {
 		t.Fatal("streaming decoder accepted a row count the payload cannot hold")
 	}
+	// Everything before the claim is well-formed: the same header claiming
+	// no rows decodes, so the rejection above is the row-count bound.
+	if _, err := decodeBinaryFrames(claimRowsPayload(0), nil); err != nil {
+		t.Fatalf("the hostile header claiming zero rows fails to decode: %v", err)
+	}
 	// The boundary itself still decodes: exactly as many rows as fit.
 	frames := []VMPowerFrame{{VM: "n", Rows: []TargetRow{{Key: "", Watts: 1}, {Key: "", Watts: 2}}}}
 	payload = AppendBinaryBatch(nil, frames)[BinaryMessageHeader:]
@@ -177,12 +135,14 @@ func TestDecodeBinaryFramesRowsBound(t *testing.T) {
 }
 
 // TestReadBinaryMessageHostileLength pins the header length bound: a header
-// claiming a payload past the limit errors without allocating it.
+// claiming a payload past the limit errors without allocating it, and the
+// error is a framing error, not link loss.
 func TestReadBinaryMessageHostileLength(t *testing.T) {
 	var head [BinaryMessageHeader]byte
 	copy(head[:], binaryMagic[:])
 	binary.LittleEndian.PutUint32(head[4:], maxBinaryPayload+1)
-	if _, err := ReadBinaryMessage(bytes.NewReader(head[:]), nil); err == nil {
-		t.Fatal("over-limit payload length accepted")
+	_, err := ReadBinaryMessage(bytes.NewReader(head[:]), nil)
+	if err == nil || errors.Is(err, errBadMagic) || LinkLost(err) {
+		t.Fatalf("over-limit payload length: err = %v, want the length-limit error", err)
 	}
 }

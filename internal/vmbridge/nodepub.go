@@ -17,8 +17,8 @@ import (
 // local monitor that turns every sampling round into ONE frame describing the
 // whole node — VM set to the node's name, Watts the node's total estimate,
 // and Rows the per-target breakdown a collector rolls up fleet-wide. It
-// reuses the VM bridge's frame, transport and codec machinery; a collector
-// tells node frames from VM-delegation frames by the presence of rows.
+// reuses the VM bridge's frame, transport and wire format; a collector tells
+// node frames from VM-delegation frames by the presence of rows.
 //
 // Unlike the VM bridge's Publisher it needs no VM definitions — every monitor
 // has a total and a per-cgroup rollup to report.
@@ -33,11 +33,6 @@ type NodePublisher struct {
 	published atomic.Uint64
 	sendErrs  atomic.Uint64
 	lastErr   atomic.Value // error
-
-	// noProvenance suppresses the emit-time stamps — the escape hatch that
-	// lets a daemon emulate a pre-provenance peer (mixed-fleet testing, or a
-	// consumer that chokes on the new JSON fields).
-	noProvenance atomic.Bool
 
 	// layout is the row order of the previous frame, owned by the run
 	// goroutine.
@@ -85,11 +80,6 @@ func (l *rowLayout) rebuild(perCgroup map[string]float64) {
 		l.keys = append(l.keys, "cgroup:"+path)
 	}
 }
-
-// SetProvenance enables or disables the provenance stamps (EmitMono, Round,
-// TraceID) on the publisher's frames. Stamps are on by default; disabling them
-// makes the publisher wire-identical to a pre-provenance daemon.
-func (p *NodePublisher) SetProvenance(on bool) { p.noProvenance.Store(!on) }
 
 // NewNodePublisher subscribes a node-frame publisher to the monitor's report
 // fanout and starts streaming one frame per round. The publisher owns the
@@ -144,7 +134,10 @@ func (p *NodePublisher) frame(report core.AggregatedReport) VMPowerFrame {
 		p.layout.fill(rows, report.PerCgroup)
 	}
 	seq := p.seq.Add(1)
-	frame := VMPowerFrame{
+	// One frame per round, so the round number IS the frame sequence.
+	// EmitMono is the daemon's tracer clock: the collector differences it
+	// against arrival stamps for lag/skew estimates.
+	return VMPowerFrame{
 		VM:             p.node,
 		Seq:            seq,
 		Timestamp:      report.Timestamp,
@@ -152,16 +145,10 @@ func (p *NodePublisher) frame(report core.AggregatedReport) VMPowerFrame {
 		HostTotalWatts: report.TotalWatts,
 		SourceMode:     report.SourceMode,
 		Rows:           rows,
+		EmitMono:       time.Duration(p.tracer.Now()),
+		Round:          seq,
+		TraceID:        FrameTraceID(p.node, seq),
 	}
-	if !p.noProvenance.Load() {
-		// One frame per round, so the round number IS the frame sequence.
-		// EmitMono is the daemon's tracer clock: the collector differences
-		// it against arrival stamps for lag/skew estimates.
-		frame.EmitMono = time.Duration(p.tracer.Now())
-		frame.Round = seq
-		frame.TraceID = FrameTraceID(p.node, seq)
-	}
-	return frame
 }
 
 // Node returns the node name the publisher stamps on its frames.

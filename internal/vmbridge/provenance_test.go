@@ -1,8 +1,7 @@
 package vmbridge
 
 import (
-	"bytes"
-	"net"
+	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -20,87 +19,65 @@ func provenanceBatch() []VMPowerFrame {
 	return batch
 }
 
-// TestProvenanceVersionedRoundTrip pins the version-2 layout: stamps survive
-// an encode/decode round trip, and the same frames encoded at version 1 decode
-// cleanly with the stamps dropped — the view an old peer gets.
-func TestProvenanceVersionedRoundTrip(t *testing.T) {
-	batch := provenanceBatch()
-
-	wire := AppendBinaryBatchVersion(nil, batch, BinaryVersionProvenance)
-	payload, version, err := SplitBinaryMessage(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if version != BinaryVersionProvenance {
-		t.Fatalf("v2 message split as version %d", version)
-	}
-	got, err := decodeBinaryFramesVersion(payload, version, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, batch) {
-		t.Fatalf("v2 round trip mismatch:\n got %+v\nwant %+v", got, batch)
-	}
-
-	// The same batch at version 1 is byte-identical to a stamp-free encode:
-	// provenance must never leak into the layout an old peer negotiated.
-	v1 := AppendBinaryBatchVersion(nil, batch, BinaryVersionBase)
-	plain := AppendBinaryBatch(nil, testBatch())
-	if !bytes.Equal(v1, plain) {
-		t.Fatal("version-1 encode of stamped frames differs from a stamp-free encode")
-	}
-	payload, version, err = SplitBinaryMessage(v1)
-	if err != nil || version != BinaryVersionBase {
-		t.Fatalf("v1 split: version=%d err=%v", version, err)
-	}
-	got, err = decodeBinaryFramesVersion(payload, version, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if got[i].EmitMono != 0 || got[i].Round != 0 || got[i].TraceID != 0 {
-			t.Fatalf("v1 frame %d decoded with provenance: %+v", i, got[i])
+// TestProvenanceRoundTrip pins the frame layout: stamps survive an
+// encode/decode round trip, and unstamped frames stay valid, decoding with
+// zero stamps.
+func TestProvenanceRoundTrip(t *testing.T) {
+	for name, batch := range map[string][]VMPowerFrame{"stamped": provenanceBatch(), "unstamped": testBatch()} {
+		payload, err := SplitBinaryMessage(AppendBinaryBatch(nil, batch))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := decodeBinaryFrames(payload, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, batch) {
+			t.Fatalf("%s round trip mismatch:\n got %+v\nwant %+v", name, got, batch)
 		}
 	}
 }
 
 // TestSplitBinaryMessageRejectsMalformed pins the in-memory validator used by
-// collector.FeedPayload: truncation, bad magic, and a length field that
-// disagrees with the buffer are all errors, never a mis-sliced payload.
+// collector.FeedPayload: truncation, a foreign magic (the retired PWB1
+// layout included), and a length field that disagrees with the buffer are
+// all errors, never a mis-sliced payload.
 func TestSplitBinaryMessageRejectsMalformed(t *testing.T) {
-	wire := AppendBinaryBatchVersion(nil, provenanceBatch(), BinaryVersionProvenance)
-	if _, _, err := SplitBinaryMessage(wire[:BinaryMessageHeader-1]); err == nil {
+	wire := AppendBinaryBatch(nil, provenanceBatch())
+	if _, err := SplitBinaryMessage(wire[:BinaryMessageHeader-1]); err == nil {
 		t.Fatal("short header accepted")
 	}
-	if _, _, err := SplitBinaryMessage(wire[:len(wire)-1]); err == nil {
+	if _, err := SplitBinaryMessage(wire[:len(wire)-1]); err == nil {
 		t.Fatal("truncated payload accepted")
 	}
-	bad := append([]byte(nil), wire...)
-	bad[3] = '9'
-	if _, _, err := SplitBinaryMessage(bad); err == nil {
-		t.Fatal("unknown magic accepted")
+	for _, magic := range []byte{'1', '9'} {
+		bad := append([]byte(nil), wire...)
+		bad[3] = magic
+		if _, err := SplitBinaryMessage(bad); !errors.Is(err, errBadMagic) {
+			t.Fatalf("magic PWB%c: err = %v, want bad magic", magic, err)
+		}
 	}
 }
 
-// TestProvenanceNegotiation is the new-peer path end to end: DialTCPCodec
-// sends hello plus the provenance capability, the publisher settles on wire
-// version 2, and the receiver's frames carry the stamps intact.
-func TestProvenanceNegotiation(t *testing.T) {
+// TestProvenanceOverTCP is the stamped path end to end: a dialed receiver's
+// connection reports the one wire version, and its frames carry the stamps
+// intact.
+func TestProvenanceOverTCP(t *testing.T) {
 	pub, err := ListenTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pub.Close()
 
-	recv, err := DialTCPCodec(pub.Addr().String(), CodecBinary)
+	recv, err := DialTCP(pub.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer recv.Close()
 
-	waitUntil(t, "provenance negotiation", func() bool {
+	waitUntil(t, "connection", func() bool {
 		stats := pub.ConnStats()
-		return len(stats) == 1 && stats[0].Codec == CodecBinary && stats[0].WireVersion == BinaryVersionProvenance
+		return len(stats) == 1 && stats[0].WireVersion == BinaryVersionProvenance
 	})
 
 	batch := provenanceBatch()
@@ -119,54 +96,6 @@ func TestProvenanceNegotiation(t *testing.T) {
 	}
 	if recv.DecodeErrors() != 0 {
 		t.Fatalf("receiver counted %d decode errors", recv.DecodeErrors())
-	}
-}
-
-// TestOldPeerGetsBaseVersion is the downgrade path: a receiver that writes
-// only the codec hello (an old binary peer, pre-provenance) negotiates wire
-// version 1 and decodes every message cleanly — stamps dropped, rows intact.
-func TestOldPeerGetsBaseVersion(t *testing.T) {
-	pub, err := ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pub.Close()
-
-	// Dial raw and speak exactly what an old peer speaks: the hello, nothing
-	// after it.
-	conn, err := net.Dial("tcp", pub.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := RequestBinary(conn); err != nil {
-		t.Fatal(err)
-	}
-
-	waitUntil(t, "base-version negotiation", func() bool {
-		stats := pub.ConnStats()
-		return len(stats) == 1 && stats[0].Codec == CodecBinary && stats[0].WireVersion == BinaryVersionBase
-	})
-
-	batch := provenanceBatch()
-	if err := pub.SendBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	payload, version, err := ReadBinaryMessageVersion(conn, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if version != BinaryVersionBase {
-		t.Fatalf("old peer received wire version %d", version)
-	}
-	got, err := decodeBinaryFramesVersion(payload, version, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := testBatch() // stamps dropped on the wire
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("old peer decode mismatch:\n got %+v\nwant %+v", got, want)
 	}
 }
 

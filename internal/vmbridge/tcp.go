@@ -2,10 +2,8 @@ package vmbridge
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"math/rand"
 	"net"
@@ -15,24 +13,11 @@ import (
 	"time"
 )
 
-// maxFrameLine bounds one JSON-encoded frame on the wire; a line beyond it is
-// a protocol violation, not a bigger buffer waiting to happen. It is sized
-// for a fleet frame carrying thousands of rows, not just the VM bridge's
-// row-less frames.
-const maxFrameLine = 1 << 20
-
-// codecHelloWait bounds how long a publisher connection waits for the
-// receiver's codec hello before falling back to JSON-lines. Legacy receivers
-// never write, so they cost exactly this once per connection.
-const codecHelloWait = 500 * time.Millisecond
-
 // TCPPublisher is the wire transport of the bridge, the virtio-serial
 // stand-in: it listens on a TCP address and streams every published batch to
-// every connected guest. Connections are broadcast fan-out — a guest dialing
-// in receives the frames of every VM and filters by name (DelegatedSource
-// does). Each connection speaks the codec its receiver negotiated: JSON-lines
-// (the default — one JSON object per line) or binary (the receiver opened
-// with a codec hello — one length-prefixed message per batch). A slow or dead
+// every connected guest as one binary message (AppendBinaryBatch).
+// Connections are broadcast fan-out — a guest dialing in receives the frames
+// of every VM and filters by name (DelegatedSource does). A slow or dead
 // connection sheds whole batches drop-oldest and is dropped on write failure;
 // it never backpressures the host pipeline.
 type TCPPublisher struct {
@@ -52,8 +37,6 @@ type tcpConn struct {
 	conn    net.Conn
 	remote  string
 	batches *frameChan[[]VMPowerFrame] // batches pending for this connection, drop-oldest
-	codec   atomic.Int32               // Codec, set once negotiated
-	wire    atomic.Int32               // binary wire version, set once negotiated
 	sent    atomic.Uint64              // frames written to the wire
 }
 
@@ -62,11 +45,8 @@ type tcpConn struct {
 type ConnStats struct {
 	// Remote is the receiver's address.
 	Remote string
-	// Codec is the negotiated wire encoding ("json", "binary").
-	Codec Codec
-	// WireVersion is the negotiated binary wire version (0 on JSON-lines):
-	// BinaryVersionProvenance when the receiver requested provenance stamps,
-	// BinaryVersionBase for an old peer.
+	// WireVersion is the frame layout the connection speaks, always
+	// BinaryVersionProvenance.
 	WireVersion int
 	// SentFrames counts frames written to this connection's wire.
 	SentFrames uint64
@@ -105,8 +85,7 @@ func (p *TCPPublisher) ConnStats() []ConnStats {
 	for _, c := range p.conns {
 		stats = append(stats, ConnStats{
 			Remote:         c.remote,
-			Codec:          Codec(c.codec.Load()),
-			WireVersion:    int(c.wire.Load()),
+			WireVersion:    BinaryVersionProvenance,
 			SentFrames:     c.sent.Load(),
 			DroppedBatches: c.batches.evicted.Load(),
 		})
@@ -148,65 +127,21 @@ func (p *TCPPublisher) acceptLoop() {
 	}
 }
 
-// negotiate waits briefly for the receiver's codec hello; no hello (a legacy
-// receiver's first bytes, or silence until the deadline) keeps JSON-lines. A
-// binary hello may be followed by the provenance capability line, upgrading
-// the connection to wire version 2; an old receiver stops at the hello, so the
-// capability peek runs out the same deadline and version 1 stands. The
-// publisher never reads the connection again after this.
-func negotiate(conn net.Conn) (Codec, int) {
-	conn.SetReadDeadline(time.Now().Add(codecHelloWait))
-	defer conn.SetReadDeadline(time.Time{})
-	br := bufio.NewReaderSize(conn, len(helloLine)+len(capsLine))
-	if readHello(br) == CodecJSON {
-		return CodecJSON, 0
-	}
-	if readCaps(br) {
-		return CodecBinary, BinaryVersionProvenance
-	}
-	return CodecBinary, BinaryVersionBase
-}
-
-// writeLoop drains one connection's batch queue onto the wire — one buffered
-// write+flush per batch on either codec, so a node's whole round costs one
-// syscall. A write failure (guest went away) drops the connection.
+// writeLoop drains one connection's batch queue onto the wire — one message
+// and one write per batch, so a node's whole round costs one syscall. A
+// write failure (guest went away) drops the connection.
 func (p *TCPPublisher) writeLoop(id uint64, c *tcpConn) {
 	defer p.wg.Done()
 	defer c.conn.Close()
-	codec, wire := negotiate(c.conn)
-	c.codec.Store(int32(codec))
-	c.wire.Store(int32(wire))
-	w := bufio.NewWriterSize(c.conn, 32*1024)
-	var scratch []byte // binary encoding buffer, reused across batches
+	var scratch []byte // encoding buffer, reused across batches
 	for batch := range c.batches.ch {
-		var err error
-		written := len(batch)
-		if codec == CodecBinary {
-			scratch = AppendBinaryBatchVersion(scratch[:0], batch, wire)
-			_, err = w.Write(scratch)
-		} else {
-			for _, frame := range batch {
-				line, merr := json.Marshal(frame)
-				if merr != nil {
-					p.dropped.Add(1)
-					written--
-					continue
-				}
-				line = append(line, '\n')
-				if _, err = w.Write(line); err != nil {
-					break
-				}
-			}
-		}
-		if err == nil {
-			err = w.Flush()
-		}
-		if err != nil {
+		scratch = AppendBinaryBatch(scratch[:0], batch)
+		if _, err := c.conn.Write(scratch); err != nil {
 			p.dropConn(id)
 			return
 		}
-		p.sent.Add(uint64(written))
-		c.sent.Add(uint64(written))
+		p.sent.Add(uint64(len(batch)))
+		c.sent.Add(uint64(len(batch)))
 	}
 }
 
@@ -277,13 +212,11 @@ func (p *TCPPublisher) Close() error {
 	return err
 }
 
-// TCPReceiver consumes the frame stream of a TCPPublisher on either codec.
-// When the connection drops (or the publisher closes), the Frames channel
-// closes — the guest-side DelegatedSource turns that into its staleness
-// policy.
+// TCPReceiver consumes the frame stream of a TCPPublisher. When the
+// connection drops (or the publisher closes), the Frames channel closes — the
+// guest-side DelegatedSource turns that into its staleness policy.
 type TCPReceiver struct {
 	conn   net.Conn
-	codec  Codec
 	frames *frameChan[VMPowerFrame]
 	wg     sync.WaitGroup
 
@@ -293,28 +226,13 @@ type TCPReceiver struct {
 	decodeErrs atomic.Uint64
 }
 
-// DialTCP connects to a TCPPublisher at addr on the JSON-lines codec.
+// DialTCP connects to a TCPPublisher at addr.
 func DialTCP(addr string) (*TCPReceiver, error) {
-	return DialTCPCodec(addr, CodecJSON)
-}
-
-// DialTCPCodec connects to a TCPPublisher at addr on the given codec. Binary
-// connections open with the codec hello plus the provenance capability, so a
-// current publisher switches to wire version 2 before its first write; an old
-// publisher reads only the hello and answers in version 1, which the read loop
-// accepts per message.
-func DialTCPCodec(addr string, codec Codec) (*TCPReceiver, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("vmbridge: dial %s: %w", addr, err)
 	}
-	if codec == CodecBinary {
-		if err := RequestBinaryProvenance(conn); err != nil {
-			conn.Close()
-			return nil, fmt.Errorf("vmbridge: dial %s: send codec hello: %w", addr, err)
-		}
-	}
-	r := &TCPReceiver{conn: conn, codec: codec, frames: newFrameChan[VMPowerFrame]()}
+	r := &TCPReceiver{conn: conn, frames: newFrameChan[VMPowerFrame]()}
 	r.wg.Add(1)
 	go r.readLoop()
 	return r, nil
@@ -325,43 +243,19 @@ func (r *TCPReceiver) readLoop() {
 	// The read loop is the only deliverer; frames.close afterwards waits out
 	// the last deliver, so consumers see every decoded frame, then the close.
 	defer r.frames.close()
-	if r.codec == CodecBinary {
-		r.readBinary()
-		return
-	}
-	scanner := bufio.NewScanner(r.conn)
-	scanner.Buffer(make([]byte, 4096), maxFrameLine)
-	for scanner.Scan() {
-		var frame VMPowerFrame
-		if err := json.Unmarshal(scanner.Bytes(), &frame); err != nil {
-			// A torn line is a transport glitch, not a reason to kill the
-			// link; count it and resync on the next newline.
-			r.decodeErrs.Add(1)
-			continue
-		}
-		r.frames.deliver(frame)
-	}
-}
-
-func (r *TCPReceiver) readBinary() {
 	br := bufio.NewReaderSize(r.conn, 64*1024)
 	var buf []byte
 	var frames []VMPowerFrame
 	for {
-		payload, version, err := ReadBinaryMessageVersion(br, buf[:0])
+		payload, err := ReadBinaryMessage(br, buf[:0])
+		if err == nil {
+			buf = payload
+			frames, err = decodeBinaryFrames(payload, frames[:0])
+		}
 		if err != nil {
-			// Binary framing cannot resync mid-stream: any read or framing
-			// error is link loss. Only a malformed message counts as a decode
-			// error; EOF and socket errors are just the link going away.
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.ErrUnexpectedEOF) {
+			if !LinkLost(err) {
 				r.decodeErrs.Add(1)
 			}
-			return
-		}
-		buf = payload
-		frames, err = decodeBinaryFramesVersion(payload, version, frames[:0])
-		if err != nil {
-			r.decodeErrs.Add(1)
 			return
 		}
 		for _, f := range frames {
@@ -373,10 +267,8 @@ func (r *TCPReceiver) readBinary() {
 // Frames implements Receiver.
 func (r *TCPReceiver) Frames() <-chan VMPowerFrame { return r.frames.ch }
 
-// Codec returns the wire encoding this receiver negotiated.
-func (r *TCPReceiver) Codec() Codec { return r.codec }
-
-// DecodeErrors returns how many wire messages failed to decode as frames.
+// DecodeErrors returns how many wire messages failed to frame or decode; each
+// one ended the link.
 func (r *TCPReceiver) DecodeErrors() uint64 { return r.decodeErrs.Load() }
 
 // DroppedFrames returns how many decoded frames the receiver's buffer evicted
@@ -393,57 +285,53 @@ func (r *TCPReceiver) Close() error {
 	return r.closeErr
 }
 
-// maxDialBackoff caps the pause between dial attempts however far the
+// maxBackoff caps the pause between link attempts however far the
 // exponential climb has gotten.
-const maxDialBackoff = 5 * time.Second
+const maxBackoff = 5 * time.Second
 
-// DialTCPWithRetry dials a TCPPublisher on the JSON-lines codec, retrying up
-// to attempts times — a guest daemon typically races the host daemon's
-// listener, the way a VM boots before its management agent is up.
-func DialTCPWithRetry(addr string, attempts int, base time.Duration) (*TCPReceiver, error) {
-	return DialTCPCodecWithRetry(addr, CodecJSON, attempts, base)
-}
-
-// DialTCPCodecWithRetry dials a TCPPublisher on the given codec, retrying up
-// to attempts times with capped exponential backoff: the pause starts at base,
-// doubles per attempt up to maxDialBackoff, and is jittered ±25% so a fleet
-// of receivers restarting together does not reconnect in lockstep. Failed
-// attempts and eventual success-after-retry are surfaced in slog with the
-// attempt count.
-func DialTCPCodecWithRetry(addr string, codec Codec, attempts int, base time.Duration) (*TCPReceiver, error) {
-	if attempts < 1 {
-		return nil, errors.New("vmbridge: dial attempts must be at least 1")
+// Backoff returns the pause before the next try after the given failed
+// attempt (1 for the first): base doubled once per earlier failure, capped at
+// 5 s, then jittered ±25% so a fleet of peers restarting together does not
+// reconnect in lockstep. DialTCPWithRetry and the collector's node links
+// both pace their redials with it.
+func Backoff(base time.Duration, attempt int) time.Duration {
+	d := min(base, maxBackoff)
+	for ; attempt > 1 && d < maxBackoff; attempt-- {
+		d = min(2*d, maxBackoff)
 	}
-	var lastErr error
-	pause := base
-	for i := 0; i < attempts; i++ {
-		if i > 0 {
-			time.Sleep(jitter(pause))
-			if pause *= 2; pause > maxDialBackoff {
-				pause = maxDialBackoff
-			}
-		}
-		r, err := DialTCPCodec(addr, codec)
-		if err == nil {
-			if i > 0 {
-				slog.Info("vmbridge: dial succeeded after retries", "addr", addr, "attempt", i+1, "codec", codec.String())
-			}
-			return r, nil
-		}
-		lastErr = err
-		if i < attempts-1 {
-			slog.Warn("vmbridge: dial failed, backing off", "addr", addr, "attempt", i+1, "attempts", attempts, "backoff", pause, "err", err)
-		}
-	}
-	slog.Warn("vmbridge: dial gave up", "addr", addr, "attempts", attempts, "err", lastErr)
-	return nil, fmt.Errorf("vmbridge: dial %s: gave up after %d attempts: %w", addr, attempts, lastErr)
-}
-
-// jitter spreads a backoff pause uniformly over ±25% of its nominal value.
-func jitter(d time.Duration) time.Duration {
 	if d <= 0 {
 		return d
 	}
 	spread := d / 2
 	return d - spread/2 + time.Duration(rand.Int63n(int64(spread)+1))
+}
+
+// DialTCPWithRetry dials a TCPPublisher, retrying up to attempts times with
+// Backoff pauses — a guest daemon typically races the host daemon's
+// listener, the way a VM boots before its management agent is up. Failed
+// attempts and eventual success-after-retry are surfaced in slog with the
+// attempt count.
+func DialTCPWithRetry(addr string, attempts int, base time.Duration) (*TCPReceiver, error) {
+	if attempts < 1 {
+		return nil, errors.New("vmbridge: dial attempts must be at least 1")
+	}
+	var lastErr error
+	for attempt := 1; ; attempt++ {
+		r, err := DialTCP(addr)
+		if err == nil {
+			if attempt > 1 {
+				slog.Info("vmbridge: dial succeeded after retries", "addr", addr, "attempt", attempt)
+			}
+			return r, nil
+		}
+		lastErr = err
+		if attempt == attempts {
+			break
+		}
+		pause := Backoff(base, attempt)
+		slog.Warn("vmbridge: dial failed, backing off", "addr", addr, "attempt", attempt, "attempts", attempts, "backoff", pause, "err", err)
+		time.Sleep(pause)
+	}
+	slog.Warn("vmbridge: dial gave up", "addr", addr, "attempts", attempts, "err", lastErr)
+	return nil, fmt.Errorf("vmbridge: dial %s: gave up after %d attempts: %w", addr, attempts, lastErr)
 }

@@ -11,8 +11,9 @@
 // watts the host delegated.
 //
 // Two transports ship with the package: an in-process Loopback (tests,
-// examples, simulated guests) and a TCP/JSON-lines link (the virtio-serial
-// stand-in the daemon serves with -vm-publish and dials with -vm-delegate).
+// examples, simulated guests) and a TCP link speaking one length-prefixed
+// binary frame (the virtio-serial stand-in the daemon serves with -vm-publish
+// and dials with -vm-delegate).
 // Both fan every frame out to every receiver; receivers filter by VM name.
 // Frame delivery is deliberately lossy (drop-oldest, like a serial port
 // buffer): a stalled guest never backpressures the host pipeline, and the
@@ -28,7 +29,7 @@ import (
 )
 
 // VMPowerFrame is one delegated power figure: the host-side estimate of one
-// VM's draw for one sampling round, serialised as a JSON line on the wire.
+// VM's draw for one sampling round, one frame of a binary message on the wire.
 type VMPowerFrame struct {
 	// VM names the virtual machine the frame belongs to.
 	VM string `json:"vm"`
@@ -54,8 +55,8 @@ type VMPowerFrame struct {
 	// since its tracer epoch) — the provenance stamp a collector differences
 	// against its own clock to estimate per-node ingest lag and clock skew.
 	// Emit and arrival clocks share no epoch, so only deltas are meaningful.
-	// Zero means the peer predates provenance (or disabled it); consumers
-	// must treat the frame as unstamped, not as emitted at the epoch.
+	// Zero means the frame is unstamped; consumers must not read it as
+	// emitted at the epoch.
 	EmitMono time.Duration `json:"emitMono,omitempty"`
 	// Round is the publisher's round sequence the frame belongs to. For node
 	// frames it equals Seq (one frame per round); for VM-bridge frames every
@@ -97,9 +98,9 @@ type Transport interface {
 	// transport returns ErrClosed.
 	Send(frame VMPowerFrame) error
 	// SendBatch delivers one round's frames as a unit: receivers that shed
-	// load shed whole rounds, and wire transports write one round per flush
-	// (one message per round on the binary codec). The transport keeps a
-	// reference to the slice — the caller must not modify it after the call.
+	// load shed whole rounds, and wire transports write one round per
+	// message. The transport keeps a reference to the slice — the caller
+	// must not modify it after the call.
 	SendBatch(frames []VMPowerFrame) error
 	// Close tears the transport down; receivers observe their frame channel
 	// closing (link loss).

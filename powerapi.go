@@ -166,8 +166,8 @@ type (
 	// LoopbackBridge is the in-process bridge transport for tests, examples
 	// and simulated guests (see NewLoopbackBridge).
 	LoopbackBridge = vmbridge.Loopback
-	// TCPBridgePublisher is the TCP/JSON-lines bridge transport a host
-	// serves (see ListenVMBridge).
+	// TCPBridgePublisher is the TCP bridge transport a host serves (see
+	// ListenVMBridge).
 	TCPBridgePublisher = vmbridge.TCPPublisher
 	// TCPBridgeReceiver consumes a TCP bridge's frame stream on the guest
 	// side (see DialVMBridge).
@@ -471,7 +471,7 @@ func WithVMBridge(src *DelegatedSource) MonitorOption { return core.WithVMBridge
 // NewVMPublisher is the host side of the VM bridge: it subscribes to the
 // Monitor's report fanout (losslessly) and streams one VMPowerFrame per
 // defined VM per sampling round over the transport — the in-process loopback
-// (NewLoopbackBridge) or the TCP/JSON-lines link (ListenVMBridge). The
+// (NewLoopbackBridge) or the TCP binary-frame link (ListenVMBridge). The
 // Monitor must define VMs (WithVMs). Close the publisher to end the stream;
 // it owns the transport.
 func NewVMPublisher(m *Monitor, tr VMBridgeTransport) (*VMPublisher, error) {
@@ -504,9 +504,10 @@ func ParseStalePolicy(s string) (StalePolicy, error) { return vmbridge.ParseStal
 // simulated guests).
 func NewLoopbackBridge() *LoopbackBridge { return vmbridge.NewLoopback() }
 
-// ListenVMBridge starts the TCP/JSON-lines VM bridge transport on addr — the
-// virtio-serial stand-in the daemon serves with -vm-publish. Hand it to
-// NewVMPublisher; guests dial it with DialVMBridge.
+// ListenVMBridge starts the TCP VM bridge transport on addr, one
+// length-prefixed binary message per round — the virtio-serial stand-in the
+// daemon serves with -vm-publish. Hand it to NewVMPublisher; guests dial it
+// with DialVMBridge.
 func ListenVMBridge(addr string) (*TCPBridgePublisher, error) { return vmbridge.ListenTCP(addr) }
 
 // DialVMBridge connects a guest to a TCP VM bridge served by ListenVMBridge,
