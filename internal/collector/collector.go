@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"powerapi/internal/core"
+	"powerapi/internal/fanout"
 	"powerapi/internal/history"
 	"powerapi/internal/obs"
 	"powerapi/internal/target"
@@ -91,7 +92,7 @@ type Collector struct {
 	self    *obs.SelfMeter
 	hist    *history.Store
 	keys    keyTable
-	subs    fleetRegistry
+	subs    *fanout.Registry[*FleetReport]
 	journal *Journal
 	e2eHist *obs.Histogram
 
@@ -150,6 +151,7 @@ func New(cfg Config) (*Collector, error) {
 		notify:    make(chan *nodeConn, 8192),
 		shardDone: make(chan struct{}, cfg.Shards),
 		journal:   newJournal(cfg.JournalCapacity),
+		subs:      fanout.NewRegistry((*FleetReport).retain, (*FleetReport).Release, cfg.Logger),
 		e2eHist:   &obs.Histogram{},
 		start:     time.Now(),
 		done:      make(chan struct{}),
@@ -333,7 +335,7 @@ func (c *Collector) Stats() Stats {
 		StaleNodes:    int(c.lastStale.Load()),
 		TotalWatts:    loadFloat(&c.lastTotal),
 		Keys:          c.keys.len(),
-		Subscriptions: c.subs.stats(),
+		Subscriptions: c.subs.Info(),
 		EventsDropped: c.journal.Dropped(),
 	}
 	counts := c.journal.Counts()
@@ -411,7 +413,7 @@ func (c *Collector) Close() error {
 		for _, o := range outs {
 			o.Close()
 		}
-		c.subs.closeAll()
+		c.subs.CloseAll()
 	})
 	return nil
 }

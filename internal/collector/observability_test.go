@@ -229,7 +229,6 @@ func TestOutputRetryNoDuplicates(t *testing.T) {
 		BatchSize:  4,
 		FlushEvery: 20 * time.Millisecond,
 		RetryBase:  2 * time.Millisecond,
-		RetryCap:   10 * time.Millisecond,
 		Rounds:     true,
 		Events:     true,
 	})

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"powerapi/internal/core"
+	"powerapi/internal/vmbridge"
 )
 
 // The push-output layer turns the collector from a poll-only surface into a
@@ -48,10 +49,9 @@ type OutputConfig struct {
 	// QueueDocs bounds the pending-document queue; beyond it the oldest
 	// documents are shed (default 4096).
 	QueueDocs int
-	// RetryBase is the first retry pause, doubling per consecutive failure up
-	// to RetryCap (defaults 200ms and 10s).
+	// RetryBase is the first retry pause (default 200ms); consecutive
+	// failures grow it as vmbridge.Backoff does, with jitter, up to 5s.
 	RetryBase time.Duration
-	RetryCap  time.Duration
 	// Events includes journal events in the stream (on by default through
 	// the constructor; set by AddOutput callers).
 	Events bool
@@ -71,9 +71,6 @@ func (c *OutputConfig) fill() {
 	}
 	if c.RetryBase <= 0 {
 		c.RetryBase = 200 * time.Millisecond
-	}
-	if c.RetryCap <= 0 {
-		c.RetryCap = 10 * time.Second
 	}
 }
 
@@ -265,11 +262,11 @@ func (o *Output) requeue(batch [][]byte) {
 }
 
 // pushLoop drives the sink: batch, write, retry the unacked suffix with
-// capped exponential backoff. One goroutine per output, so a dead sink costs
+// vmbridge.Backoff pauses. One goroutine per output, so a dead sink costs
 // its own queue only.
 func (o *Output) pushLoop() {
 	defer o.wg.Done()
-	backoff := o.cfg.RetryBase
+	attempt := 0 // consecutive retries since the last fully acked batch
 	var batch [][]byte
 	for {
 		batch = o.take(batch)
@@ -300,7 +297,7 @@ func (o *Output) pushLoop() {
 			}
 			if err == nil && len(batch) == 0 {
 				o.lastErr.Store("")
-				backoff = o.cfg.RetryBase
+				attempt = 0
 				break
 			}
 			// Partial success or error: retry the unacked suffix after a
@@ -310,14 +307,12 @@ func (o *Output) pushLoop() {
 			if err != nil {
 				o.lastErr.Store(err.Error())
 			}
+			attempt++
 			select {
 			case <-o.done:
 				o.requeue(batch)
 				return
-			case <-time.After(backoff):
-			}
-			if backoff *= 2; backoff > o.cfg.RetryCap {
-				backoff = o.cfg.RetryCap
+			case <-time.After(vmbridge.Backoff(o.cfg.RetryBase, attempt)):
 			}
 		}
 	}

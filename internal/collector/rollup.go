@@ -2,11 +2,11 @@ package collector
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"powerapi/internal/core"
+	"powerapi/internal/fanout"
 	"powerapi/internal/history"
 	"powerapi/internal/obs"
 	"powerapi/internal/target"
@@ -48,35 +48,28 @@ type FleetReport struct {
 	// metering is off).
 	SelfWatts float64 `json:"selfWatts,omitempty"`
 
-	lease *fleetLease
+	// lease/gen tie this copy to its pooled buffer (nil/0 for clones).
+	lease *fanout.Lease
 	gen   uint64
 }
 
-// fleetLease mirrors the core report lease: refs counts holders, gen expires
-// stale copies when the buffer is recycled.
-type fleetLease struct {
-	refs atomic.Int32
-	gen  atomic.Uint64
-	home *pooledFleet
-}
-
+// pooledFleet is one recyclable fleet-report buffer; its maps keep their
+// buckets across rounds.
 type pooledFleet struct {
 	report    FleetReport
-	lease     fleetLease
+	lease     fanout.Lease
 	perNode   map[string]float64
 	perTarget map[string]float64
 }
 
-var fleetPool = sync.Pool{New: func() any {
+var fleetPool = fanout.NewPool(func() (any, *fanout.Lease) {
 	p := &pooledFleet{}
-	p.lease.home = p
-	return p
-}}
+	return p, &p.lease
+})
 
 func getPooledFleet() *pooledFleet {
 	p := fleetPool.Get().(*pooledFleet)
-	p.lease.refs.Store(1)
-	p.report = FleetReport{lease: &p.lease, gen: p.lease.gen.Load()}
+	p.report = FleetReport{lease: &p.lease, gen: p.lease.Open()}
 	if p.perNode == nil {
 		p.perNode = make(map[string]float64)
 	} else {
@@ -92,30 +85,16 @@ func getPooledFleet() *pooledFleet {
 	return p
 }
 
-func (r *FleetReport) retain() {
-	if r.lease != nil {
-		r.lease.refs.Add(1)
-	}
-}
+// retain registers one more holder of the round (a subscription channel's).
+func (r *FleetReport) retain() { r.lease.Retain() }
 
 // Release hands this reference back; the last release recycles the buffer for
 // a future round. A holder must not touch the report's maps afterwards.
 // No-op on clones.
-func (r *FleetReport) Release() {
-	l := r.lease
-	if l == nil || l.gen.Load() != r.gen {
-		return
-	}
-	if l.refs.Add(-1) == 0 {
-		l.gen.Add(1)
-		fleetPool.Put(l.home)
-	}
-}
+func (r *FleetReport) Release() { r.lease.Release(r.gen) }
 
 // Expired reports whether this reference's round has been recycled.
-func (r *FleetReport) Expired() bool {
-	return r.lease != nil && r.lease.gen.Load() != r.gen
-}
+func (r *FleetReport) Expired() bool { return r.lease.Expired(r.gen) }
 
 // Clone returns a deep copy safe to retain forever.
 func (r *FleetReport) Clone() *FleetReport {
@@ -255,7 +234,7 @@ func (c *Collector) Rollup() *FleetReport {
 	c.recordHistory(rep)
 
 	fanoutStart := c.tracer.Now()
-	c.subs.publish(rep)
+	c.subs.Publish(rep)
 	c.tracer.Record(ts, obs.StageFanout, 0, fanoutStart, c.tracer.Now())
 	c.tracer.FinishRound(ts)
 	return rep

@@ -1,196 +1,24 @@
 package collector
 
-import (
-	"errors"
-	"sort"
-	"sync"
-	"sync/atomic"
+import "powerapi/internal/fanout"
 
-	"powerapi/internal/core"
-)
+// The fleet fanout is the registry the daemon's pipeline uses
+// (internal/fanout): the same backpressure policies, counters, default
+// buffer and Close semantics. Every report placed in a channel carries one
+// reference the consumer must Release (or Clone past).
 
-// The fleet fanout mirrors the monitor's subscription machinery in compact
-// form: the same three backpressure policies (core.BackpressurePolicy), the
-// same per-subscription counters, the same pooled-report retention contract —
-// every report placed in a channel carries one reference the consumer must
-// Release (or Clone past).
+// SubscribeOptions shapes one fleet subscription: name, backpressure policy
+// and channel buffer (fanout.DefaultBuffer when zero; Conflate always uses
+// one slot).
+type SubscribeOptions = fanout.Options
 
-// SubscribeOptions shapes one fleet subscription.
-type SubscribeOptions struct {
-	// Name labels the subscription in Stats (may be empty).
-	Name string
-	// Policy is the backpressure policy (Conflate by default).
-	Policy core.BackpressurePolicy
-	// Buffer is the channel depth for DropOldest/Block (1 when <= 0;
-	// Conflate always uses 1).
-	Buffer int
-}
-
-// Subscription is one fleet-report stream.
-type Subscription struct {
-	id     uint64
-	name   string
-	policy core.BackpressurePolicy
-	ch     chan *FleetReport
-	done   chan struct{}
-	reg    *fleetRegistry
-
-	sendMu    sync.Mutex
-	closeOnce sync.Once
-
-	delivered atomic.Uint64
-	dropped   atomic.Uint64
-}
-
-// C returns the report stream. Each received report carries one reference the
-// consumer owns: Release it when done (Clone first to keep the data). The
-// channel closes when the subscription or the collector closes.
-func (s *Subscription) C() <-chan *FleetReport { return s.ch }
-
-// Close detaches the subscription; pending unread reports are released.
-func (s *Subscription) Close() {
-	s.reg.remove(s.id)
-	s.shut()
-}
-
-// shut closes the channel (race-free against a publish in flight) and drops
-// the references queued in it.
-func (s *Subscription) shut() {
-	s.closeOnce.Do(func() {
-		close(s.done)
-		s.sendMu.Lock()
-		close(s.ch)
-		s.sendMu.Unlock()
-		for rep := range s.ch {
-			rep.Release()
-		}
-	})
-}
-
-// offer delivers one report reference according to the policy. The reference
-// is already retained for this subscription; a report evicted or refused is
-// released here.
-func (s *Subscription) offer(rep *FleetReport) {
-	s.sendMu.Lock()
-	defer s.sendMu.Unlock()
-	select {
-	case <-s.done:
-		rep.Release()
-		return
-	default:
-	}
-	switch s.policy {
-	case core.Block:
-		s.ch <- rep
-		s.delivered.Add(1)
-	default: // Conflate and DropOldest differ only in channel depth
-		for {
-			select {
-			case s.ch <- rep:
-				s.delivered.Add(1)
-				return
-			default:
-			}
-			select {
-			case old := <-s.ch:
-				old.Release()
-				s.dropped.Add(1)
-			default:
-			}
-		}
-	}
-}
-
-// fleetRegistry tracks live subscriptions and publishes rounds to them.
-type fleetRegistry struct {
-	mu       sync.Mutex
-	subs     map[uint64]*Subscription
-	nextID   uint64
-	closed   bool
-	snapshot []*Subscription // publish scratch, reused across rounds
-}
+// Subscription is one fleet-report stream. Each received report carries one
+// reference the consumer owns: Release it when done (Clone first to keep the
+// data). Close leaves buffered reports receivable; the channel closes when
+// the subscription or the collector closes.
+type Subscription = fanout.Subscription[*FleetReport]
 
 // Subscribe attaches a fleet-report stream to the collector.
 func (c *Collector) Subscribe(opts SubscribeOptions) (*Subscription, error) {
-	return c.subs.add(opts)
-}
-
-func (r *fleetRegistry) add(opts SubscribeOptions) (*Subscription, error) {
-	buffer := opts.Buffer
-	if buffer <= 0 || opts.Policy == core.Conflate {
-		buffer = 1
-	}
-	s := &Subscription{
-		name:   opts.Name,
-		policy: opts.Policy,
-		ch:     make(chan *FleetReport, buffer),
-		done:   make(chan struct{}),
-		reg:    r,
-	}
-	r.mu.Lock()
-	if r.subs == nil {
-		r.subs = make(map[uint64]*Subscription)
-	}
-	if r.closed {
-		r.mu.Unlock()
-		return nil, errors.New("collector: closed")
-	}
-	r.nextID++
-	s.id = r.nextID
-	r.subs[s.id] = s
-	r.mu.Unlock()
-	return s, nil
-}
-
-func (r *fleetRegistry) remove(id uint64) {
-	r.mu.Lock()
-	delete(r.subs, id)
-	r.mu.Unlock()
-}
-
-// publish fans one round out: one reference retained per subscription, handed
-// to its offer. The snapshot slice is reused, so a steady-state publish
-// allocates nothing.
-func (r *fleetRegistry) publish(rep *FleetReport) {
-	r.mu.Lock()
-	r.snapshot = r.snapshot[:0]
-	for _, s := range r.subs {
-		r.snapshot = append(r.snapshot, s)
-	}
-	r.mu.Unlock()
-	for _, s := range r.snapshot {
-		rep.retain()
-		s.offer(rep)
-	}
-}
-
-func (r *fleetRegistry) closeAll() {
-	r.mu.Lock()
-	r.closed = true
-	subs := make([]*Subscription, 0, len(r.subs))
-	for _, s := range r.subs {
-		subs = append(subs, s)
-	}
-	r.subs = nil
-	r.mu.Unlock()
-	for _, s := range subs {
-		s.shut()
-	}
-}
-
-func (r *fleetRegistry) stats() []core.SubscriptionInfo {
-	r.mu.Lock()
-	out := make([]core.SubscriptionInfo, 0, len(r.subs))
-	for _, s := range r.subs {
-		out = append(out, core.SubscriptionInfo{
-			ID:        s.id,
-			Name:      s.name,
-			Policy:    s.policy,
-			Delivered: s.delivered.Load(),
-			Dropped:   s.dropped.Load(),
-		})
-	}
-	r.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return c.subs.Subscribe(opts, nil)
 }

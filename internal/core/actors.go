@@ -175,24 +175,18 @@ func (s *sensorShardBehavior) tick(ctx *actor.Context, req tickRequest) {
 // is stateless, so its supervisor restarts it from a fresh instance after a
 // panic.
 //
-// The model is compiled once at construction: the per-batch frequency resolves
-// to a pre-parsed formula a single time, and each target evaluates it on the
-// dense counter vector — no string parsing or map materialisation per sample.
+// New compiles the model once and every shard shares it: the per-batch
+// frequency resolves to a pre-parsed formula a single time, and each target
+// evaluates it on the dense counter vector — no string parsing or map
+// materialisation per sample.
 type formulaShardBehavior struct {
-	model    *model.CPUPowerModel
 	compiled *model.Compiled
 	mode     source.Mode
 	tracer   *obs.Tracer
 }
 
-func newFormulaShardBehavior(m *model.CPUPowerModel, mode source.Mode, tracer *obs.Tracer) *formulaShardBehavior {
-	f := &formulaShardBehavior{model: m, mode: mode, tracer: tracer}
-	// A model that validates but fails to compile falls back to the original
-	// per-sample evaluation path below.
-	if compiled, err := m.Compile(); err == nil {
-		f.compiled = compiled
-	}
-	return f
+func newFormulaShardBehavior(compiled *model.Compiled, mode source.Mode, tracer *obs.Tracer) *formulaShardBehavior {
+	return &formulaShardBehavior{compiled: compiled, mode: mode, tracer: tracer}
 }
 
 // Receive implements actor.Behavior.
@@ -222,7 +216,7 @@ func (f *formulaShardBehavior) estimateBatch(ctx *actor.Context, batch SensorRep
 	// Resolve the round's frequency to its compiled formula once per batch
 	// instead of once per target.
 	var cf *model.CompiledFrequency
-	if counterMode && f.compiled != nil && len(batch.Samples) > 0 {
+	if counterMode && len(batch.Samples) > 0 {
 		var err error
 		if cf, err = f.compiled.ForFrequency(batch.FrequencyMHz); err != nil {
 			ctx.Publish(TopicErrors, PipelineError{
@@ -242,13 +236,10 @@ func (f *formulaShardBehavior) estimateBatch(ctx *actor.Context, batch SensorRep
 		if counterMode {
 			var watts float64
 			var err error
-			switch {
-			case cf != nil:
+			// A nil cf means ForFrequency failed (already reported); the
+			// estimates stay zero.
+			if cf != nil {
 				watts, err = cf.EstimateActiveWatts(&sample.Deltas, batch.Window)
-			case f.compiled == nil:
-				watts, err = f.model.EstimateActiveWatts(batch.FrequencyMHz, sample.Deltas.Counts(), batch.Window)
-			default:
-				// ForFrequency failed (already reported); estimates are zero.
 			}
 			if err != nil {
 				ctx.Publish(TopicErrors, PipelineError{

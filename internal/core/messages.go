@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"powerapi/internal/actor"
+	"powerapi/internal/fanout"
 	"powerapi/internal/source"
 	"powerapi/internal/target"
 )
@@ -218,7 +219,7 @@ type AggregatedReport struct {
 
 	// lease/gen tie this copy to its pooled buffer (nil/0 for clones and
 	// filtered copies, which own their maps). See Release, Clone, Expired.
-	lease *reportLease
+	lease *fanout.Lease
 	gen   uint64
 }
 

@@ -14,6 +14,7 @@ import (
 
 	"powerapi/internal/actor"
 	"powerapi/internal/cgroup"
+	"powerapi/internal/fanout"
 	"powerapi/internal/history"
 	"powerapi/internal/hpc"
 	"powerapi/internal/machine"
@@ -47,7 +48,6 @@ type SourceFactories struct {
 
 type options struct {
 	events          []hpc.Event
-	reportBuffer    int
 	shards          int
 	mode            source.Mode
 	factories       SourceFactories
@@ -81,12 +81,6 @@ type namedReporter struct {
 // the events used by the power model).
 func WithEvents(events []hpc.Event) Option {
 	return func(o *options) { o.events = append([]hpc.Event(nil), events...) }
-}
-
-// WithReportBuffer sets the capacity of the legacy Reports() channel (the
-// buffer of the default subscription Reports lazily creates).
-func WithReportBuffer(n int) Option {
-	return func(o *options) { o.reportBuffer = n }
 }
 
 // WithReportRetention caps how many rounds RunMonitored and
@@ -322,12 +316,11 @@ type PowerAPI struct {
 	logger *slog.Logger
 
 	// subs is the fanout registry every aggregated report is published to;
-	// all consumers — Subscribe callers, the legacy Reports channel, the
-	// WithReporter shims, the history writer — are subscriptions in it.
-	subs         *subscriptionRegistry
-	reportBuffer int
-	retention    int
-	history      *history.Store
+	// all consumers — Subscribe callers, the WithReporter shims, the history
+	// writer — are subscriptions in it.
+	subs      *fanout.Registry[AggregatedReport]
+	retention int
+	history   *history.Store
 	// drainWG tracks the internal subscriber goroutines (reporter shims,
 	// history writer); Shutdown waits for them before flushing.
 	drainWG sync.WaitGroup
@@ -340,7 +333,6 @@ type PowerAPI struct {
 	errCount    atomic.Int64
 	lastErr     atomic.Value // errBox
 	mu          sync.Mutex
-	defaultSub  *Subscription // lazy Reports() subscription
 	lastCollect time.Duration
 	// monitored holds the explicitly attached targets (processes and cgroups);
 	// members holds the PIDs attached to shards because a monitored cgroup
@@ -365,10 +357,12 @@ func New(m *machine.Machine, powerModel *model.CPUPowerModel, opts ...Option) (a
 	if m == nil {
 		return nil, errors.New("core: nil machine")
 	}
-	if verr := powerModel.Validate(); verr != nil {
-		return nil, fmt.Errorf("core: %w", verr)
+	// Every formula shard runs the one compiled model; compiling validates it.
+	compiled, cerr := powerModel.Compile()
+	if cerr != nil {
+		return nil, fmt.Errorf("core: %w", cerr)
 	}
-	cfg := options{reportBuffer: 64, shards: 1, mode: source.ModeHPC, collectTimeout: DefaultCollectTimeout}
+	cfg := options{shards: 1, mode: source.ModeHPC, collectTimeout: DefaultCollectTimeout}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -393,9 +387,6 @@ func New(m *machine.Machine, powerModel *model.CPUPowerModel, opts ...Option) (a
 	}
 	if cfg.retention < 0 {
 		return nil, fmt.Errorf("core: report retention must not be negative, got %d", cfg.retention)
-	}
-	if cfg.reportBuffer < 0 {
-		return nil, fmt.Errorf("core: report buffer must not be negative, got %d", cfg.reportBuffer)
 	}
 	vms, err := validateVMs(cfg.vms, cfg.hierarchy)
 	if err != nil {
@@ -428,8 +419,7 @@ func New(m *machine.Machine, powerModel *model.CPUPowerModel, opts ...Option) (a
 		collectTimeout: cfg.collectTimeout,
 		hierarchy:      cfg.hierarchy,
 		vms:            vms,
-		subs:           newSubscriptionRegistry(cfg.hierarchy),
-		reportBuffer:   cfg.reportBuffer,
+		subs:           fanout.NewRegistry(AggregatedReport.retain, AggregatedReport.Release, cfg.logger),
 		retention:      cfg.retention,
 		collectWaiters: make(map[time.Duration]chan AggregatedReport),
 		monitored:      make(map[target.Target]bool),
@@ -441,7 +431,6 @@ func New(m *machine.Machine, powerModel *model.CPUPowerModel, opts ...Option) (a
 	if api.logger == nil {
 		api.logger = slog.Default()
 	}
-	api.subs.logger = api.logger
 	if cfg.selfPower {
 		// The meter's baseline is construction time, so the pipeline's own
 		// setup cost is attributed to it from round one.
@@ -466,7 +455,7 @@ func New(m *machine.Machine, powerModel *model.CPUPowerModel, opts ...Option) (a
 			return
 		}
 		pipeline.system.Shutdown()
-		pipeline.subs.closeAll()
+		pipeline.subs.CloseAll()
 		pipeline.drainWG.Wait()
 		for _, src := range pipeline.sources {
 			_ = src.Close()
@@ -510,7 +499,7 @@ func New(m *machine.Machine, powerModel *model.CPUPowerModel, opts ...Option) (a
 	for i := 0; i < cfg.shards; i++ {
 		// The formula shard is stateless: restart from a fresh instance.
 		formula, err := api.system.SpawnSupervised(fmt.Sprintf("formula-%d", i),
-			func() actor.Behavior { return newFormulaShardBehavior(powerModel, cfg.mode, api.tracer) }, 0, supervised("formula"))
+			func() actor.Behavior { return newFormulaShardBehavior(compiled, cfg.mode, api.tracer) }, 0, supervised("formula"))
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
@@ -748,7 +737,7 @@ func (p *PowerAPI) fanout(report AggregatedReport) {
 		waiter <- report // buffered one deep; the fanout is the only sender
 	}
 	p.collectMu.Unlock()
-	p.subs.publish(report) // each delivered channel send holds its own reference
+	p.subs.Publish(report) // each delivered channel send holds its own reference
 	report.Release()       // the aggregator's publishing reference
 	p.tracer.Record(ts, obs.StageFanout, 0, traceStart, p.tracer.Now())
 	// The fanout is the last synchronous stage: every consumer holds the
@@ -769,7 +758,7 @@ func (p *PowerAPI) recordError(err error) {
 // panicking user callback must keep landing in ErrorCount instead of killing
 // the process.
 func (p *PowerAPI) spawnReporterSubscriber(name string, deliver func(AggregatedReport) error) error {
-	sub, err := p.subs.add(SubscribeOptions{Name: name, Policy: Block, Buffer: actor.DefaultMailboxSize})
+	sub, err := p.subs.Subscribe(fanout.Options{Name: name, Policy: Block, Buffer: actor.DefaultMailboxSize}, nil)
 	if err != nil {
 		return fmt.Errorf("core: subscribe %s: %w", name, err)
 	}
@@ -805,7 +794,7 @@ func (p *PowerAPI) spawnReporterSubscriber(name string, deliver func(AggregatedR
 // atomic write per round, so queries never observe a torn round and the
 // store lock is taken once per round instead of once per target.
 func (p *PowerAPI) spawnHistorySubscriber() error {
-	sub, err := p.subs.add(SubscribeOptions{Name: "history", Policy: Block, Buffer: actor.DefaultMailboxSize})
+	sub, err := p.subs.Subscribe(fanout.Options{Name: "history", Policy: Block, Buffer: actor.DefaultMailboxSize}, nil)
 	if err != nil {
 		return fmt.Errorf("core: subscribe history: %w", err)
 	}
@@ -873,29 +862,13 @@ func (p *PowerAPI) Cgroups() *cgroup.Hierarchy { return p.hierarchy }
 // by name. Empty without VM definitions.
 func (p *PowerAPI) VMs() []VMDef { return sortedVMDefs(p.vms) }
 
-// Subscribe registers a new consumer of the aggregated report stream: every
-// sampling round is fanned out to all live subscriptions, each through its
-// own channel, with the filters, decimation and backpressure policy of opts.
-// Close the subscription when done — an abandoned Block subscription stalls
-// the pipeline by design. Subscribing is safe at any time, including while
-// rounds are in flight (delivery starts with the next round).
-func (p *PowerAPI) Subscribe(opts SubscribeOptions) (*Subscription, error) {
-	// A cgroup-subtree filter needs cgroup rows (or a hierarchy to resolve
-	// process membership) to ever match; on a pipeline with neither, the
-	// subscription would silently never deliver — reject it instead.
-	if opts.CgroupSubtree != "" && p.hierarchy == nil && p.attrScope != source.ScopeCgroup {
-		return nil, fmt.Errorf("core: subscription filters cgroup subtree %q but the monitor has no cgroup hierarchy (WithCgroups) and no cgroup-scope source", opts.CgroupSubtree)
-	}
-	return p.subs.add(opts)
-}
-
 // Subscriptions returns the number of live subscriptions (diagnostics).
-func (p *PowerAPI) Subscriptions() int { return p.subs.size() }
+func (p *PowerAPI) Subscriptions() int { return p.subs.Len() }
 
 // SubscriptionStats returns one row per live subscription — name, policy and
 // the fanout's delivered/dropped counters — ordered by subscription id (the
 // /metrics endpoint exposes them as gauges).
-func (p *PowerAPI) SubscriptionStats() []SubscriptionInfo { return p.subs.stats() }
+func (p *PowerAPI) SubscriptionStats() []SubscriptionInfo { return p.subs.Info() }
 
 // Query answers a windowed aggregate query — avg/max/p95 watts per target —
 // over the retained history. It requires WithHistory; without it,
@@ -915,38 +888,6 @@ type QueryOptions = history.Query
 
 // TargetStats is one per-target row of a Query result (see history.Stats).
 type TargetStats = history.Stats
-
-// Reports exposes the asynchronous stream of aggregated reports as a single
-// shared channel.
-//
-// Deprecated: Reports is the legacy single-consumer API, kept as a thin shim:
-// the first call lazily creates one DropOldest subscription sized by
-// WithReportBuffer (drop-oldest is the faithful legacy buffering — the
-// channel always holds the newest rounds) and every call returns that
-// subscription's channel. Because the subscription starts with the first
-// call, rounds produced before it are not retained — call Reports() before
-// monitoring starts, as consuming the old channel required anyway once more
-// than the buffer's worth of rounds had passed. New code should call
-// Subscribe, which supports multiple consumers, filters and explicit
-// backpressure policies.
-func (p *PowerAPI) Reports() <-chan AggregatedReport {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.defaultSub == nil {
-		sub, err := p.subs.add(SubscribeOptions{Name: "reports", Policy: DropOldest, Buffer: p.reportBuffer})
-		if err != nil {
-			// The monitor is shut down: hand out an already-closed
-			// subscription so ranging consumers terminate instead of
-			// blocking forever. Cached like the live path, so every call
-			// keeps returning the same channel.
-			sub = &Subscription{name: "reports", ch: make(chan AggregatedReport), done: make(chan struct{})}
-			close(sub.done)
-			close(sub.ch)
-		}
-		p.defaultSub = sub
-	}
-	return p.defaultSub.ch
-}
 
 // ErrorCount returns the number of pipeline errors observed so far.
 func (p *PowerAPI) ErrorCount() int64 { return p.errCount.Load() }
@@ -1438,7 +1379,7 @@ func (p *PowerAPI) Shutdown() {
 	// subscriptions lets the internal drain goroutines (file reporters,
 	// history writer) finish the reports still buffered in their channels;
 	// only then is it safe to flush.
-	p.subs.closeAll()
+	p.subs.CloseAll()
 	p.drainWG.Wait()
 	// Reporter subscribers are drained; flush buffered reporters so every row
 	// they accepted reaches the underlying writer before Shutdown returns.

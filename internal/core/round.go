@@ -2,7 +2,8 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
+
+	"powerapi/internal/fanout"
 )
 
 // This file holds the allocation machinery of the per-round hot path: the
@@ -90,51 +91,25 @@ func (s *SparseSet) Touched() []int32 { return s.touched }
 //powerapi:hotpath
 func (s *SparseSet) Value(slot int32) float64 { return s.values[slot] }
 
-// reportLease is the shared recycling state behind every copy of a pooled
-// AggregatedReport. refs counts the holders that promised to release the
-// round; gen increments when the buffer is recycled, expiring every
-// outstanding copy (Expired detects use-after-release).
-type reportLease struct {
-	refs atomic.Int32
-	gen  atomic.Uint64
-	home *pooledReport
-}
-
 // pooledReport is one recyclable report buffer: the report struct plus the
 // maps it publishes. The maps are retained across rounds (clearing a map
 // keeps its buckets), so a steady-state round repopulates warm buckets
 // instead of growing fresh maps from scratch.
 type pooledReport struct {
 	report    AggregatedReport
-	lease     reportLease
+	lease     fanout.Lease
 	perPID    map[int]float64
 	perCgroup map[string]float64
 	perVM     map[string]float64
 	perGroup  map[string]float64
 }
 
-// Report-pool traffic counters, process-wide like the sync.Pool they meter:
-// gets/misses give the hit rate, gets-puts the outstanding leases. A steadily
-// growing outstanding figure is a lease leak — holders that never Release —
-// though buffers the GC reclaimed from the pool also show up here (puts only
-// counts explicit recycles).
-var (
-	reportPoolGets   atomic.Uint64
-	reportPoolMisses atomic.Uint64
-	reportPoolPuts   atomic.Uint64
-)
-
-// reportPoolCounters snapshots the process-wide pool counters.
-func reportPoolCounters() (gets, misses, puts uint64) {
-	return reportPoolGets.Load(), reportPoolMisses.Load(), reportPoolPuts.Load()
-}
-
-var reportPool = sync.Pool{New: func() any {
-	reportPoolMisses.Add(1)
+// reportPool is process-wide, shared by every monitor in the process; its
+// counters back MonitorStats.ReportPool.
+var reportPool = fanout.NewPool(func() (any, *fanout.Lease) {
 	p := &pooledReport{}
-	p.lease.home = p
-	return p
-}}
+	return p, &p.lease
+})
 
 // getPooledReport leases a report buffer for one round with one reference (the
 // producer's). The hint presizes the per-PID map on a pool miss so the first
@@ -142,10 +117,8 @@ var reportPool = sync.Pool{New: func() any {
 //
 //powerapi:hotpath
 func getPooledReport(hintPID int) *pooledReport {
-	reportPoolGets.Add(1)
 	p := reportPool.Get().(*pooledReport)
-	p.lease.refs.Store(1)
-	p.report = AggregatedReport{lease: &p.lease, gen: p.lease.gen.Load()}
+	p.report = AggregatedReport{lease: &p.lease, gen: p.lease.Open()}
 	if p.perPID == nil {
 		//powerapi:allow hotpath pool-miss presize; steady state reuses the warm map
 		p.perPID = make(map[int]float64, hintPID)
@@ -173,11 +146,7 @@ func ensureStringMap(m map[string]float64, hint int) map[string]float64 {
 // reports (filtered copies, clones).
 //
 //powerapi:hotpath
-func (r AggregatedReport) retain() {
-	if r.lease != nil {
-		r.lease.refs.Add(1)
-	}
-}
+func (r AggregatedReport) retain() { r.lease.Retain() }
 
 // Release hands this copy of the report back to the pipeline. Every report
 // received from a subscription channel or returned through a waiter holds one
@@ -190,17 +159,7 @@ func (r AggregatedReport) retain() {
 // copies, which own their maps outright.
 //
 //powerapi:hotpath
-func (r AggregatedReport) Release() {
-	l := r.lease
-	if l == nil || l.gen.Load() != r.gen {
-		return // unpooled, or a stale copy of an already-recycled round
-	}
-	if l.refs.Add(-1) == 0 {
-		l.gen.Add(1) // expire every outstanding copy before the buffer is reused
-		reportPoolPuts.Add(1)
-		reportPool.Put(l.home)
-	}
-}
+func (r AggregatedReport) Release() { r.lease.Release(r.gen) }
 
 // Expired reports whether this copy's pooled round has been recycled — i.e.
 // the copy was released (by this holder or the pipeline) and its maps may now
@@ -210,9 +169,7 @@ func (r AggregatedReport) Release() {
 // filtered copies.
 //
 //powerapi:hotpath
-func (r AggregatedReport) Expired() bool {
-	return r.lease != nil && r.lease.gen.Load() != r.gen
-}
+func (r AggregatedReport) Expired() bool { return r.lease.Expired(r.gen) }
 
 // Clone returns a deep copy of the report that is safe to retain forever: the
 // copy owns its maps and is never recycled. Cloning is how a consumer opts out

@@ -75,7 +75,7 @@ type MonitorStats struct {
 // any time, including while rounds are in flight, and works identically with
 // or without the HTTP serving layer.
 func (p *PowerAPI) Stats() MonitorStats {
-	gets, misses, puts := reportPoolCounters()
+	gets, misses, puts := reportPool.Counters()
 	outstanding := uint64(0)
 	if gets > puts {
 		outstanding = gets - puts
@@ -88,7 +88,7 @@ func (p *PowerAPI) Stats() MonitorStats {
 		SlotsLive:     p.slots.size(),
 		SlotsCapacity: p.slots.capacity(),
 		TraceCapacity: p.tracer.Capacity(),
-		Subscriptions: p.subs.stats(),
+		Subscriptions: p.subs.Info(),
 		ReportPool:    ReportPoolStats{Gets: gets, Misses: misses, Puts: puts, Outstanding: outstanding},
 		Stages:        p.tracer.StageStats(),
 		Round:         p.tracer.RoundStats(),

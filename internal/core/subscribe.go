@@ -1,68 +1,48 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"log/slog"
-	"sort"
-	"sync"
-	"sync/atomic"
 
 	"powerapi/internal/cgroup"
+	"powerapi/internal/fanout"
+	"powerapi/internal/source"
 	"powerapi/internal/target"
 )
 
-// This file implements the report-consumption API of the pipeline: first-class
-// runtime subscriptions. Instead of one hard-coded Reports channel, the
-// Reporter stage fans every AggregatedReport out to a registry of
-// subscriptions, each with its own channel, filters, decimation and an
-// explicit backpressure policy. All built-in consumers — the legacy Reports()
-// channel, WithReporter/WithFlushingReporter reporters, the retained-history
-// writer, the HTTP serving layer — are ordinary subscribers of this registry.
+// This file implements the report-consumption API of the pipeline: runtime
+// subscriptions on the fanout registry the collector uses too
+// (internal/fanout). The Reporter stage publishes every AggregatedReport to
+// the registry, which hands it to each subscription's channel under that
+// subscription's backpressure policy. What the daemon adds is a projection per
+// subscription: interval decimation and breakdown filters. All built-in
+// consumers — WithReporter/WithFlushingReporter reporters, the
+// retained-history writer, the HTTP serving layer — are ordinary subscribers.
 
 // BackpressurePolicy tells the fanout what to do when a subscriber's channel
-// is full: monitoring must either stay lossless for that subscriber (Block)
-// or shed load in a defined way (Conflate, DropOldest).
-type BackpressurePolicy int
+// is full: Conflate, DropOldest or Block (see fanout.Policy).
+type BackpressurePolicy = fanout.Policy
 
+// Backpressure policies; see fanout.Conflate, fanout.DropOldest and
+// fanout.Block.
 const (
-	// Conflate keeps only the most recent report: the subscription's buffer
-	// is a single slot and a newer report displaces an unread older one.
-	// A consumer always observes the latest round, never a stale backlog.
-	// This is the default policy.
-	Conflate BackpressurePolicy = iota
-	// DropOldest buffers up to Buffer reports and evicts the oldest unread
-	// one to make room for a new round (the legacy Reports() behaviour).
-	DropOldest
-	// Block makes the fanout wait until the subscriber has drained space:
-	// the subscriber sees every round exactly once, at the price of
-	// backpressuring the whole pipeline. An abandoned Block subscription
-	// stalls monitoring — Close it (or keep consuming) at all times.
-	Block
+	Conflate   = fanout.Conflate
+	DropOldest = fanout.DropOldest
+	Block      = fanout.Block
 )
-
-// String implements fmt.Stringer.
-func (p BackpressurePolicy) String() string {
-	switch p {
-	case Conflate:
-		return "conflate"
-	case DropOldest:
-		return "drop-oldest"
-	case Block:
-		return "block"
-	default:
-		return fmt.Sprintf("BackpressurePolicy(%d)", int(p))
-	}
-}
-
-// Valid reports whether the policy is one of the defined values.
-func (p BackpressurePolicy) Valid() bool {
-	return p == Conflate || p == DropOldest || p == Block
-}
 
 // DefaultSubscriptionBuffer is the channel capacity of DropOldest/Block
 // subscriptions that do not set SubscribeOptions.Buffer.
-const DefaultSubscriptionBuffer = 16
+const DefaultSubscriptionBuffer = fanout.DefaultBuffer
+
+// Subscription is one consumer of the pipeline's aggregated reports. Reports
+// arrive on C(); Close detaches the subscription and closes the channel,
+// leaving buffered reports receivable, so consumers may simply range over
+// it. Delivered/Dropped expose the subscription's fanout counters.
+type Subscription = fanout.Subscription[AggregatedReport]
+
+// SubscriptionInfo is one live subscription's diagnostic snapshot: its
+// identity plus the fanout's delivery counters.
+type SubscriptionInfo = fanout.Info
 
 // SubscribeOptions configures one subscription. The zero value is valid: a
 // conflating, unfiltered subscription that always holds the latest report.
@@ -99,29 +79,13 @@ func (o SubscribeOptions) filtering() bool {
 	return len(o.Targets) > 0 || len(o.Kinds) > 0 || o.CgroupSubtree != "" || o.MinWatts > 0
 }
 
-// Subscription is one consumer of the pipeline's aggregated reports. Reports
-// arrive on C(); Close releases the subscription and closes the channel, so
-// consumers may simply range over it. Delivered/Dropped expose the
-// subscription's fanout counters.
-type Subscription struct {
-	name string
-	opts SubscribeOptions
-	id   uint64
-	reg  *subscriptionRegistry
-
-	ch   chan AggregatedReport
-	done chan struct{}
-
-	// sendMu serialises the fanout's sends against Close, so the channel is
-	// only ever closed with no send in flight.
-	sendMu    sync.Mutex
-	closeOnce sync.Once
-
-	delivered atomic.Uint64
-	dropped   atomic.Uint64
-
-	// rounds counts the reports offered so far (decimation); only the fanout
-	// goroutine touches it.
+// projection is one subscription's view of the report stream: interval
+// decimation, then the breakdown filters. It runs on the fanout goroutine,
+// before the report is offered to the subscription's channel.
+type projection struct {
+	opts      SubscribeOptions
+	hierarchy *cgroup.Hierarchy
+	// rounds counts the reports offered so far (decimation).
 	rounds uint64
 
 	// pidSet/pathSet/vmSet are the precomputed Targets filter.
@@ -132,94 +96,13 @@ type Subscription struct {
 	kindSet map[target.Kind]bool
 }
 
-// C returns the subscription's report channel. It is closed by Close (and by
-// the monitor's Shutdown), so `for report := range sub.C()` terminates.
-func (s *Subscription) C() <-chan AggregatedReport { return s.ch }
-
-// Name returns the subscription's diagnostic label.
-func (s *Subscription) Name() string { return s.name }
-
-// Policy returns the subscription's backpressure policy.
-func (s *Subscription) Policy() BackpressurePolicy { return s.opts.Policy }
-
-// Delivered returns how many reports were placed into the subscription's
-// channel so far (including reports later evicted by Conflate/DropOldest).
-func (s *Subscription) Delivered() uint64 { return s.delivered.Load() }
-
-// Dropped returns how many delivered reports were evicted unread to make room
-// for newer ones. Always zero for Block subscriptions.
-func (s *Subscription) Dropped() uint64 { return s.dropped.Load() }
-
-// Close detaches the subscription from the fanout and closes its channel.
-// Buffered reports stay receivable; a consumer ranging over C() terminates
-// once it has drained them. Close is idempotent and safe to call while the
-// pipeline is mid-round: an in-flight blocking delivery is aborted.
-func (s *Subscription) Close() {
-	s.closeOnce.Do(func() {
-		if s.reg != nil {
-			s.reg.remove(s.id)
-		}
-		// Aborts a blocked delivery and marks the subscription dead for the
-		// fanout; taking sendMu then waits out any send already in flight, so
-		// closing the channel cannot race a send.
-		close(s.done)
-		s.sendMu.Lock()
-		close(s.ch)
-		s.sendMu.Unlock()
-	})
-}
-
-// offer runs on the fanout goroutine: it applies decimation and filters, then
-// delivers the report according to the backpressure policy. A delivery placed
-// into the channel carries one reference on the pooled round (released again
-// when Conflate/DropOldest evict it unread); the consumer releases the rest.
-func (s *Subscription) offer(report AggregatedReport) {
+// apply decimates and filters one round; ok false skips it.
+func (s *projection) apply(report AggregatedReport) (AggregatedReport, bool) {
 	s.rounds++
 	if every := s.opts.Every; every > 1 && (s.rounds-1)%uint64(every) != 0 {
-		return
+		return AggregatedReport{}, false
 	}
-	filtered, ok := s.filter(report)
-	if !ok {
-		return
-	}
-	s.sendMu.Lock()
-	defer s.sendMu.Unlock()
-	select {
-	case <-s.done:
-		return
-	default:
-	}
-	// The channel's reference on the pooled round (a no-op for filtered
-	// copies, which own their maps).
-	filtered.retain()
-	if s.opts.Policy == Block {
-		select {
-		case s.ch <- filtered:
-			s.delivered.Add(1)
-		case <-s.done:
-			filtered.Release()
-		}
-		return
-	}
-	// Conflate and DropOldest: evict the oldest unread report until the new
-	// one fits. The fanout is the only sender, so the loop terminates — the
-	// consumer can only make room, never fill it. Evicted rounds hand their
-	// reference straight back, so an unconsumed conflating subscription never
-	// pins more than one pooled buffer.
-	for {
-		select {
-		case s.ch <- filtered:
-			s.delivered.Add(1)
-			return
-		default:
-		}
-		select {
-		case old := <-s.ch:
-			old.Release()
-			s.dropped.Add(1)
-		default:
-		}
-	}
+	return s.filter(report)
 }
 
 // filter projects the report through the subscription's breakdown filters.
@@ -233,7 +116,7 @@ func (s *Subscription) offer(report AggregatedReport) {
 // target set iterates its own small filter sets instead of copying the full
 // report, so a narrow subscriber costs the fanout a few lookups per round
 // even at 100k monitored targets.
-func (s *Subscription) filter(report AggregatedReport) (AggregatedReport, bool) {
+func (s *projection) filter(report AggregatedReport) (AggregatedReport, bool) {
 	if !s.opts.filtering() {
 		return report, true
 	}
@@ -299,7 +182,7 @@ func (s *Subscription) filter(report AggregatedReport) (AggregatedReport, bool) 
 	return out, true
 }
 
-func (s *Subscription) acceptProcess(pid int, watts float64) bool {
+func (s *projection) acceptProcess(pid int, watts float64) bool {
 	if s.kindSet != nil && !s.kindSet[target.KindProcess] {
 		return false
 	}
@@ -309,7 +192,7 @@ func (s *Subscription) acceptProcess(pid int, watts float64) bool {
 		}
 	}
 	if prefix := s.opts.CgroupSubtree; prefix != "" {
-		hierarchy := s.reg.hierarchy
+		hierarchy := s.hierarchy
 		if hierarchy == nil {
 			return false
 		}
@@ -321,7 +204,7 @@ func (s *Subscription) acceptProcess(pid int, watts float64) bool {
 	return watts >= s.opts.MinWatts
 }
 
-func (s *Subscription) acceptCgroup(path string, watts float64) bool {
+func (s *projection) acceptCgroup(path string, watts float64) bool {
 	if s.kindSet != nil && !s.kindSet[target.KindCgroup] {
 		return false
 	}
@@ -336,7 +219,7 @@ func (s *Subscription) acceptCgroup(path string, watts float64) bool {
 	return watts >= s.opts.MinWatts
 }
 
-func (s *Subscription) acceptVM(name string, watts float64) bool {
+func (s *projection) acceptVM(name string, watts float64) bool {
 	if s.kindSet != nil && !s.kindSet[target.KindVM] {
 		return false
 	}
@@ -353,40 +236,18 @@ func (s *Subscription) acceptVM(name string, watts float64) bool {
 	return watts >= s.opts.MinWatts
 }
 
-// subscriptionRegistry is the fanout's set of live subscriptions. Subscribe
-// and Close mutate it from arbitrary goroutines while the Reporter actor
-// publishes each round to a snapshot of it.
-type subscriptionRegistry struct {
-	hierarchy *cgroup.Hierarchy
-	// logger carries the registry's lifecycle events (subscription added,
-	// removed, registry closed) as structured debug logs — never raw stderr
-	// writes. Set once at pipeline construction, before any subscriber exists.
-	logger *slog.Logger
-
-	mu     sync.RWMutex
-	nextID uint64
-	subs   map[uint64]*Subscription
-	closed bool
-
-	// snap is publish's reusable snapshot buffer. Only the Reporter actor
-	// goroutine calls publish, so the buffer needs no further guarding.
-	snap []*Subscription
-}
-
-func newSubscriptionRegistry(hierarchy *cgroup.Hierarchy) *subscriptionRegistry {
-	return &subscriptionRegistry{
-		hierarchy: hierarchy,
-		subs:      make(map[uint64]*Subscription),
-	}
-}
-
-// add validates opts, builds the subscription and registers it.
-func (r *subscriptionRegistry) add(opts SubscribeOptions) (*Subscription, error) {
-	if !opts.Policy.Valid() {
-		return nil, fmt.Errorf("core: invalid backpressure policy %v", opts.Policy)
-	}
-	if opts.Buffer < 0 {
-		return nil, fmt.Errorf("core: subscription buffer must not be negative, got %d", opts.Buffer)
+// Subscribe registers a new consumer of the aggregated report stream: every
+// sampling round is fanned out to all live subscriptions, each through its
+// own channel, with the filters, decimation and backpressure policy of opts.
+// Close the subscription when done — an abandoned Block subscription stalls
+// the pipeline by design. Subscribing is safe at any time, including while
+// rounds are in flight (delivery starts with the next round).
+func (p *PowerAPI) Subscribe(opts SubscribeOptions) (*Subscription, error) {
+	// A cgroup-subtree filter needs cgroup rows (or a hierarchy to resolve
+	// process membership) to ever match; on a pipeline with neither, the
+	// subscription would silently never deliver — reject it instead.
+	if opts.CgroupSubtree != "" && p.hierarchy == nil && p.attrScope != source.ScopeCgroup {
+		return nil, fmt.Errorf("core: subscription filters cgroup subtree %q but the monitor has no cgroup hierarchy (WithCgroups) and no cgroup-scope source", opts.CgroupSubtree)
 	}
 	if opts.Every < 0 {
 		return nil, fmt.Errorf("core: subscription decimation must not be negative, got %d", opts.Every)
@@ -394,20 +255,7 @@ func (r *subscriptionRegistry) add(opts SubscribeOptions) (*Subscription, error)
 	if opts.MinWatts < 0 {
 		return nil, fmt.Errorf("core: subscription min-watts must not be negative, got %g", opts.MinWatts)
 	}
-	buffer := opts.Buffer
-	if buffer == 0 {
-		buffer = DefaultSubscriptionBuffer
-	}
-	if opts.Policy == Conflate {
-		buffer = 1
-	}
-	s := &Subscription{
-		name: opts.Name,
-		opts: opts,
-		reg:  r,
-		ch:   make(chan AggregatedReport, buffer),
-		done: make(chan struct{}),
-	}
+	s := &projection{opts: opts, hierarchy: p.hierarchy}
 	for _, t := range opts.Targets {
 		switch t.Kind {
 		case target.KindProcess:
@@ -443,115 +291,9 @@ func (r *subscriptionRegistry) add(opts SubscribeOptions) (*Subscription, error)
 			return nil, fmt.Errorf("core: subscription cgroup subtree: %w", err)
 		}
 	}
-
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return nil, errors.New("core: powerapi is shut down")
+	var project func(AggregatedReport) (AggregatedReport, bool)
+	if opts.Every > 1 || opts.filtering() {
+		project = s.apply
 	}
-	r.nextID++
-	s.id = r.nextID
-	r.subs[s.id] = s
-	live := len(r.subs)
-	r.mu.Unlock()
-	r.log().Debug("subscription added",
-		"id", s.id, "name", s.name, "policy", opts.Policy.String(), "live", live)
-	return s, nil
-}
-
-// log returns the registry's logger, falling back to slog.Default so events
-// stay routable even on a registry built outside New (tests).
-func (r *subscriptionRegistry) log() *slog.Logger {
-	if r.logger != nil {
-		return r.logger
-	}
-	return slog.Default()
-}
-
-func (r *subscriptionRegistry) remove(id uint64) {
-	r.mu.Lock()
-	_, existed := r.subs[id]
-	delete(r.subs, id)
-	live := len(r.subs)
-	r.mu.Unlock()
-	if existed {
-		r.log().Debug("subscription removed", "id", id, "live", live)
-	}
-}
-
-// publish fans one report out to every live subscription. It runs on the
-// Reporter actor goroutine (which owns the reusable snapshot buffer); the
-// snapshot keeps Subscribe/Close concurrent with an in-flight round race-free
-// (a subscription added mid-round starts with the next one).
-func (r *subscriptionRegistry) publish(report AggregatedReport) {
-	r.mu.RLock()
-	snapshot := r.snap[:0]
-	for _, s := range r.subs {
-		snapshot = append(snapshot, s)
-	}
-	r.snap = snapshot
-	r.mu.RUnlock()
-	for i, s := range snapshot {
-		s.offer(report)
-		snapshot[i] = nil // no stale *Subscription pins past the round
-	}
-}
-
-// size returns the number of live subscriptions.
-func (r *subscriptionRegistry) size() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.subs)
-}
-
-// SubscriptionInfo is one live subscription's diagnostic snapshot: its
-// identity plus the fanout's delivery counters (see Subscription.Delivered
-// and Dropped).
-type SubscriptionInfo struct {
-	// ID is the registry-unique subscription id (stable for its lifetime).
-	ID uint64 `json:"id"`
-	// Name is the subscription's diagnostic label (may be empty).
-	Name string `json:"name,omitempty"`
-	// Policy is the subscription's backpressure policy.
-	Policy BackpressurePolicy `json:"-"`
-	// Delivered counts reports placed into the subscription's channel.
-	Delivered uint64 `json:"delivered"`
-	// Dropped counts delivered reports evicted unread (Conflate/DropOldest).
-	Dropped uint64 `json:"dropped"`
-}
-
-// stats snapshots every live subscription's counters, ordered by id.
-func (r *subscriptionRegistry) stats() []SubscriptionInfo {
-	r.mu.RLock()
-	out := make([]SubscriptionInfo, 0, len(r.subs))
-	for _, s := range r.subs {
-		out = append(out, SubscriptionInfo{
-			ID:        s.id,
-			Name:      s.name,
-			Policy:    s.opts.Policy,
-			Delivered: s.delivered.Load(),
-			Dropped:   s.dropped.Load(),
-		})
-	}
-	r.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// closeAll marks the registry closed and closes every remaining subscription,
-// so consumers ranging over their channels terminate on monitor shutdown.
-func (r *subscriptionRegistry) closeAll() {
-	r.mu.Lock()
-	r.closed = true
-	remaining := make([]*Subscription, 0, len(r.subs))
-	for _, s := range r.subs {
-		remaining = append(remaining, s)
-	}
-	r.mu.Unlock()
-	if len(remaining) > 0 {
-		r.log().Debug("closing subscriptions on shutdown", "count", len(remaining))
-	}
-	for _, s := range remaining {
-		s.Close()
-	}
+	return p.subs.Subscribe(fanout.Options{Name: opts.Name, Policy: opts.Policy, Buffer: opts.Buffer}, project)
 }

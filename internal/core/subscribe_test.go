@@ -236,6 +236,11 @@ func TestSubscriptionFiltersAndDecimation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Nobody reads this one during the run: it must never block a round.
+	unread, err := api.Subscribe(SubscribeOptions{Policy: DropOldest, Buffer: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var wg sync.WaitGroup
 	var fromProcessOnly, fromWebSubtree, fromOnePID, fromTooHot, fromEveryThird []AggregatedReport
@@ -295,6 +300,16 @@ func TestSubscriptionFiltersAndDecimation(t *testing.T) {
 	if len(fromEveryThird) != 2 {
 		t.Fatalf("decimation delivered %d rounds, want 2", len(fromEveryThird))
 	}
+	// Shutdown closed the unread subscription, but its buffer still yields
+	// the newest two rounds, ending on the final one.
+	var kept []AggregatedReport
+	for r := range unread.C() {
+		kept = append(kept, r)
+	}
+	if len(kept) != 2 || kept[0].Timestamp != fromProcessOnly[rounds-2].Timestamp ||
+		kept[1].Timestamp != fromProcessOnly[rounds-1].Timestamp {
+		t.Fatalf("unread DropOldest subscription kept %d rounds %v, want the final two", len(kept), kept)
+	}
 }
 
 // TestSubscribeValidation rejects malformed subscription options.
@@ -327,61 +342,6 @@ func TestSubscribeValidation(t *testing.T) {
 	api.Shutdown()
 	if _, err := api.Subscribe(SubscribeOptions{}); err == nil {
 		t.Fatal("Subscribe after Shutdown should fail")
-	}
-	// Reports() first called after Shutdown yields one stable closed channel.
-	ch := api.Reports()
-	if api.Reports() != ch {
-		t.Fatal("post-shutdown Reports() must keep returning the same channel")
-	}
-	if _, ok := <-ch; ok {
-		t.Fatal("post-shutdown Reports() channel must be closed")
-	}
-}
-
-// TestReportsLegacyChannel is the regression test of the deprecated
-// single-channel API: Reports() returns one stable channel backed by a lazy
-// DropOldest subscription sized by WithReportBuffer, an unconsumed channel
-// never blocks the pipeline, the latest rounds survive, and Shutdown closes
-// the channel.
-func TestReportsLegacyChannel(t *testing.T) {
-	const rounds = 6
-	m := newTestMachine(t)
-	api, err := New(m, testModel(), WithReportBuffer(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pids := spawnMix(t, m, 0.8, 0.4)
-	if err := api.Attach(pids...); err != nil {
-		t.Fatal(err)
-	}
-	ch := api.Reports()
-	if api.Reports() != ch {
-		t.Fatal("Reports() must return the same channel on every call")
-	}
-	// Nobody consumes the channel during the run: the pipeline must not block.
-	reports, err := api.RunMonitored(rounds*time.Second, time.Second, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	api.Shutdown()
-	var got []AggregatedReport
-	for r := range ch { // Shutdown closed the channel
-		got = append(got, r)
-	}
-	if len(got) != 2 {
-		t.Fatalf("legacy channel retained %d reports, want its buffer of 2", len(got))
-	}
-	want := reports[len(reports)-1].Timestamp
-	if got[len(got)-1].Timestamp != want {
-		t.Fatalf("legacy channel ends on %v, want the final round %v", got[len(got)-1].Timestamp, want)
-	}
-	// A second Reports call after shutdown still yields a closed channel.
-	if _, ok := <-api.Reports(); ok {
-		t.Fatal("Reports() after Shutdown should be closed")
-	}
-	// A bad buffer fails loudly at construction, never as a silent stream.
-	if _, err := New(m, testModel(), WithReportBuffer(-1)); err == nil {
-		t.Fatal("negative report buffer should fail")
 	}
 }
 

@@ -68,18 +68,18 @@ func (bs *bridgeSet) writeBridgeMetrics(b *strings.Builder) {
 		b.WriteString("# HELP powerapi_bridge_connections Live downstream connections on one bridge publisher.\n")
 		b.WriteString("# TYPE powerapi_bridge_connections gauge\n")
 		for _, np := range pubs {
-			fmt.Fprintf(b, "powerapi_bridge_connections{publisher=%q} %d\n", escapeLabel(np.name), np.pub.Connections())
+			fmt.Fprintf(b, "powerapi_bridge_connections{publisher=\"%s\"} %d\n", escapeLabel(np.name), np.pub.Connections())
 		}
 		b.WriteString("# HELP powerapi_bridge_published_frames_total Frames handed to one bridge publisher for delivery.\n")
 		b.WriteString("# TYPE powerapi_bridge_published_frames_total counter\n")
 		for _, np := range pubs {
-			fmt.Fprintf(b, "powerapi_bridge_published_frames_total{publisher=%q} %d\n", escapeLabel(np.name), np.pub.Sent())
+			fmt.Fprintf(b, "powerapi_bridge_published_frames_total{publisher=\"%s\"} %d\n", escapeLabel(np.name), np.pub.Sent())
 		}
 		b.WriteString("# HELP powerapi_bridge_conn_sent_frames_total Frames written to one downstream connection.\n")
 		b.WriteString("# TYPE powerapi_bridge_conn_sent_frames_total counter\n")
 		for _, np := range pubs {
 			for _, cs := range np.pub.ConnStats() {
-				fmt.Fprintf(b, "powerapi_bridge_conn_sent_frames_total{publisher=%q,remote=%q,codec=\"binary\"} %d\n",
+				fmt.Fprintf(b, "powerapi_bridge_conn_sent_frames_total{publisher=\"%s\",remote=\"%s\",codec=\"binary\"} %d\n",
 					escapeLabel(np.name), escapeLabel(cs.Remote), cs.SentFrames)
 			}
 		}
@@ -87,7 +87,7 @@ func (bs *bridgeSet) writeBridgeMetrics(b *strings.Builder) {
 		b.WriteString("# TYPE powerapi_bridge_conn_dropped_batches_total counter\n")
 		for _, np := range pubs {
 			for _, cs := range np.pub.ConnStats() {
-				fmt.Fprintf(b, "powerapi_bridge_conn_dropped_batches_total{publisher=%q,remote=%q,codec=\"binary\"} %d\n",
+				fmt.Fprintf(b, "powerapi_bridge_conn_dropped_batches_total{publisher=\"%s\",remote=\"%s\",codec=\"binary\"} %d\n",
 					escapeLabel(np.name), escapeLabel(cs.Remote), cs.DroppedBatches)
 			}
 		}
@@ -96,13 +96,13 @@ func (bs *bridgeSet) writeBridgeMetrics(b *strings.Builder) {
 		b.WriteString("# HELP powerapi_bridge_decode_errors_total Wire messages one bridge receiver failed to decode.\n")
 		b.WriteString("# TYPE powerapi_bridge_decode_errors_total counter\n")
 		for _, nr := range receivers {
-			fmt.Fprintf(b, "powerapi_bridge_decode_errors_total{receiver=%q,codec=\"binary\"} %d\n",
+			fmt.Fprintf(b, "powerapi_bridge_decode_errors_total{receiver=\"%s\",codec=\"binary\"} %d\n",
 				escapeLabel(nr.name), nr.recv.DecodeErrors())
 		}
 		b.WriteString("# HELP powerapi_bridge_receiver_dropped_frames_total Decoded frames one bridge receiver's buffer evicted unread.\n")
 		b.WriteString("# TYPE powerapi_bridge_receiver_dropped_frames_total counter\n")
 		for _, nr := range receivers {
-			fmt.Fprintf(b, "powerapi_bridge_receiver_dropped_frames_total{receiver=%q,codec=\"binary\"} %d\n",
+			fmt.Fprintf(b, "powerapi_bridge_receiver_dropped_frames_total{receiver=\"%s\",codec=\"binary\"} %d\n",
 				escapeLabel(nr.name), nr.recv.DroppedFrames())
 		}
 	}

@@ -142,12 +142,12 @@ func (f *FleetServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	b.WriteString("# HELP powerapi_node_watts Power of one node in the latest fleet round.\n")
 	b.WriteString("# TYPE powerapi_node_watts gauge\n")
 	for _, name := range sortedKeys(rep.PerNode) {
-		fmt.Fprintf(&b, "powerapi_node_watts{node=%q} %g\n", escapeLabel(name), rep.PerNode[name])
+		fmt.Fprintf(&b, "powerapi_node_watts{node=\"%s\"} %g\n", escapeLabel(name), rep.PerNode[name])
 	}
 	b.WriteString("# HELP powerapi_fleet_target_watts Power of one route key summed across every node reporting it.\n")
 	b.WriteString("# TYPE powerapi_fleet_target_watts gauge\n")
 	for _, key := range sortedKeys(rep.PerTarget) {
-		fmt.Fprintf(&b, "powerapi_fleet_target_watts{key=%q} %g\n", escapeLabel(key), rep.PerTarget[key])
+		fmt.Fprintf(&b, "powerapi_fleet_target_watts{key=\"%s\"} %g\n", escapeLabel(key), rep.PerTarget[key])
 	}
 	if stats.Self.Enabled {
 		// The collector's own cost as a first-class row next to the fleet it
@@ -168,23 +168,7 @@ func (f *FleetServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		writeQuantileSeries(&b, "powerapi_fleet_e2e_latency_quantile_seconds", "", e2e)
 	}
 
-	fmt.Fprintf(&b, "# HELP powerapi_subscriptions Live fleet-report subscriptions on the fanout.\n")
-	fmt.Fprintf(&b, "# TYPE powerapi_subscriptions gauge\n")
-	fmt.Fprintf(&b, "powerapi_subscriptions %d\n", len(stats.Subscriptions))
-	if len(stats.Subscriptions) > 0 {
-		b.WriteString("# HELP powerapi_subscription_delivered_total Reports placed into one subscription's channel.\n")
-		b.WriteString("# TYPE powerapi_subscription_delivered_total counter\n")
-		for _, st := range stats.Subscriptions {
-			fmt.Fprintf(&b, "powerapi_subscription_delivered_total{id=\"%d\",name=%q,policy=\"%s\"} %d\n",
-				st.ID, escapeLabel(st.Name), st.Policy, st.Delivered)
-		}
-		b.WriteString("# HELP powerapi_subscription_dropped_total Delivered reports evicted unread from one subscription's channel.\n")
-		b.WriteString("# TYPE powerapi_subscription_dropped_total counter\n")
-		for _, st := range stats.Subscriptions {
-			fmt.Fprintf(&b, "powerapi_subscription_dropped_total{id=\"%d\",name=%q,policy=\"%s\"} %d\n",
-				st.ID, escapeLabel(st.Name), st.Policy, st.Dropped)
-		}
-	}
+	writeSubscriptionMetrics(&b, stats.Subscriptions)
 
 	tracer := f.col.Tracer()
 	b.WriteString("# HELP powerapi_fleet_round_duration_seconds End-to-end duration of one fleet rollup round.\n")
@@ -225,7 +209,7 @@ func writeNodeLinkMetrics(b *strings.Builder, nodes []collector.NodeStats) {
 	}
 	row := func(name string, value func(collector.NodeStats) string) {
 		for _, n := range nodes {
-			fmt.Fprintf(b, "%s{addr=%q,node=%q} %s\n", name, escapeLabel(n.Addr), escapeLabel(n.Name), value(n))
+			fmt.Fprintf(b, "%s{addr=\"%s\",node=\"%s\"} %s\n", name, escapeLabel(n.Addr), escapeLabel(n.Name), value(n))
 		}
 	}
 	bool01 := func(v bool) string {
@@ -275,13 +259,13 @@ func writeNodeHealthMetrics(b *strings.Builder, stats collector.Stats) {
 			if n.State == state {
 				v = 1
 			}
-			fmt.Fprintf(b, "powerapi_fleet_node_state{addr=%q,node=%q,state=%q} %d\n",
+			fmt.Fprintf(b, "powerapi_fleet_node_state{addr=\"%s\",node=\"%s\",state=%q} %d\n",
 				escapeLabel(n.Addr), escapeLabel(n.Name), state, v)
 		}
 	}
 	row := func(name string, value func(collector.NodeStats) string) {
 		for _, n := range stats.Nodes {
-			fmt.Fprintf(b, "%s{addr=%q,node=%q} %s\n", name, escapeLabel(n.Addr), escapeLabel(n.Name), value(n))
+			fmt.Fprintf(b, "%s{addr=\"%s\",node=\"%s\"} %s\n", name, escapeLabel(n.Addr), escapeLabel(n.Name), value(n))
 		}
 	}
 	b.WriteString("# HELP powerapi_node_link_lag_seconds Provenance-estimated ingest lag of one node's last frame over its best-ever delivery.\n")

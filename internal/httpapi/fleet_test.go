@@ -126,6 +126,57 @@ func TestFleetMetricsExposition(t *testing.T) {
 	}
 }
 
+// TestFleetMetricsLabelEscaping checks that label values are escaped once,
+// as the Prometheus text format reads them back: a quote and a backslash
+// gain one backslash, and a tab stays a raw tab.
+func TestFleetMetricsLabelEscaping(t *testing.T) {
+	col, err := collector.New(collector.Config{
+		Nodes:      []string{"bench://a", "bench://b"},
+		Passive:    true,
+		StaleAfter: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { col.Close() })
+	for i, name := range []string{`rack"1`, "rack\t2"} {
+		frame := vmbridge.VMPowerFrame{VM: name, Seq: 1, Timestamp: time.Second, Watts: 40, HostTotalWatts: 40}
+		if err := col.FeedPayload(i, vmbridge.AppendBinaryBatch(nil, []vmbridge.VMPowerFrame{frame})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for col.NodeLastSeq(0) < 1 || col.NodeLastSeq(1) < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("fed frames never committed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	sub, err := col.Subscribe(collector.SubscribeOptions{Name: `a\b`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	srv, err := NewFleet(col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	col.Rollup().Release()
+	waitLatest(t, srv, 1)
+
+	_, body := get(t, srv.Handler(), "/metrics")
+	for _, want := range []string{
+		`powerapi_node_watts{node="rack\"1"} 40`,
+		"powerapi_node_watts{node=\"rack\t2\"} 40",
+		`name="a\\b"`,
+	} {
+		if !strings.Contains(body, want) {
+			t.Fatalf("/metrics missing %q in:\n%s", want, body)
+		}
+	}
+}
+
 func TestFleetJSONEndpoints(t *testing.T) {
 	pub, col, srv := newServedFleet(t)
 	publishNodeRound(t, pub, col, 1)

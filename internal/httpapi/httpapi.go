@@ -126,6 +126,29 @@ func escapeLabel(v string) string {
 	return v
 }
 
+// writeSubscriptionMetrics appends the fanout families the daemon and the
+// collector share: the live subscription count, then each subscription's
+// delivered and dropped counters.
+func writeSubscriptionMetrics(b *strings.Builder, subs []core.SubscriptionInfo) {
+	b.WriteString("# HELP powerapi_subscriptions Live report subscriptions on the fanout.\n")
+	b.WriteString("# TYPE powerapi_subscriptions gauge\n")
+	fmt.Fprintf(b, "powerapi_subscriptions %d\n", len(subs))
+	if len(subs) == 0 {
+		return
+	}
+	counter := func(family, help string, value func(core.SubscriptionInfo) uint64) {
+		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s counter\n", family, help, family)
+		for _, st := range subs {
+			fmt.Fprintf(b, "%s{id=\"%d\",name=\"%s\",policy=\"%s\"} %d\n",
+				family, st.ID, escapeLabel(st.Name), st.Policy, value(st))
+		}
+	}
+	counter("powerapi_subscription_delivered_total", "Reports placed into one subscription's channel.",
+		func(st core.SubscriptionInfo) uint64 { return st.Delivered })
+	counter("powerapi_subscription_dropped_total", "Delivered reports evicted unread from one subscription's channel.",
+		func(st core.SubscriptionInfo) uint64 { return st.Dropped })
+}
+
 // handleMetrics serves the Prometheus text exposition of the latest round.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	//powerapi:allow leasecheck Latest returns a private clone owned by this server, not a pooled lease
@@ -199,23 +222,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	b.WriteString("# HELP powerapi_pipeline_errors_total Errors observed by the monitoring pipeline.\n")
 	b.WriteString("# TYPE powerapi_pipeline_errors_total counter\n")
 	fmt.Fprintf(&b, "powerapi_pipeline_errors_total %d\n", stats.Errors)
-	b.WriteString("# HELP powerapi_subscriptions Live report subscriptions on the fanout.\n")
-	b.WriteString("# TYPE powerapi_subscriptions gauge\n")
-	fmt.Fprintf(&b, "powerapi_subscriptions %d\n", len(stats.Subscriptions))
-	if len(stats.Subscriptions) > 0 {
-		b.WriteString("# HELP powerapi_subscription_delivered_total Reports placed into one subscription's channel.\n")
-		b.WriteString("# TYPE powerapi_subscription_delivered_total counter\n")
-		for _, st := range stats.Subscriptions {
-			fmt.Fprintf(&b, "powerapi_subscription_delivered_total{id=\"%d\",name=\"%s\",policy=\"%s\"} %d\n",
-				st.ID, escapeLabel(st.Name), st.Policy, st.Delivered)
-		}
-		b.WriteString("# HELP powerapi_subscription_dropped_total Delivered reports evicted unread from one subscription's channel.\n")
-		b.WriteString("# TYPE powerapi_subscription_dropped_total counter\n")
-		for _, st := range stats.Subscriptions {
-			fmt.Fprintf(&b, "powerapi_subscription_dropped_total{id=\"%d\",name=\"%s\",policy=\"%s\"} %d\n",
-				st.ID, escapeLabel(st.Name), st.Policy, st.Dropped)
-		}
-	}
+	writeSubscriptionMetrics(&b, stats.Subscriptions)
 	if stats.History.Enabled {
 		b.WriteString("# HELP powerapi_history_targets Targets with retained samples in the history store.\n")
 		b.WriteString("# TYPE powerapi_history_targets gauge\n")
