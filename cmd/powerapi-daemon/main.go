@@ -50,17 +50,19 @@
 //
 // The VM bridge connects two daemons across the host/guest boundary. On the
 // host, -vms designates named VMs over the workload indices and -vm-publish
-// streams each VM's per-round power over TCP as length-prefixed binary
-// frames (the virtio-serial stand-in). On the guest, -vm-delegate dials that
-// address and -vm-name picks the VM: the guest daemon's machine power is then
-// whatever the host delegated, re-attributed across the guest's own
-// workloads — the nested PowerAPI instance of the paper. -vm-stale selects
-// what the guest reports when frames stop arriving (zero|hold).
+// streams one length-prefixed binary frame per round over TCP (the
+// virtio-serial stand-in), named by -node-name, with a "vm:"+name row per
+// VM. On the guest, -vm-delegate dials that address and -vm-name picks the
+// VM's row: the guest daemon's machine power is then whatever the host
+// delegated, re-attributed across the guest's own workloads — the nested
+// PowerAPI instance of the paper. -vm-stale selects what the guest reports
+// when frames stop arriving (zero|hold).
 //
 // With -fleet-publish the daemon becomes one node of a fleet: every completed
-// round streams one frame carrying the node total and its per-cgroup rows for
-// a powerapi-collector to gather, stamped with its emit time, round and trace
-// id, in the same binary frame the VM bridge speaks.
+// round streams the same frame — the node total, its per-cgroup rows and any
+// per-VM rows — for a powerapi-collector to gather, stamped with its emit
+// time, round and trace id. The two flags are separate addresses, so a host
+// can serve guests and a collector on different interfaces.
 package main
 
 import (
@@ -124,9 +126,9 @@ func run(args []string) error {
 		histCap   = fs.Int("history", 1024, "retained samples per target for /api/v1/query; only effective with -listen (0 disables the history store)")
 		retention = fs.Int("retention", 300, "most recent rounds RunMonitored keeps in memory (0 keeps all)")
 		fleetPub  = fs.String("fleet-publish", "", `fleet side of the bridge: stream this node's per-round power (total plus per-cgroup rows) over TCP on this address for a powerapi-collector to gather`)
-		nodeName  = fs.String("node-name", "", "with -fleet-publish, this node's name in the fleet rollup (default: the hostname)")
+		nodeName  = fs.String("node-name", "", "with -fleet-publish or -vm-publish, the node name stamped on every published frame (default: the hostname)")
 		vms       = fs.String("vms", "", `designate named VMs over the workloads, e.g. "vma=1,2;vmb=3" (1-based workload indices)`)
-		vmPublish = fs.String("vm-publish", "", `host side of the VM bridge: stream per-VM power frames as binary messages over TCP on this address (requires -vms)`)
+		vmPublish = fs.String("vm-publish", "", `host side of the VM bridge: stream one binary frame per round over TCP on this address, with a vm: row per VM (requires -vms)`)
 		vmDial    = fs.String("vm-delegate", "", `guest side of the VM bridge: dial a host's -vm-publish address and use the delegated figure as this instance's machine power`)
 		vmName    = fs.String("vm-name", "", "with -vm-delegate, the VM whose frames this guest consumes")
 		vmStale   = fs.String("vm-stale", "zero", "with -vm-delegate, what to report once frames stop arriving: zero|hold")
@@ -471,10 +473,10 @@ func run(args []string) error {
 	}
 
 	// -vm-publish turns this daemon into the host side of the bridge: every
-	// completed round streams one frame per VM over the pre-claimed socket
-	// to the connected guests.
+	// completed round streams one frame, a vm: row per VM, over the
+	// pre-claimed socket to the connected guests.
 	if bridgeTransport != nil {
-		pub, perr := vmbridge.NewPublisher(api, bridgeTransport)
+		pub, perr := vmbridge.NewNodePublisher(api, bridgeTransport, *nodeName)
 		if perr != nil {
 			return perr
 		}
@@ -483,8 +485,8 @@ func run(args []string) error {
 	}
 
 	// -fleet-publish makes this daemon one node of a fleet: every completed
-	// round streams one frame carrying the node total and its per-cgroup rows,
-	// batched so a connected collector reads one wire message per round.
+	// round streams one frame carrying the node total and its per-cgroup and
+	// per-VM rows, so a connected collector reads one wire message per round.
 	if fleetTransport != nil {
 		np, nerr := vmbridge.NewNodePublisher(api, fleetTransport, *nodeName)
 		if nerr != nil {
@@ -507,9 +509,9 @@ func run(args []string) error {
 			return serr
 		}
 		defer srv.Close()
-		// Bridge transports surface their per-connection counters on /metrics:
-		// frames sent and batches dropped per downstream link, decode errors
-		// per upstream link.
+		// Bridge transports surface their counters on /metrics: frames sent and
+		// dropped per downstream link, dropped links per publisher, decode
+		// errors per upstream link.
 		srv.RegisterBridgePublisher("vm-publish", bridgeTransport)
 		srv.RegisterBridgePublisher("fleet-publish", fleetTransport)
 		srv.RegisterBridgeReceiver("vm-delegate", guestRecv)

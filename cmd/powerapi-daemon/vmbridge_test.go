@@ -72,7 +72,8 @@ func TestRunGuestWithVMDelegate(t *testing.T) {
 				return
 			case <-time.After(5 * time.Millisecond):
 				seq++
-				_ = host.Send(vmbridge.VMPowerFrame{VM: "vma", Seq: seq, Watts: 12.5, Timestamp: time.Duration(seq) * time.Second})
+				_ = host.Send(vmbridge.VMPowerFrame{VM: "host", Seq: seq, Watts: 12.5, Timestamp: time.Duration(seq) * time.Second,
+					Rows: []vmbridge.TargetRow{{Key: "vm:vma", Watts: 12.5}}})
 			}
 		}
 	}()

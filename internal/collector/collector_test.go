@@ -6,8 +6,13 @@ import (
 	"testing"
 	"time"
 
+	"powerapi/internal/cgroup"
 	"powerapi/internal/core"
+	"powerapi/internal/machine"
+	"powerapi/internal/model"
+	"powerapi/internal/source"
 	"powerapi/internal/vmbridge"
+	"powerapi/internal/workload"
 )
 
 func waitUntil(t *testing.T, what string, cond func() bool) {
@@ -80,7 +85,7 @@ func TestFleetConservation(t *testing.T) {
 				{Key: "cgroup:web", Watts: 4.0 + float64(i)},
 				{Key: fmt.Sprintf("cgroup:own-%d", i), Watts: total - 4.0 - float64(i)},
 			}
-			if err := pub.SendBatch([]vmbridge.VMPowerFrame{nodeFrame(fmt.Sprintf("node-%d", i), 1, total, rows)}); err != nil {
+			if err := pub.Send(nodeFrame(fmt.Sprintf("node-%d", i), 1, total, rows)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -117,6 +122,134 @@ func TestFleetConservation(t *testing.T) {
 	})
 }
 
+// newStressMachine builds a simulated machine running one CPU-bound process
+// per demand level and returns it with the PIDs in spawn order.
+func newStressMachine(t *testing.T, levels ...float64) (*machine.Machine, []int) {
+	t.Helper()
+	m, err := machine.New(machine.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pids := make([]int, 0, len(levels))
+	for _, level := range levels {
+		gen, err := workload.CPUStress(level, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := m.Spawn(gen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pids = append(pids, p.PID())
+	}
+	return m, pids
+}
+
+// TestHostFrameFeedsGuestAndCollector dials a guest and a collector to one
+// host publisher. The host has two VMs and one cgroup and sends one frame per
+// round: the guest must conserve its VM's row, and the collector the host's
+// total and every row, with no contract violation.
+func TestHostFrameFeedsGuestAndCollector(t *testing.T) {
+	host, pids := newStressMachine(t, 1.0, 0.7, 0.5, 0.3)
+	h := cgroup.NewHierarchy()
+	if err := h.Add("web", pids[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Add("web", pids[2]); err != nil {
+		t.Fatal(err)
+	}
+	hostMon, err := core.New(host, model.PaperReferenceModel(),
+		core.WithShards(2),
+		core.WithSources(source.ModeBlended),
+		core.WithCgroups(h),
+		core.WithVMs(
+			core.VMDef{Name: "vm-a", PIDs: pids[:2]},
+			core.VMDef{Name: "vm-b", PIDs: pids[2:]},
+		))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(hostMon.Shutdown)
+	if err := hostMon.AttachAllRunnable(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := vmbridge.ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub, err := vmbridge.NewNodePublisher(hostMon, tr, "host")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pub.Close()
+
+	recv, err := vmbridge.DialTCP(tr.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := vmbridge.NewDelegatedSource(recv, "vm-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	guest, _ := newStressMachine(t, 0.9, 0.4)
+	guestMon, err := core.New(guest, model.PaperReferenceModel(), core.WithVMBridge(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(guestMon.Shutdown)
+	if err := guestMon.AttachAllRunnable(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(Config{Nodes: []string{tr.Addr().String()}, StaleAfter: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	waitUntil(t, "guest and collector connected", func() bool { return tr.Connections() == 2 })
+
+	for round := uint64(1); round <= 3; round++ {
+		if _, err := host.Run(time.Second); err != nil {
+			t.Fatal(err)
+		}
+		hr, err := hostMon.Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitUntil(t, "guest frame", func() bool { return src.FrameCount() >= round })
+		if _, err := guest.Run(time.Second); err != nil {
+			t.Fatal(err)
+		}
+		gr, err := guestMon.Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var guestSum float64
+		for _, w := range gr.PerPID {
+			guestSum += w
+		}
+		if math.Abs(guestSum-hr.PerVM["vm-a"]) > 1e-6 {
+			t.Fatalf("round %d: guest per-process sum %.9f != host vm-a %.9f", round, guestSum, hr.PerVM["vm-a"])
+		}
+
+		waitUntil(t, "collector frame", func() bool { return frames(c, "host") >= round })
+		rep := c.Rollup()
+		if got := rep.PerNode["host"]; math.Abs(got-hr.TotalWatts) > 1e-6 {
+			t.Fatalf("round %d: collector node total %.9f != host total %.9f", round, got, hr.TotalWatts)
+		}
+		for key, want := range map[string]float64{
+			"vm:vm-a": hr.PerVM["vm-a"], "vm:vm-b": hr.PerVM["vm-b"], "cgroup:web": hr.PerCgroup["web"],
+		} {
+			if got, ok := rep.PerTarget[key]; !ok || math.Abs(got-want) > 1e-6 {
+				t.Fatalf("round %d: fleet %s = %.9f (present %v), want %.9f", round, key, got, ok, want)
+			}
+		}
+		rep.Release()
+		if v := c.Stats().Nodes[0].Violations; v != 0 {
+			t.Fatalf("round %d: %d contract violations", round, v)
+		}
+	}
+}
+
 func TestNodeChurn(t *testing.T) {
 	pubA, err := vmbridge.ListenTCP("127.0.0.1:0")
 	if err != nil {
@@ -142,7 +275,7 @@ func TestNodeChurn(t *testing.T) {
 	send := func(pub *vmbridge.TCPPublisher, node string, seq uint64, watts float64) {
 		t.Helper()
 		rows := []vmbridge.TargetRow{{Key: "cgroup:app", Watts: watts}}
-		if err := pub.SendBatch([]vmbridge.VMPowerFrame{nodeFrame(node, seq, watts, rows)}); err != nil {
+		if err := pub.Send(nodeFrame(node, seq, watts, rows)); err != nil {
 			t.Fatal(err)
 		}
 	}

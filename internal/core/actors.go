@@ -131,9 +131,11 @@ func (s *sensorShardBehavior) tick(ctx *actor.Context, req tickRequest) {
 	// count and hands the slice over (it never reuses it), so the batch can
 	// adopt it wholesale instead of reallocating and copying per tick.
 	batch.Samples = sample.Targets
-	// Stamp each sample with its round slot; a target the facade never
-	// assigned one (a custom source emitting extra targets) keeps 0 and flows
-	// through the aggregator's map fallback.
+	// Stamp each sample with its round slot. A target the facade never
+	// attached (a custom source emitting extra targets) has none: its sample
+	// is dropped and the batch compacted, which copies nothing while every
+	// sample has a slot.
+	kept := 0
 	for i := range batch.Samples {
 		ts := &batch.Samples[i]
 		if ts.Target.Kind == target.KindProcess {
@@ -141,6 +143,20 @@ func (s *sensorShardBehavior) tick(ctx *actor.Context, req tickRequest) {
 		} else {
 			ts.Slot = s.otherSlots[ts.Target]
 		}
+		if ts.Slot == 0 {
+			continue
+		}
+		if kept != i {
+			batch.Samples[kept] = *ts
+		}
+		kept++
+	}
+	if dropped := len(batch.Samples) - kept; dropped > 0 {
+		batch.Samples = batch.Samples[:kept]
+		ctx.Publish(TopicErrors, PipelineError{
+			Stage: "sensor",
+			Err:   fmt.Errorf("core: dropped %d sample(s) of targets never attached to the %s source", dropped, s.attr.Name()),
+		})
 	}
 	if s.total != nil {
 		ts, err := s.total.Sample(sampleCtx)
@@ -278,13 +294,11 @@ func (f *formulaShardBehavior) estimateBatch(ctx *actor.Context, batch SensorRep
 // that dimension (for example the application name), as the paper's
 // Aggregator description allows.
 //
-// The per-round hot path is allocation-free in steady state: slotted
-// estimates accumulate into an epoch-stamped sparse set (no per-round map
+// The per-round hot path is allocation-free in steady state: estimates
+// accumulate by round slot into an epoch-stamped sparse set (no per-round map
 // rebuild), round scratch is recycled through an aggregator-local freelist,
 // and published reports live in pooled buffers whose maps keep their buckets
-// across rounds (see round.go). Only slotless estimates — targets a custom
-// source emitted without ever being attached — fall back to direct map
-// merging.
+// across rounds (see round.go).
 type aggregatorBehavior struct {
 	idleWatts float64
 	mode      source.Mode
@@ -307,16 +321,16 @@ type aggregatorBehavior struct {
 	prevPIDs, prevCgroups, prevVMs, prevGroups int
 }
 
-// roundState tracks one in-flight sampling round. Slotted estimates
-// accumulate in set; slotless ones go straight into the report's maps (raw
-// weights until finish scales them, in attributed modes).
+// roundState tracks one in-flight sampling round. Estimates accumulate in
+// set by round slot; finish scales them (in attributed modes) into the
+// report's maps.
 type roundState struct {
 	buf *pooledReport
 	set SparseSet
 	// cgroupDirect holds the estimates cgroup-scope sources produced for
-	// whole groups (path → watts or raw weight). Kept apart from the rollup
-	// so the two cannot double-count each other. Never published; recycled
-	// with the round.
+	// whole groups (path → watts). Kept apart from the rollup so the two
+	// cannot double-count each other. Never published; recycled with the
+	// round.
 	cgroupDirect map[string]float64
 	// claimed is the vmRollup's per-round duplicate-PID guard, recycled with
 	// the round.
@@ -363,7 +377,7 @@ func (a *aggregatorBehavior) Receive(ctx *actor.Context, msg actor.Message) {
 			round.hasMeasured = true
 		}
 		for i := range m.Estimates {
-			a.merge(ctx, round, &m.Estimates[i])
+			a.merge(round, &m.Estimates[i])
 		}
 		putEstimateSlice(m.Estimates)
 		round.batches++
@@ -452,32 +466,15 @@ func (a *aggregatorBehavior) evictOldest() {
 	}
 }
 
-func (a *aggregatorBehavior) merge(ctx *actor.Context, round *roundState, est *TargetEstimate) {
+// merge accumulates one estimate into its round slot (the sensor shard
+// stamped every sample with one); kinds resolve at materialisation time from
+// the slot index.
+func (a *aggregatorBehavior) merge(round *roundState, est *TargetEstimate) {
 	value := est.Watts
 	if a.mode.Attributed() {
 		value = est.Weight
 	}
-	if est.Slot > 0 {
-		// The dense path: targets attached through the facade carry a round
-		// slot; kinds resolve at materialisation time from the slot index.
-		round.set.Add(est.Slot-1, value)
-	} else {
-		switch est.Target.Kind {
-		case target.KindProcess:
-			round.buf.report.PerPID[est.Target.PID] += value
-		case target.KindCgroup:
-			if round.cgroupDirect == nil {
-				round.cgroupDirect = make(map[string]float64)
-			}
-			round.cgroupDirect[est.Target.Path] += value
-		default:
-			ctx.Publish(TopicErrors, PipelineError{
-				Stage: "aggregator",
-				Err:   fmt.Errorf("core: aggregator received estimate for unexpected target %v", est.Target),
-			})
-			return
-		}
-	}
+	round.set.Add(est.Slot-1, value)
 	if a.mode.Attributed() {
 		round.sumWeight += value
 	} else {
@@ -494,7 +491,7 @@ func (a *aggregatorBehavior) finish(ctx *actor.Context, ts time.Duration, round 
 		report.MeasuredWatts = round.measuredWatts
 	}
 	// scale/even turn the dense raw values into published watts during
-	// materialisation; the slotless map entries are rewritten in place first.
+	// materialisation.
 	scale, even := 1.0, false
 	if a.mode.Attributed() {
 		total := round.measuredWatts
@@ -502,28 +499,15 @@ func (a *aggregatorBehavior) finish(ctx *actor.Context, ts time.Duration, round 
 			total = 0
 		}
 		report.ActiveWatts = total
-		entries := round.set.Len() + len(report.PerPID) + len(round.cgroupDirect)
 		switch {
 		case round.sumWeight > 0:
 			scale = total / round.sumWeight
-			for pid, weight := range report.PerPID {
-				report.PerPID[pid] = weight * scale
-			}
-			for path, weight := range round.cgroupDirect {
-				round.cgroupDirect[path] = weight * scale
-			}
-		case entries > 0:
+		case round.set.Len() > 0:
 			// An all-idle window splits the measurement evenly. With nothing
-			// monitored at all there is no map to re-iterate: the measurement
-			// is still reported as ActiveWatts, unattributed.
-			scale = total / float64(entries)
+			// monitored at all the measurement is still reported as
+			// ActiveWatts, unattributed.
+			scale = total / float64(round.set.Len())
 			even = true
-			for pid := range report.PerPID {
-				report.PerPID[pid] = scale
-			}
-			for path := range round.cgroupDirect {
-				round.cgroupDirect[path] = scale
-			}
 		}
 	} else {
 		report.ActiveWatts = round.activeSum

@@ -131,10 +131,9 @@ type SensorReportBatch struct {
 // In the formula-driven mode Watts is the final per-target power; in
 // attributed modes Weight is the raw attribution key the Aggregator
 // normalizes against the round's measured total. Slot carries the sample's
-// dense round slot through the formula stage, encoded as slot+1 so the zero
-// value means "no slot" (messages built outside the pipeline safely take the
-// map path); the Aggregator subtracts one and accumulates into its
-// slot-indexed sparse sets.
+// dense round slot through the formula stage, encoded as slot+1 (the sensor
+// shard drops samples without one); the Aggregator subtracts one and
+// accumulates into its slot-indexed sparse sets.
 type TargetEstimate struct {
 	Target target.Target `json:"target"`
 	Slot   int32         `json:"-"`

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"powerapi/internal/machine"
 	"powerapi/internal/rapl"
 	"powerapi/internal/source"
+	"powerapi/internal/target"
 	"powerapi/internal/workload"
 )
 
@@ -477,5 +479,69 @@ func TestSourceFactoriesOverride(t *testing.T) {
 	}
 	if _, err := api.Collect(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// extraSampleSource is a procfs source that also reports one process the
+// pipeline never attached to it.
+type extraSampleSource struct {
+	*source.Procfs
+	extra int
+}
+
+func (s *extraSampleSource) Sample(ctx context.Context) (source.Sample, error) {
+	out, err := s.Procfs.Sample(ctx)
+	out.Targets = append(out.Targets, source.TargetSample{Target: target.Process(s.extra), Weight: 0.5})
+	return out, err
+}
+
+// TestUnattachedSampleDropped pins the one accumulation path: a sample for a
+// process the facade never attached has no round slot, so the sensor drops
+// it and reports the drop. The attached processes alone share the measured
+// total.
+func TestUnattachedSampleDropped(t *testing.T) {
+	m := newTestMachine(t)
+	pids := spawnMix(t, m, 0.9, 0.3, 0.7)
+	api, err := New(m, testModel(),
+		WithSources(source.ModeProcfs),
+		WithSourceFactories(SourceFactories{
+			Attribution: func(int) (source.Source, error) {
+				p, err := source.NewProcfs(m)
+				return &extraSampleSource{Procfs: p, extra: pids[2]}, err
+			},
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(api.Shutdown)
+	if err := api.Attach(pids[:2]...); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	report, err := api.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum float64
+	for pid, watts := range report.PerPID {
+		if pid != pids[0] && pid != pids[1] {
+			t.Fatalf("unattached pid %d got %.3f W", pid, watts)
+		}
+		sum += watts
+	}
+	if len(report.PerPID) != 2 {
+		t.Fatalf("PerPID = %v, want the two attached pids", report.PerPID)
+	}
+	if math.Abs(sum-report.MeasuredWatts) > 1e-6 {
+		t.Fatalf("per-PID sum %.9f != measured %.9f", sum, report.MeasuredWatts)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for api.ErrorCount() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the dropped sample was never reported")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

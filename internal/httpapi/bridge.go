@@ -9,9 +9,10 @@ import (
 )
 
 // This file exposes the VM-bridge transports of a daemon on its /metrics
-// exposition: per-connection sent/dropped counters of every registered
-// publisher (one row per downstream collector or guest, labelled by remote
-// address) and decode-error/drop counters of every registered receiver. Every
+// exposition: per-publisher sent and dropped-connection counters, and
+// per-connection sent/dropped counters of every registered publisher (one row
+// per downstream collector or guest, labelled by remote address), plus
+// decode-error/drop counters of every registered receiver. Every
 // link speaks the one binary frame; the codec="binary" label stays so that
 // the families keep their label sets. Registration is explicit — the daemon wires in the
 // transports it actually opened — so a daemon without bridges pays nothing.
@@ -70,10 +71,15 @@ func (bs *bridgeSet) writeBridgeMetrics(b *strings.Builder) {
 		for _, np := range pubs {
 			fmt.Fprintf(b, "powerapi_bridge_connections{publisher=\"%s\"} %d\n", escapeLabel(np.name), np.pub.Connections())
 		}
-		b.WriteString("# HELP powerapi_bridge_published_frames_total Frames handed to one bridge publisher for delivery.\n")
+		b.WriteString("# HELP powerapi_bridge_published_frames_total Frames one bridge publisher wrote, summed over its connections.\n")
 		b.WriteString("# TYPE powerapi_bridge_published_frames_total counter\n")
 		for _, np := range pubs {
 			fmt.Fprintf(b, "powerapi_bridge_published_frames_total{publisher=\"%s\"} %d\n", escapeLabel(np.name), np.pub.Sent())
+		}
+		b.WriteString("# HELP powerapi_bridge_dropped_connections_total Connections one bridge publisher dropped after a failed write.\n")
+		b.WriteString("# TYPE powerapi_bridge_dropped_connections_total counter\n")
+		for _, np := range pubs {
+			fmt.Fprintf(b, "powerapi_bridge_dropped_connections_total{publisher=\"%s\"} %d\n", escapeLabel(np.name), np.pub.Dropped())
 		}
 		b.WriteString("# HELP powerapi_bridge_conn_sent_frames_total Frames written to one downstream connection.\n")
 		b.WriteString("# TYPE powerapi_bridge_conn_sent_frames_total counter\n")
@@ -83,7 +89,7 @@ func (bs *bridgeSet) writeBridgeMetrics(b *strings.Builder) {
 					escapeLabel(np.name), escapeLabel(cs.Remote), cs.SentFrames)
 			}
 		}
-		b.WriteString("# HELP powerapi_bridge_conn_dropped_batches_total Frame batches evicted unsent from one slow downstream connection's queue.\n")
+		b.WriteString("# HELP powerapi_bridge_conn_dropped_batches_total Frames evicted unsent from one slow downstream connection's queue.\n")
 		b.WriteString("# TYPE powerapi_bridge_conn_dropped_batches_total counter\n")
 		for _, np := range pubs {
 			for _, cs := range np.pub.ConnStats() {

@@ -50,14 +50,14 @@ func publishNodeRound(t *testing.T, pub *vmbridge.TCPPublisher, col *collector.C
 		}
 		time.Sleep(time.Millisecond)
 	}
-	err := pub.SendBatch([]vmbridge.VMPowerFrame{{
+	err := pub.Send(vmbridge.VMPowerFrame{
 		VM: "node-a", Seq: seq, Timestamp: time.Duration(seq) * time.Second,
 		Watts: 40, HostTotalWatts: 40, SourceMode: "simulated",
 		Rows: []vmbridge.TargetRow{
 			{Key: "cgroup:web", Watts: 25},
 			{Key: "cgroup:web/api", Watts: 15},
 		},
-	}})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,6 +318,64 @@ func TestBridgeMetricsRegistration(t *testing.T) {
 		`powerapi_bridge_conn_dropped_batches_total{publisher="fleet-publish",remote=`,
 		`powerapi_bridge_decode_errors_total{receiver="guest-power",codec="binary"} 0`,
 		`powerapi_bridge_receiver_dropped_frames_total{receiver="guest-power",codec="binary"}`,
+	} {
+		if !strings.Contains(body, want) {
+			t.Fatalf("/metrics missing %q in:\n%s", want, body)
+		}
+	}
+}
+
+// TestBridgeDroppedConnectionsMetric closes the only receiver of a registered
+// publisher and sends until a write fails: the publisher drops the
+// connection, and /metrics counts the drop and no live connection.
+func TestBridgeDroppedConnectionsMetric(t *testing.T) {
+	_, mon, srv, _ := newServedMonitor(t)
+	pub, err := vmbridge.ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { pub.Close() })
+	srv.RegisterBridgePublisher("vm-publish", pub)
+	recv, err := vmbridge.DialTCP(pub.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for pub.Connections() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("receiver never connected")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := recv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for seq := uint64(1); pub.Dropped() == 0; seq++ {
+		if time.Now().After(deadline) {
+			t.Fatal("no write failed after the receiver closed")
+		}
+		if err := pub.Send(vmbridge.VMPowerFrame{VM: "host", Seq: seq}); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	if _, err := mon.RunMonitored(time.Second, time.Second, nil); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if _, ok := srv.Latest(); ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("server never observed a round")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	_, body := get(t, srv.Handler(), "/metrics")
+	for _, want := range []string{
+		`powerapi_bridge_dropped_connections_total{publisher="vm-publish"} 1`,
+		`powerapi_bridge_connections{publisher="vm-publish"} 0`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %q in:\n%s", want, body)

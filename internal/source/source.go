@@ -62,9 +62,9 @@ type TargetSample struct {
 	Target target.Target `json:"target"`
 	// Slot is the dense round-slot index the pipeline assigned to the target
 	// at attach time, encoded as slot+1 so the zero value means "no slot"
-	// (the sensor shard stamps it). It lets the aggregator accumulate into
-	// slice-backed sparse sets instead of rebuilding maps every round.
-	// Sources leave it alone.
+	// (the sensor shard stamps it, and drops a sample of a target it never
+	// attached). It lets the aggregator accumulate into slice-backed sparse
+	// sets instead of rebuilding maps every round. Sources leave it alone.
 	Slot int32 `json:"-"`
 	// Deltas are the hardware-counter increments since the previous sample
 	// (counter-backed sources; zero otherwise). The dense vector form keeps

@@ -69,6 +69,11 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// vmFrame is a published frame whose one row is vm's figure.
+func vmFrame(vm string, seq uint64, watts float64) VMPowerFrame {
+	return VMPowerFrame{VM: "host", Seq: seq, Watts: watts, Rows: []TargetRow{{Key: "vm:" + vm, Watts: watts}}}
+}
+
 func TestLoopbackFanout(t *testing.T) {
 	lb := NewLoopback()
 	r1 := lb.NewReceiver()
@@ -141,7 +146,7 @@ func TestDelegatedSourceStaleness(t *testing.T) {
 	send := func(t *testing.T, lb *Loopback, s *DelegatedSource, seq uint64, watts float64) {
 		t.Helper()
 		before := s.FrameCount()
-		if err := lb.Send(VMPowerFrame{VM: "vm-a", Seq: seq, Watts: watts}); err != nil {
+		if err := lb.Send(vmFrame("vm-a", seq, watts)); err != nil {
 			t.Fatal(err)
 		}
 		waitUntil(t, "frame consumption", func() bool { return s.FrameCount() > before })
@@ -162,7 +167,7 @@ func TestDelegatedSourceStaleness(t *testing.T) {
 			t.Fatalf("no frame yet: got %+v", got)
 		}
 		// Frames of other VMs are ignored.
-		if err := lb.Send(VMPowerFrame{VM: "vm-b", Seq: 1, Watts: 99}); err != nil {
+		if err := lb.Send(vmFrame("vm-b", 1, 99)); err != nil {
 			t.Fatal(err)
 		}
 		send(t, lb, s, 2, 20)
@@ -233,7 +238,7 @@ func TestDelegatedSourceRejectsReplayedFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := lb.Send(VMPowerFrame{VM: "vm-a", Seq: 5, Watts: 10}); err != nil {
+	if err := lb.Send(vmFrame("vm-a", 5, 10)); err != nil {
 		t.Fatal(err)
 	}
 	waitUntil(t, "first frame", func() bool { return s.FrameCount() == 1 })
@@ -241,9 +246,9 @@ func TestDelegatedSourceRejectsReplayedFrames(t *testing.T) {
 	// loopback is FIFO, so once seq 6 is the latest the replays have been
 	// processed — and must not have counted.
 	for _, frame := range []VMPowerFrame{
-		{VM: "vm-a", Seq: 5, Watts: 99},
-		{VM: "vm-a", Seq: 4, Watts: 98},
-		{VM: "vm-a", Seq: 6, Watts: 11},
+		vmFrame("vm-a", 5, 99),
+		vmFrame("vm-a", 4, 98),
+		vmFrame("vm-a", 6, 11),
 	} {
 		if err := lb.Send(frame); err != nil {
 			t.Fatal(err)
@@ -380,7 +385,7 @@ func TestHostGuestConservationOverLoopback(t *testing.T) {
 	}
 
 	lb := NewLoopback()
-	pub, err := NewPublisher(hostMon, lb)
+	pub, err := NewNodePublisher(hostMon, lb, "host")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,8 +433,8 @@ func TestHostGuestConservationOverLoopback(t *testing.T) {
 			}
 		}
 	}
-	if pub.Published() != rounds*2 {
-		t.Fatalf("publisher sent %d frames, want %d", pub.Published(), rounds*2)
+	if pub.Published() != rounds {
+		t.Fatalf("publisher sent %d frames, want %d", pub.Published(), rounds)
 	}
 
 	// Link loss: the publisher (and its transport) goes away. Round 1 after
@@ -485,7 +490,9 @@ func TestTCPBridgeEndToEnd(t *testing.T) {
 	defer src.Close()
 	waitUntil(t, "connection", func() bool { return pub.Connections() == 1 })
 
-	if err := pub.Send(VMPowerFrame{VM: "vm-tcp", Seq: 1, Timestamp: time.Second, Watts: 17.25}); err != nil {
+	frame := VMPowerFrame{VM: "host", Seq: 1, Timestamp: time.Second, Watts: 40,
+		Rows: []TargetRow{{Key: "vm:vm-tcp", Watts: 17.25}}}
+	if err := pub.Send(frame); err != nil {
 		t.Fatal(err)
 	}
 	waitUntil(t, "frame over tcp", func() bool { return src.FrameCount() >= 1 })

@@ -11,7 +11,7 @@ import (
 )
 
 // Every TCPPublisher link — the VM bridge and the fleet link alike — speaks
-// one wire format: one length-prefixed binary message per published batch.
+// one wire format: one length-prefixed binary message per published frame.
 // Strings are length-prefixed bytes, floats raw IEEE 754, and every frame
 // carries its three provenance stamps, zero when unstamped. Nothing is
 // negotiated: a publisher writes from its first byte, a receiver never

@@ -91,20 +91,22 @@ func WithStaleAfter(rounds int) DelegatedOption {
 
 // DelegatedSource is the guest side of the bridge: a machine-scope
 // source.Source whose "measured machine watts" is the most recent power
-// figure the host delegated for this VM. Plugged into a nested PowerAPI
-// instance (core.WithVMBridge), the guest pipeline attributes the delegated
-// total across the guest's processes exactly as the blended mode attributes a
-// RAPL measurement — conserving the host's figure down to per-process rows.
+// figure the host delegated for this VM, the frame row keyed "vm:"+name.
+// Plugged into a nested PowerAPI instance (core.WithVMBridge), the guest
+// pipeline attributes the delegated total across the guest's processes
+// exactly as the blended mode attributes a RAPL measurement — conserving the
+// host's figure down to per-process rows.
 //
 // The source owns its Receiver: frames are consumed by a background goroutine
-// started at Open, the newest frame for the source's VM wins, and Close (the
-// pipeline's source teardown) closes the receiver. Staleness is detected per
-// sampling round: after staleAfter consecutive Samples without a fresh frame
-// the configured policy applies — StaleZero stops reporting a measurement,
-// StaleHold keeps the last figure.
+// started at Open, the newest frame carrying the source's VM row wins, and
+// Close (the pipeline's source teardown) closes the receiver. Staleness is
+// detected per sampling round: after staleAfter consecutive Samples without a
+// fresh frame the configured policy applies — StaleZero stops reporting a
+// measurement, StaleHold keeps the last figure.
 type DelegatedSource struct {
 	recv       Receiver
 	vm         string
+	key        string // the frame row carrying this VM's figure
 	policy     StalePolicy
 	staleAfter int
 
@@ -130,7 +132,7 @@ func NewDelegatedSource(recv Receiver, vm string, opts ...DelegatedOption) (*Del
 	if vm == "" {
 		return nil, errors.New("vmbridge: empty vm name")
 	}
-	s := &DelegatedSource{recv: recv, vm: vm, policy: StaleZero, staleAfter: DefaultStaleAfter}
+	s := &DelegatedSource{recv: recv, vm: vm, key: target.VM(vm).String(), policy: StaleZero, staleAfter: DefaultStaleAfter}
 	for _, opt := range opts {
 		if err := opt(s); err != nil {
 			return nil, err
@@ -169,21 +171,23 @@ func (s *DelegatedSource) Open([]target.Target) error {
 	return nil
 }
 
-// consume drains the receiver, keeping the newest frame of this VM. The
-// strict Seq comparison rejects replays and reordered frames — a redelivered
-// last frame must not read as "the host is alive" and reset the staleness
-// counter. When the frame channel closes the link is down: no fresh frame
-// can arrive, so the staleness policy will take over within staleAfter
-// rounds.
+// consume drains the receiver, keeping the newest frame with this VM's row;
+// a frame without it carries nothing for this VM. The strict Seq comparison
+// rejects replays and reordered frames — a redelivered last frame must not
+// read as "the host is alive" and reset the staleness counter. When the
+// frame channel closes the link is down: no fresh frame can arrive, so the
+// staleness policy will take over within staleAfter rounds.
 func (s *DelegatedSource) consume() {
 	defer s.wg.Done()
 	for frame := range s.recv.Frames() {
-		if frame.VM != s.vm {
+		watts, ok := rowWatts(frame.Rows, s.key)
+		if !ok {
 			continue
 		}
 		s.mu.Lock()
 		if !s.hasFrame || frame.Seq > s.latest.Seq {
 			s.latest = frame
+			s.latest.Watts, s.latest.HostTotalWatts = watts, frame.Watts
 			s.hasFrame = true
 			s.fresh = true
 			s.frames.Add(1)
@@ -193,6 +197,16 @@ func (s *DelegatedSource) consume() {
 	s.mu.Lock()
 	s.linkDown = true
 	s.mu.Unlock()
+}
+
+// rowWatts returns the watts of the row keyed key, if rows has one.
+func rowWatts(rows []TargetRow, key string) (float64, bool) {
+	for _, row := range rows {
+		if row.Key == key {
+			return row.Watts, true
+		}
+	}
+	return 0, false
 }
 
 // Sample implements source.Source. A fresh frame since the previous Sample is
@@ -239,7 +253,8 @@ func (s *DelegatedSource) LinkDown() bool {
 	return s.linkDown
 }
 
-// Latest returns the most recent frame accepted for this VM (false before the
+// Latest returns the most recent frame accepted for this VM, with Watts set
+// to this VM's row and HostTotalWatts to the frame's total (false before the
 // first one).
 func (s *DelegatedSource) Latest() (VMPowerFrame, bool) {
 	s.mu.Lock()

@@ -13,15 +13,14 @@ import (
 	"powerapi/internal/target"
 )
 
-// NodePublisher is the daemon side of the fleet tier: a subscriber on the
+// NodePublisher is the one frame builder of the bridge: a subscriber on the
 // local monitor that turns every sampling round into ONE frame describing the
 // whole node — VM set to the node's name, Watts the node's total estimate,
-// and Rows the per-target breakdown a collector rolls up fleet-wide. It
-// reuses the VM bridge's frame, transport and wire format; a collector tells
-// node frames from VM-delegation frames by the presence of rows.
-//
-// Unlike the VM bridge's Publisher it needs no VM definitions — every monitor
-// has a total and a per-cgroup rollup to report.
+// and Rows every routed rollup in key order: a "cgroup:"+path row per cgroup
+// and a "vm:"+name row per VM. A collector rolls the rows up fleet-wide; a
+// guest reads its VM's row. The subscription is lossless (Block policy), so
+// every completed round yields exactly one frame — the transports, not the
+// publisher, are where a slow receiver sheds load.
 type NodePublisher struct {
 	node   string
 	sub    *core.Subscription
@@ -42,24 +41,31 @@ type NodePublisher struct {
 }
 
 // rowLayout caches a node frame's row order across rounds: the sorted cgroup
-// paths and their "cgroup:"+path row keys. The cgroup set of a monitor
-// rarely changes, so most rounds only look their watts up in cached order.
+// paths, then the sorted VM names, and their row keys. The cgroup and VM sets
+// of a monitor rarely change, so most rounds only look their watts up in
+// cached order.
 type rowLayout struct {
-	paths []string
-	keys  []string
+	names   []string // cgroup paths, then VM names
+	keys    []string // the row key of each name
+	cgroups int      // how many of names are cgroup paths
 }
 
-// fill writes perCgroup into rows (len(perCgroup) long) in the cached order
-// and reports whether the round's path set is the cached one; on false the
+// fill writes perCgroup and perVM into rows (as long as both together) in
+// the cached order and reports whether the round's key sets are the cached
+// ones — every cached name found, in a round with as many rows; on false the
 // rows are partly written and the layout must be rebuilt.
 //
 //powerapi:hotpath
-func (l *rowLayout) fill(rows []TargetRow, perCgroup map[string]float64) bool {
-	if len(l.paths) != len(rows) {
+func (l *rowLayout) fill(rows []TargetRow, perCgroup, perVM map[string]float64) bool {
+	if len(l.names) != len(rows) {
 		return false
 	}
-	for i, path := range l.paths {
-		w, ok := perCgroup[path]
+	for i, name := range l.names {
+		rollup := perCgroup
+		if i >= l.cgroups {
+			rollup = perVM
+		}
+		w, ok := rollup[name]
 		if !ok {
 			return false
 		}
@@ -68,22 +74,34 @@ func (l *rowLayout) fill(rows []TargetRow, perCgroup map[string]float64) bool {
 	return true
 }
 
-// rebuild caches the sorted path set of perCgroup and its row keys.
-func (l *rowLayout) rebuild(perCgroup map[string]float64) {
-	l.paths = l.paths[:0]
+// rebuild caches the sorted key sets of perCgroup and perVM and their row
+// keys. Every cgroup key sorts before every VM key, so the rows come out in
+// key order.
+func (l *rowLayout) rebuild(perCgroup, perVM map[string]float64) {
+	l.names = l.names[:0]
 	for path := range perCgroup {
-		l.paths = append(l.paths, path)
+		l.names = append(l.names, path)
 	}
-	sort.Strings(l.paths)
+	l.cgroups = len(l.names)
+	for name := range perVM {
+		l.names = append(l.names, name)
+	}
+	sort.Strings(l.names[:l.cgroups])
+	sort.Strings(l.names[l.cgroups:])
 	l.keys = l.keys[:0]
-	for _, path := range l.paths {
-		l.keys = append(l.keys, "cgroup:"+path)
+	for i, name := range l.names {
+		t := target.Cgroup(name)
+		if i >= l.cgroups {
+			t = target.VM(name)
+		}
+		l.keys = append(l.keys, t.String())
 	}
 }
 
 // NewNodePublisher subscribes a node-frame publisher to the monitor's report
-// fanout and starts streaming one frame per round. The publisher owns the
-// transport: Close shuts both the subscription and the transport down.
+// fanout and starts streaming one frame per round, named node. The publisher
+// owns the transport: Close shuts both the subscription and the transport
+// down.
 func NewNodePublisher(mon *core.PowerAPI, tr Transport, node string) (*NodePublisher, error) {
 	if mon == nil {
 		return nil, errors.New("vmbridge: nil monitor")
@@ -94,7 +112,7 @@ func NewNodePublisher(mon *core.PowerAPI, tr Transport, node string) (*NodePubli
 	if !target.Node(node).Valid() {
 		return nil, fmt.Errorf("vmbridge: invalid node name %q", node)
 	}
-	sub, err := mon.Subscribe(core.SubscribeOptions{Name: "fleet-node-publisher", Policy: core.Block})
+	sub, err := mon.Subscribe(core.SubscribeOptions{Name: "node-publisher", Policy: core.Block})
 	if err != nil {
 		return nil, fmt.Errorf("vmbridge: subscribe: %w", err)
 	}
@@ -111,7 +129,7 @@ func (p *NodePublisher) run() {
 		traceStart := p.tracer.Now()
 		frame := p.frame(report)
 		report.Release()
-		if err := p.tr.SendBatch([]VMPowerFrame{frame}); err != nil {
+		if err := p.tr.Send(frame); err != nil {
 			p.sendErrs.Add(1)
 			p.lastErr.Store(err)
 		} else {
@@ -121,17 +139,16 @@ func (p *NodePublisher) run() {
 	}
 }
 
-// frame builds the node frame of one round. Rows carry the cgroup rollup (the
-// unit the collector aggregates across nodes) in sorted key order; the node
-// total rides in Watts, so a collector ingesting only headers still gets
-// per-node and fleet watts right. The rows slice is allocated per frame
-// because the transport retains frames until they are written; everything
-// else a row needs comes from the cached layout.
+// frame builds the node frame of one round. Rows carry the cgroup and VM
+// rollups in sorted key order; the node total rides in Watts, so a collector
+// ingesting only headers still gets per-node and fleet watts right. The rows
+// slice is allocated per frame because the transport retains frames until
+// they are written; everything else a row needs comes from the cached layout.
 func (p *NodePublisher) frame(report core.AggregatedReport) VMPowerFrame {
-	rows := make([]TargetRow, len(report.PerCgroup))
-	if !p.layout.fill(rows, report.PerCgroup) {
-		p.layout.rebuild(report.PerCgroup)
-		p.layout.fill(rows, report.PerCgroup)
+	rows := make([]TargetRow, len(report.PerCgroup)+len(report.PerVM))
+	if !p.layout.fill(rows, report.PerCgroup, report.PerVM) {
+		p.layout.rebuild(report.PerCgroup, report.PerVM)
+		p.layout.fill(rows, report.PerCgroup, report.PerVM)
 	}
 	seq := p.seq.Add(1)
 	// One frame per round, so the round number IS the frame sequence.
@@ -154,7 +171,8 @@ func (p *NodePublisher) frame(report core.AggregatedReport) VMPowerFrame {
 // Node returns the node name the publisher stamps on its frames.
 func (p *NodePublisher) Node() string { return p.node }
 
-// Published returns how many node frames were handed to the transport so far.
+// Published returns how many frames — one per round — were handed to the
+// transport so far.
 func (p *NodePublisher) Published() uint64 { return p.published.Load() }
 
 // SendErrors returns how many frames the transport refused.

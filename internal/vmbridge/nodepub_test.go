@@ -24,34 +24,47 @@ func perCgroupOf(n int) map[string]float64 {
 }
 
 // sortedRows is the reference row set of a round: one "cgroup:"+path row
-// per group, sorted by key.
-func sortedRows(perCgroup map[string]float64) []TargetRow {
-	rows := make([]TargetRow, 0, len(perCgroup))
+// per group and one "vm:"+name row per VM, sorted by key.
+func sortedRows(perCgroup, perVM map[string]float64) []TargetRow {
+	rows := make([]TargetRow, 0, len(perCgroup)+len(perVM))
 	for path, w := range perCgroup {
 		rows = append(rows, TargetRow{Key: "cgroup:" + path, Watts: w})
+	}
+	for name, w := range perVM {
+		rows = append(rows, TargetRow{Key: "vm:" + name, Watts: w})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Key < rows[j].Key })
 	return rows
 }
 
 // TestNodeFrameRowsAcrossLayoutChanges feeds rounds whose cgroup set stays,
-// grows, shrinks, swaps one key at the same size and empties, and checks
-// every frame's rows against the sorted reference.
+// grows, shrinks, swaps one key at the same size and empties, then rounds
+// whose VM rows appear, change, swap one key, trade places with cgroup rows
+// at the same row count (a cgroup and a VM sharing a name included) and
+// vanish, and checks every frame's rows against the sorted reference.
 func TestNodeFrameRowsAcrossLayoutChanges(t *testing.T) {
 	p := testNodePublisher()
 	base := map[string]float64{"web": 3, "web/api": 1.5, "db": 2}
 	grown := map[string]float64{"web": 4, "web/api": 1, "db": 2, "cache": 0.5}
 	swapped := map[string]float64{"web": 4, "web/api": 1, "db": 2, "batch": 0.75}
+	vms := map[string]float64{"vm-a": 5, "vm-b": 2}
 	rounds := []map[string]float64{
 		base, base, {"web": 3.5, "web/api": 2, "db": 1},
 		grown, grown, swapped, base, {}, nil, base,
+		base, base, base, base, {"web": 3, "db": 2}, {}, {"vm-a": 1}, base,
 	}
+	// perVM[i] is round i's VM rollup; the cgroup-only rounds have none.
+	perVM := make([]map[string]float64, len(rounds))
+	copy(perVM[10:], []map[string]float64{
+		vms, vms, {"vm-a": 6, "vm-b": 1}, {"vm-a": 6, "vm-c": 1},
+		{"vm-a": 1, "vm-b": 2, "vm-c": 3}, vms, {"vm-a": 2}, nil,
+	})
 	for i, perCgroup := range rounds {
 		frame := p.frame(core.AggregatedReport{
 			Timestamp:  time.Duration(i+1) * time.Second,
-			TotalWatts: 10, SourceMode: "hpc", PerCgroup: perCgroup,
+			TotalWatts: 10, SourceMode: "hpc", PerCgroup: perCgroup, PerVM: perVM[i],
 		})
-		want := sortedRows(perCgroup)
+		want := sortedRows(perCgroup, perVM[i])
 		if !slices.Equal(frame.Rows, want) {
 			t.Fatalf("round %d: rows = %v, want %v", i, frame.Rows, want)
 		}

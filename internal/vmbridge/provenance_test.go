@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// provenanceBatch is testBatch with emit-time provenance stamped the way
-// Publisher.publish does: one shared round/emit/trace context per batch.
+// provenanceBatch is testBatch with emit-time provenance stamped: one shared
+// round/emit/trace context per batch.
 func provenanceBatch() []VMPowerFrame {
 	batch := testBatch()
 	for i := range batch {
@@ -81,8 +81,10 @@ func TestProvenanceOverTCP(t *testing.T) {
 	})
 
 	batch := provenanceBatch()
-	if err := pub.SendBatch(batch); err != nil {
-		t.Fatal(err)
+	for _, f := range batch {
+		if err := pub.Send(f); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i := range batch {
 		select {

@@ -14,12 +14,12 @@ import (
 )
 
 // TCPPublisher is the wire transport of the bridge, the virtio-serial
-// stand-in: it listens on a TCP address and streams every published batch to
-// every connected guest as one binary message (AppendBinaryBatch).
-// Connections are broadcast fan-out — a guest dialing in receives the frames
-// of every VM and filters by name (DelegatedSource does). A slow or dead
-// connection sheds whole batches drop-oldest and is dropped on write failure;
-// it never backpressures the host pipeline.
+// stand-in: it listens on a TCP address and streams every published frame to
+// every connected receiver as one binary message (AppendBinaryBatch).
+// Connections are broadcast fan-out — a guest dialing in receives every VM's
+// row and reads its own (DelegatedSource does). A slow connection sheds
+// frames drop-oldest and a dead one is dropped on write failure; neither
+// backpressures the host pipeline.
 type TCPPublisher struct {
 	ln net.Listener
 	wg sync.WaitGroup
@@ -34,10 +34,10 @@ type TCPPublisher struct {
 }
 
 type tcpConn struct {
-	conn    net.Conn
-	remote  string
-	batches *frameChan[[]VMPowerFrame] // batches pending for this connection, drop-oldest
-	sent    atomic.Uint64              // frames written to the wire
+	conn   net.Conn
+	remote string
+	frames *frameChan    // frames pending for this connection, drop-oldest
+	sent   atomic.Uint64 // frames written to the wire
 }
 
 // ConnStats is the observable state of one live publisher connection, the
@@ -50,8 +50,8 @@ type ConnStats struct {
 	WireVersion int
 	// SentFrames counts frames written to this connection's wire.
 	SentFrames uint64
-	// DroppedBatches counts whole batches shed drop-oldest because the
-	// connection could not keep up.
+	// DroppedBatches counts frames (one message each) shed drop-oldest
+	// because the connection could not keep up.
 	DroppedBatches uint64
 }
 
@@ -87,7 +87,7 @@ func (p *TCPPublisher) ConnStats() []ConnStats {
 			Remote:         c.remote,
 			WireVersion:    BinaryVersionProvenance,
 			SentFrames:     c.sent.Load(),
-			DroppedBatches: c.batches.evicted.Load(),
+			DroppedBatches: c.frames.evicted.Load(),
 		})
 	}
 	p.mu.Unlock()
@@ -95,13 +95,13 @@ func (p *TCPPublisher) ConnStats() []ConnStats {
 	return stats
 }
 
-// Sent returns how many frame deliveries reached a connection's wire so far.
+// Sent returns how many frames were written so far, summed over connections.
 func (p *TCPPublisher) Sent() uint64 { return p.sent.Load() }
 
-// Dropped returns how many frame deliveries were lost to dead connections
-// (write failures); frames shed by a slow connection's drop-oldest queue are
-// not counted here, mirroring a serial port's silent overrun — ConnStats
-// surfaces those per connection.
+// Dropped returns how many connections were dropped after a failed write (a
+// receiver that went away). Frames shed by a slow connection's drop-oldest
+// queue are not counted here, mirroring a serial port's silent overrun —
+// ConnStats surfaces those per connection.
 func (p *TCPPublisher) Dropped() uint64 { return p.dropped.Load() }
 
 func (p *TCPPublisher) acceptLoop() {
@@ -111,7 +111,7 @@ func (p *TCPPublisher) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		c := &tcpConn{conn: conn, remote: conn.RemoteAddr().String(), batches: newFrameChan[[]VMPowerFrame]()}
+		c := &tcpConn{conn: conn, remote: conn.RemoteAddr().String(), frames: newFrameChan()}
 		p.mu.Lock()
 		if p.closed {
 			p.mu.Unlock()
@@ -127,21 +127,21 @@ func (p *TCPPublisher) acceptLoop() {
 	}
 }
 
-// writeLoop drains one connection's batch queue onto the wire — one message
-// and one write per batch, so a node's whole round costs one syscall. A
-// write failure (guest went away) drops the connection.
+// writeLoop drains one connection's frame queue onto the wire — one message
+// and one write per frame, so a node's whole round costs one syscall. A
+// write failure (the receiver went away) drops the connection.
 func (p *TCPPublisher) writeLoop(id uint64, c *tcpConn) {
 	defer p.wg.Done()
 	defer c.conn.Close()
-	var scratch []byte // encoding buffer, reused across batches
-	for batch := range c.batches.ch {
-		scratch = AppendBinaryBatch(scratch[:0], batch)
+	var scratch []byte // encoding buffer, reused across frames
+	for frame := range c.frames.ch {
+		scratch = AppendBinaryBatch(scratch[:0], []VMPowerFrame{frame})
 		if _, err := c.conn.Write(scratch); err != nil {
 			p.dropConn(id)
 			return
 		}
-		p.sent.Add(uint64(len(batch)))
-		c.sent.Add(uint64(len(batch)))
+		p.sent.Add(1)
+		c.sent.Add(1)
 	}
 }
 
@@ -152,23 +152,15 @@ func (p *TCPPublisher) dropConn(id uint64) {
 	p.mu.Unlock()
 	if ok {
 		p.dropped.Add(1)
-		c.batches.close()
+		c.frames.close()
 		c.conn.Close()
 	}
 }
 
-// Send implements Transport: the frame is queued as a single-frame batch for
-// every live connection (drop-oldest per connection). With no guest connected
-// the frame is simply lost, like writing to an unattached serial port.
+// Send implements Transport: the frame is queued for every live connection
+// (drop-oldest per connection). With no receiver connected the frame is
+// simply lost, like writing to an unattached serial port.
 func (p *TCPPublisher) Send(frame VMPowerFrame) error {
-	return p.SendBatch([]VMPowerFrame{frame})
-}
-
-// SendBatch implements Transport: the batch is queued as a unit for every
-// live connection, so a connection that sheds load sheds whole rounds. The
-// publisher keeps a reference to the slice until every connection has written
-// it; the caller must not modify it after the call.
-func (p *TCPPublisher) SendBatch(frames []VMPowerFrame) error {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -179,11 +171,8 @@ func (p *TCPPublisher) SendBatch(frames []VMPowerFrame) error {
 		snapshot = append(snapshot, c)
 	}
 	p.mu.Unlock()
-	if len(frames) == 0 {
-		return nil
-	}
 	for _, c := range snapshot {
-		c.batches.deliver(frames)
+		c.frames.deliver(frame)
 	}
 	return nil
 }
@@ -205,7 +194,7 @@ func (p *TCPPublisher) Close() error {
 	p.mu.Unlock()
 	err := p.ln.Close()
 	for _, c := range remaining {
-		c.batches.close()
+		c.frames.close()
 		c.conn.Close()
 	}
 	p.wg.Wait()
@@ -217,7 +206,7 @@ func (p *TCPPublisher) Close() error {
 // guest-side DelegatedSource turns that into its staleness policy.
 type TCPReceiver struct {
 	conn   net.Conn
-	frames *frameChan[VMPowerFrame]
+	frames *frameChan
 	wg     sync.WaitGroup
 
 	closeOnce sync.Once
@@ -232,7 +221,7 @@ func DialTCP(addr string) (*TCPReceiver, error) {
 	if err != nil {
 		return nil, fmt.Errorf("vmbridge: dial %s: %w", addr, err)
 	}
-	r := &TCPReceiver{conn: conn, frames: newFrameChan[VMPowerFrame]()}
+	r := &TCPReceiver{conn: conn, frames: newFrameChan()}
 	r.wg.Add(1)
 	go r.readLoop()
 	return r, nil

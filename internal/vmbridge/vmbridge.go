@@ -2,19 +2,21 @@
 // boundary of a virtual machine — the paper's headline middleware capability:
 // process-level power estimation *inside* VMs. The host-side instance
 // estimates each VM's power draw (the PerVM rollup of its aggregated reports)
-// and a Publisher streams one VMPowerFrame per VM per sampling round over a
-// Transport. On the guest side a DelegatedSource — an ordinary machine-scope
-// source.Source — treats the latest delegated frame as the guest machine's
-// measured power, so a nested PowerAPI instance re-attributes it across the
-// guest's processes with the same global weight normalization the attributed
-// sensing modes use: the guest's per-process estimates sum exactly to the
-// watts the host delegated.
+// and a NodePublisher streams one VMPowerFrame per sampling round over a
+// Transport: the host's total, plus one row per routed rollup — a
+// "cgroup:"+path row per cgroup and a "vm:"+name row per VM. On the guest
+// side a DelegatedSource — an ordinary machine-scope source.Source — treats
+// its VM's row of the latest frame as the guest machine's measured power, so
+// a nested PowerAPI instance re-attributes it across the guest's processes
+// with the same global weight normalization the attributed sensing modes use:
+// the guest's per-process estimates sum exactly to the watts the host
+// delegated. The same frame is what a fleet collector gathers from a daemon.
 //
 // Two transports ship with the package: an in-process Loopback (tests,
-// examples, simulated guests) and a TCP link speaking one length-prefixed
-// binary frame (the virtio-serial stand-in the daemon serves with -vm-publish
-// and dials with -vm-delegate).
-// Both fan every frame out to every receiver; receivers filter by VM name.
+// examples, simulated guests) and a TCP link writing one length-prefixed
+// binary frame per message (the virtio-serial stand-in the daemon serves with
+// -vm-publish and -fleet-publish, and dials with -vm-delegate).
+// Both fan every frame out to every receiver; each guest reads its own row.
 // Frame delivery is deliberately lossy (drop-oldest, like a serial port
 // buffer): a stalled guest never backpressures the host pipeline, and the
 // DelegatedSource's staleness policy defines what the guest reports when
@@ -28,27 +30,28 @@ import (
 	"time"
 )
 
-// VMPowerFrame is one delegated power figure: the host-side estimate of one
-// VM's draw for one sampling round, one frame of a binary message on the wire.
+// VMPowerFrame is one publisher round: the node's total estimate and its
+// per-target breakdown, one frame of a binary message on the wire.
 type VMPowerFrame struct {
-	// VM names the virtual machine the frame belongs to.
+	// VM names the node that published the frame. A guest does not match on
+	// it: its VM's figure is the row keyed "vm:"+name.
 	VM string `json:"vm"`
-	// Seq increases monotonically across the frames a Publisher emits, so a
+	// Seq increases monotonically across the frames a publisher emits, so a
 	// receiver can tell a fresh frame from a replayed or reordered one.
 	Seq uint64 `json:"seq"`
 	// Timestamp is the host's simulated instant of the round.
 	Timestamp time.Duration `json:"timestamp"`
-	// Watts is the power the host attributed to the VM for the round.
+	// Watts is the node's total estimate for the round. In the frame a
+	// DelegatedSource returns from Latest it is the guest VM's row instead.
 	Watts float64 `json:"watts"`
-	// HostTotalWatts is the host machine's total estimate for the round
-	// (context for billing/capping consumers; the guest does not use it).
+	// HostTotalWatts is the host machine's total estimate for the round (on a
+	// published frame it equals Watts).
 	HostTotalWatts float64 `json:"hostTotalWatts,omitempty"`
 	// SourceMode names the host's sensing mode ("blended", "rapl", …).
 	SourceMode string `json:"sourceMode,omitempty"`
-	// Rows optionally carries a per-target breakdown of the frame's watts —
-	// the fleet tier's payload, where a daemon publishes one frame per round
-	// with VM set to its node name and one row per attributed target. Frames
-	// on the host↔guest VM bridge carry no rows.
+	// Rows is the per-target breakdown of the round in key order: a
+	// "cgroup:"+path row per cgroup and a "vm:"+name row per VM. A collector
+	// rolls every row up fleet-wide; a guest reads only its VM's row.
 	Rows []TargetRow `json:"rows,omitempty"`
 
 	// EmitMono is the publisher's monotonic clock at emit time (nanoseconds
@@ -58,17 +61,16 @@ type VMPowerFrame struct {
 	// Zero means the frame is unstamped; consumers must not read it as
 	// emitted at the epoch.
 	EmitMono time.Duration `json:"emitMono,omitempty"`
-	// Round is the publisher's round sequence the frame belongs to. For node
-	// frames it equals Seq (one frame per round); for VM-bridge frames every
-	// frame of one round shares the round number while Seq stays per-frame.
+	// Round is the publisher's round sequence the frame belongs to; with one
+	// frame per round it equals Seq.
 	Round uint64 `json:"round,omitempty"`
-	// TraceID correlates every frame of one publisher round across process
-	// boundaries (FrameTraceID derives it from the publisher name and round).
+	// TraceID correlates a publisher round across process boundaries
+	// (FrameTraceID derives it from the publisher name and round).
 	TraceID uint64 `json:"traceId,omitempty"`
 }
 
 // FrameTraceID derives the stable trace id publishers stamp on a round's
-// frames: FNV-1a over the publisher name folded with the round number. Two
+// frame: FNV-1a over the publisher name folded with the round number. Two
 // daemons never share an id stream, and a round's id is reproducible from its
 // provenance fields alone.
 func FrameTraceID(name string, round uint64) uint64 {
@@ -84,7 +86,7 @@ func FrameTraceID(name string, round uint64) uint64 {
 }
 
 // TargetRow is one entry of a frame's per-target breakdown: the target's
-// route string ("cgroup:web/api", "machine") and its watts for the round.
+// route string ("cgroup:web/api", "vm:vm-a") and its watts for the round.
 type TargetRow struct {
 	Key   string  `json:"key"`
 	Watts float64 `json:"watts"`
@@ -94,14 +96,11 @@ type TargetRow struct {
 // every connected receiver. Implementations must be safe for concurrent use
 // and must never block on a slow receiver (shed frames instead).
 type Transport interface {
-	// Send delivers a frame to every live receiver. Sending on a closed
-	// transport returns ErrClosed.
+	// Send delivers a frame to every live receiver. The transport keeps a
+	// reference to the frame's rows until every receiver has it — the caller
+	// must not modify them after the call. Sending on a closed transport
+	// returns ErrClosed.
 	Send(frame VMPowerFrame) error
-	// SendBatch delivers one round's frames as a unit: receivers that shed
-	// load shed whole rounds, and wire transports write one round per
-	// message. The transport keeps a reference to the slice — the caller
-	// must not modify it after the call.
-	SendBatch(frames []VMPowerFrame) error
 	// Close tears the transport down; receivers observe their frame channel
 	// closing (link loss).
 	Close() error
@@ -120,32 +119,31 @@ type Receiver interface {
 // ErrClosed is returned when sending on a closed transport.
 var ErrClosed = errors.New("vmbridge: transport is closed")
 
-// frameBuffer is the per-receiver channel capacity of both transports: deep
-// enough to ride out scheduling jitter, shallow enough that a dead guest
-// holds only a bounded backlog before drop-oldest kicks in.
+// frameBuffer is the capacity of every frame queue: deep enough to ride out
+// scheduling jitter, shallow enough that a dead guest holds only a bounded
+// backlog before drop-oldest kicks in.
 const frameBuffer = 64
 
-// frameChan is a drop-oldest queue shared by the transports — of frames on
-// the receiver side, of whole batches on the publisher side: the sender-side
-// deliver never blocks (it evicts the oldest unread element to make room) and
-// close is race-free against an in-flight deliver, the same send-mutex +
-// done-channel handshake the monitor's subscription fanout uses.
-type frameChan[T any] struct {
-	ch        chan T
+// frameChan is the drop-oldest frame queue shared by the transports — per
+// receiver, and per connection on the TCP publisher: the sender-side deliver
+// never blocks (it evicts the oldest unread frame to make room) and close is
+// race-free against an in-flight deliver, the same send-mutex + done-channel
+// handshake the monitor's subscription fanout uses.
+type frameChan struct {
+	ch        chan VMPowerFrame
 	done      chan struct{}
 	sendMu    sync.Mutex
 	closeOnce sync.Once
 	evicted   atomic.Uint64
 }
 
-func newFrameChan[T any]() *frameChan[T] {
-	return &frameChan[T]{ch: make(chan T, frameBuffer), done: make(chan struct{})}
+func newFrameChan() *frameChan {
+	return &frameChan{ch: make(chan VMPowerFrame, frameBuffer), done: make(chan struct{})}
 }
 
-// deliver enqueues one element, evicting the oldest unread one when the
-// buffer is full. Safe against a concurrent close; only one goroutine may
-// deliver.
-func (f *frameChan[T]) deliver(v T) {
+// deliver enqueues one frame, evicting the oldest unread one when the buffer
+// is full. Safe against a concurrent close and concurrent delivers.
+func (f *frameChan) deliver(v VMPowerFrame) {
 	f.sendMu.Lock()
 	defer f.sendMu.Unlock()
 	select {
@@ -168,7 +166,7 @@ func (f *frameChan[T]) deliver(v T) {
 }
 
 // close closes the frame channel once, waiting out any deliver in flight.
-func (f *frameChan[T]) close() {
+func (f *frameChan) close() {
 	f.closeOnce.Do(func() {
 		close(f.done)
 		f.sendMu.Lock()
@@ -197,7 +195,7 @@ func NewLoopback() *Loopback {
 // reaches it. A receiver created after Close is already closed (its Frames
 // channel is closed), mirroring a dial against a dead link.
 func (l *Loopback) NewReceiver() Receiver {
-	r := &loopbackReceiver{hub: l, frames: newFrameChan[VMPowerFrame]()}
+	r := &loopbackReceiver{hub: l, frames: newFrameChan()}
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
@@ -229,17 +227,6 @@ func (l *Loopback) Send(frame VMPowerFrame) error {
 	return nil
 }
 
-// SendBatch implements Transport: the loopback has no wire to batch writes
-// on, so the batch degenerates to one Send per frame.
-func (l *Loopback) SendBatch(frames []VMPowerFrame) error {
-	for _, f := range frames {
-		if err := l.Send(f); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Close implements Transport: every receiver's Frames channel closes (link
 // loss) and further Sends fail. It is idempotent.
 func (l *Loopback) Close() error {
@@ -260,7 +247,7 @@ func (l *Loopback) Close() error {
 type loopbackReceiver struct {
 	hub    *Loopback
 	id     uint64
-	frames *frameChan[VMPowerFrame]
+	frames *frameChan
 }
 
 // Frames implements Receiver.

@@ -31,6 +31,7 @@
 package powerapi
 
 import (
+	"errors"
 	"io"
 	"log/slog"
 	"time"
@@ -142,8 +143,8 @@ type (
 	// (MonitorReport.PerVM) and the VM bridge delegates to a nested guest
 	// instance.
 	VMDef = core.VMDef
-	// VMPowerFrame is one delegated power figure on the VM bridge: the
-	// host-side estimate of one VM's draw for one sampling round.
+	// VMPowerFrame is one publisher round on the VM bridge: the host's total
+	// plus a "vm:"+name row per VM (and a "cgroup:"+path row per cgroup).
 	VMPowerFrame = vmbridge.VMPowerFrame
 	// VMBridgeTransport is the host-side half of a VM bridge (Send frames).
 	VMBridgeTransport = vmbridge.Transport
@@ -151,8 +152,8 @@ type (
 	// stream).
 	VMBridgeReceiver = vmbridge.Receiver
 	// VMPublisher streams a host Monitor's per-VM power over a bridge
-	// transport, one frame per VM per sampling round (see NewVMPublisher).
-	VMPublisher = vmbridge.Publisher
+	// transport, one frame per sampling round (see NewVMPublisher).
+	VMPublisher = vmbridge.NodePublisher
 	// DelegatedSource is the guest side of the bridge: a machine-scope
 	// sensor source whose measured watts is the latest host-delegated figure
 	// (see NewDelegatedSource and WithVMBridge).
@@ -470,12 +471,15 @@ func WithVMBridge(src *DelegatedSource) MonitorOption { return core.WithVMBridge
 
 // NewVMPublisher is the host side of the VM bridge: it subscribes to the
 // Monitor's report fanout (losslessly) and streams one VMPowerFrame per
-// defined VM per sampling round over the transport — the in-process loopback
-// (NewLoopbackBridge) or the TCP binary-frame link (ListenVMBridge). The
-// Monitor must define VMs (WithVMs). Close the publisher to end the stream;
-// it owns the transport.
+// sampling round, named "vmbridge", with a "vm:"+name row per defined VM
+// over the transport — the in-process loopback (NewLoopbackBridge) or the TCP
+// binary-frame link (ListenVMBridge). The Monitor must define VMs (WithVMs).
+// Close the publisher to end the stream; it owns the transport.
 func NewVMPublisher(m *Monitor, tr VMBridgeTransport) (*VMPublisher, error) {
-	return vmbridge.NewPublisher(m, tr)
+	if m != nil && len(m.VMs()) == 0 {
+		return nil, errors.New("vmbridge: the monitor defines no VMs (core.WithVMs)")
+	}
+	return vmbridge.NewNodePublisher(m, tr, "vmbridge")
 }
 
 // NewDelegatedSource creates the guest side of the VM bridge: a machine-scope

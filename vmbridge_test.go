@@ -2,6 +2,7 @@ package powerapi_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -165,5 +166,22 @@ func TestVMBridgeFacadeEndToEnd(t *testing.T) {
 	}
 	if got := sum(staleB); math.Abs(got-lastHost.PerVM["vm-b"]) > 1e-6 {
 		t.Fatalf("hold policy after link loss: got %.9f want %.9f", got, lastHost.PerVM["vm-b"])
+	}
+}
+
+// TestNewVMPublisherRequiresVMs pins the facade's guard: a monitor without VM
+// definitions would publish frames that no guest can read its figure from.
+func TestNewVMPublisherRequiresVMs(t *testing.T) {
+	m, err := powerapi.NewMachine(powerapi.DefaultMachineConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon, err := powerapi.NewMonitor(m, powerapi.PaperReferenceModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(mon.Shutdown)
+	if _, err := powerapi.NewVMPublisher(mon, powerapi.NewLoopbackBridge()); err == nil || !strings.Contains(err.Error(), "defines no VMs") {
+		t.Fatalf("NewVMPublisher without VMs: err = %v, want the no-VMs error", err)
 	}
 }
