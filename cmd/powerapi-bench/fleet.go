@@ -13,19 +13,18 @@ import (
 )
 
 // The fleet mode meters the collector instead of the daemon pipeline: N
-// passive in-process nodes feed pre-encoded wire payloads straight into the
-// ingest queues (collector.FeedPayload — the exact worker/commit path a socket
-// reader drives, minus the socket), and every fleet round is one synchronous
-// Rollup over the committed contributions. The claim under test is that
-// steady-state allocations per fleet round do not grow with the node count;
-// a pure ingest-rate cell reports decode throughput alongside.
+// passive in-process nodes hand pre-encoded wire payloads to
+// collector.FeedPayload — the exact decode/commit path a socket reader runs,
+// minus the socket — and every fleet round is one synchronous Rollup over the
+// committed contributions. The claim under test is that steady-state
+// allocations per fleet round do not grow with the node count; a pure
+// ingest-rate cell reports decode throughput alongside.
 
 // FleetCell is one measured point of the fleet matrix.
 type FleetCell struct {
-	// Nodes and TargetsPerNode identify the cell; Shards is the rollup width.
+	// Nodes and TargetsPerNode identify the cell.
 	Nodes          int `json:"nodes"`
 	TargetsPerNode int `json:"targetsPerNode"`
-	Shards         int `json:"shards"`
 	// Subscribers is how many draining fanout subscribers rode the rounds —
 	// the axis whose scaling must stay sub-linear (fanout is one retain +
 	// channel offer per subscriber, not a re-rollup).
@@ -62,7 +61,7 @@ type CodecReport struct {
 // benchCollector builds one passive collector sized for the cell. Rounds are
 // driven manually (Interval 0); history capacity is kept small so its lazy
 // ring growth finishes inside the warm-up and steady state stays clean.
-func benchCollector(nodes, shards int) (*collector.Collector, []string, error) {
+func benchCollector(nodes int) (*collector.Collector, []string, error) {
 	addrs := make([]string, nodes)
 	names := make([]string, nodes)
 	for i := range addrs {
@@ -72,7 +71,6 @@ func benchCollector(nodes, shards int) (*collector.Collector, []string, error) {
 	col, err := collector.New(collector.Config{
 		Nodes:           addrs,
 		Passive:         true,
-		Shards:          shards,
 		StaleAfter:      time.Hour,
 		HistoryCapacity: 16,
 	})
@@ -95,8 +93,8 @@ func benchRows(targetsPerNode int) []vmbridge.TargetRow {
 // allocation-flat rounds with the whole observability layer live. With
 // subscribers > 0, that many Conflate subscribers drain the fanout while the
 // rounds run.
-func measureFleet(nodes, targetsPerNode, shards, subscribers, warmup, rounds int) (FleetCell, error) {
-	col, names, err := benchCollector(nodes, shards)
+func measureFleet(nodes, targetsPerNode, subscribers, warmup, rounds int) (FleetCell, error) {
+	col, names, err := benchCollector(nodes)
 	if err != nil {
 		return FleetCell{}, err
 	}
@@ -198,7 +196,6 @@ func measureFleet(nodes, targetsPerNode, shards, subscribers, warmup, rounds int
 	return FleetCell{
 		Nodes:           nodes,
 		TargetsPerNode:  targetsPerNode,
-		Shards:          shards,
 		Subscribers:     subscribers,
 		Rounds:          rounds,
 		RoundsPerSec:    1 / perRound,
@@ -214,7 +211,7 @@ func measureFleet(nodes, targetsPerNode, shards, subscribers, warmup, rounds int
 // node) are pre-encoded with full provenance stamps, so the metered loop is
 // feed → decode → commit with no encoding cost inside.
 func measureCodec(nodes, targetsPerNode, warmup, rounds int) (CodecReport, error) {
-	col, names, err := benchCollector(nodes, 2)
+	col, names, err := benchCollector(nodes)
 	if err != nil {
 		return CodecReport{}, err
 	}

@@ -89,7 +89,6 @@ func main() {
 		fleet        = flag.Bool("fleet", false, "meter the fleet collector (nodes × targets-per-node ingest + rollup) instead of the daemon pipeline")
 		fleetNodes   = flag.String("fleet-nodes", "10,100,1000", "comma-separated node counts for the fleet matrix")
 		fleetTargets = flag.Int("fleet-targets", 1000, "route keys per node frame in the fleet matrix")
-		fleetShards  = flag.Int("fleet-shards", 4, "rollup fan-out width of the fleet collector")
 		fleetRounds  = flag.Int("fleet-rounds", 25, "steady-state fleet rounds metered per cell")
 		fleetWarmup  = flag.Int("fleet-warmup", 20, "fleet warm-up rounds per cell (must outlast history ring growth)")
 		fleetSubs    = flag.String("fleet-subscribers", "0", "comma-separated fanout subscriber counts crossed with -fleet-nodes (0 allowed; fanout cost must stay sub-linear)")
@@ -128,12 +127,12 @@ func main() {
 		}
 		for _, nodes := range nodeScales {
 			for _, subscribers := range subScales {
-				cell, err := measureFleet(nodes, *fleetTargets, *fleetShards, subscribers, *fleetWarmup, *fleetRounds)
+				cell, err := measureFleet(nodes, *fleetTargets, subscribers, *fleetWarmup, *fleetRounds)
 				if err != nil {
 					fatalf("measure fleet nodes=%d targets/node=%d subscribers=%d: %v", nodes, *fleetTargets, subscribers, err)
 				}
-				fmt.Fprintf(os.Stderr, "nodes=%-5d targets/node=%-5d shards=%d subs=%-3d  %7.2f rounds/s  %7.1f ns/row  %10.1f allocs/round  %12.0f B/round  %8.1f ms p99  %8.1f MB/s ingest\n",
-					cell.Nodes, cell.TargetsPerNode, cell.Shards, cell.Subscribers, cell.RoundsPerSec, cell.NsPerTarget, cell.AllocsPerRound, cell.BytesPerRound, cell.RoundP99Seconds*1e3, cell.IngestMBPerSec)
+				fmt.Fprintf(os.Stderr, "nodes=%-5d targets/node=%-5d subs=%-3d  %7.2f rounds/s  %7.1f ns/row  %10.1f allocs/round  %12.0f B/round  %8.1f ms p99  %8.1f MB/s ingest\n",
+					cell.Nodes, cell.TargetsPerNode, cell.Subscribers, cell.RoundsPerSec, cell.NsPerTarget, cell.AllocsPerRound, cell.BytesPerRound, cell.RoundP99Seconds*1e3, cell.IngestMBPerSec)
 				report.FleetCells = append(report.FleetCells, cell)
 			}
 		}

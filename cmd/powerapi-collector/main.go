@@ -12,7 +12,7 @@
 //	                                    # Prometheus /metrics + JSON /api/v1
 //	powerapi-collector -nodes ... -debug-addr 127.0.0.1:6060
 //	                                    # net/http/pprof profiling surface
-//	powerapi-collector -nodes ... -interval 500ms -stale-after 5s -shards 8
+//	powerapi-collector -nodes ... -interval 500ms -stale-after 5s
 //	powerapi-collector -nodes ... -output-jsonl 127.0.0.1:5170
 //	                                    # push rounds + events as JSON lines
 //	                                    # (file:PATH appends to a file)
@@ -68,8 +68,6 @@ func run(args []string) error {
 		interval   = fs.Duration("interval", time.Second, "fleet rollup period")
 		duration   = fs.Duration("duration", 0, "stop after this long (0 runs until SIGINT/SIGTERM)")
 		staleAfter = fs.Duration("stale-after", 5*time.Second, "how long a node's last frame stays eligible for rollup before the node is skipped")
-		shardCount = fs.Int("shards", 4, "rollup fan-out width")
-		workers    = fs.Int("workers", 0, "ingest worker pool size (0 picks min(8, GOMAXPROCS))")
 		histCap    = fs.Int("history", 1024, "retained samples per fleet target for /api/v1/query (0 disables)")
 		selfRef    = fs.Float64("self-ref-watts", 65, "reference watts of one fully busy core for the collector's self-power row (0 disables)")
 		lagAfter   = fs.Duration("lag-after", 0, "health model: contribution age or ingest lag beyond which a node turns lagging (0 picks 2x interval)")
@@ -136,8 +134,6 @@ func run(args []string) error {
 
 	col, err := collector.New(collector.Config{
 		Nodes:           addrs,
-		Shards:          *shardCount,
-		Workers:         *workers,
 		Interval:        *interval,
 		StaleAfter:      *staleAfter,
 		LagAfter:        *lagAfter,
@@ -203,8 +199,8 @@ func run(args []string) error {
 		defer cancel()
 	}
 
-	fmt.Printf("Gathering %d node(s) every %v (%d shard(s), stale after %v)\n",
-		len(addrs), *interval, *shardCount, *staleAfter)
+	fmt.Printf("Gathering %d node(s) every %v (stale after %v)\n",
+		len(addrs), *interval, *staleAfter)
 
 	// The per-round summary consumes the same fanout every other subscriber
 	// uses; Conflate keeps a slow terminal from ever stalling the rollup.
@@ -242,8 +238,8 @@ func printFinalStats(col *collector.Collector) {
 	fmt.Printf("collector stopping: %d round(s), %d node(s), %d route key(s), last fleet total %.2f W\n",
 		stats.Rounds, len(stats.Nodes), stats.Keys, stats.TotalWatts)
 	for _, n := range stats.Nodes {
-		fmt.Printf("  node %-20s %-12s frames %-8d bytes %-10d reconnects %-4d decode errors %-4d dropped payloads %d\n",
-			n.Addr, "("+n.Name+")", n.Frames, n.Bytes, n.Reconnects, n.DecodeErrors, n.DroppedPayloads)
+		fmt.Printf("  node %-20s %-12s frames %-8d bytes %-10d reconnects %-4d decode errors %-4d seq gaps %d\n",
+			n.Addr, "("+n.Name+")", n.Frames, n.Bytes, n.Reconnects, n.DecodeErrors, n.SeqGaps)
 	}
 }
 

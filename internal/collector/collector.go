@@ -5,17 +5,18 @@
 // single daemon offers for its own pipeline.
 //
 // The design carries the single-host pipeline's hot-path discipline one level
-// up. Ingest is a bounded concurrent-gather pool (the telegraf input model):
-// one cheap reader goroutine per node link feeds a small per-node drop-oldest
-// payload ring, and a fixed pool of workers decodes payloads into each node's
-// retained contribution — route keys resolved to dense fleet-global slots
-// (core.KeySlots) so the steady state allocates nothing per frame. Rollup is sharded: S shard workers sweep their subset of nodes into
-// epoch-reset accumulators (core.SparseSet) and the driver merges them into a
-// pooled, refcounted FleetReport whose maps are cleared, never reallocated —
-// steady-state allocations per fleet round depend on the shard count, not on
-// how many nodes or targets the fleet carries. A slow or silent node never
-// stalls a round: its last contribution is used until it goes stale
-// (Config.StaleAfter), then it is skipped and accounted as such.
+// up. Ingest runs on each node link's own reader goroutine (the telegraf
+// input model): it decodes every message, in one reused buffer, into the
+// node's retained contribution — route keys resolved to dense fleet-global
+// slots by the collector's key table — so the steady state allocates nothing
+// per frame, and a collector that falls behind backs the link up until the
+// publisher sheds. Rollup is sharded, min(4, GOMAXPROCS) ways: the shards
+// sweep their subset of nodes into epoch-reset accumulators (core.SparseSet)
+// and the driver merges them into a pooled, refcounted FleetReport whose maps
+// are cleared, never reallocated — steady-state allocations per fleet round
+// do not depend on how many nodes or targets the fleet carries. A slow or
+// silent node never stalls a round: its last contribution is used until it
+// goes stale (Config.StaleAfter), then it is skipped and accounted as such.
 package collector
 
 import (
@@ -38,10 +39,6 @@ import (
 type Config struct {
 	// Nodes are the daemon fleet-publish addresses to gather from.
 	Nodes []string
-	// Shards is the rollup fan-out width (default 4).
-	Shards int
-	// Workers bounds the ingest worker pool (default min(8, GOMAXPROCS)).
-	Workers int
 	// Interval is the fleet round period. Zero disables the internal ticker;
 	// rounds then happen only when Rollup is called (tests, benches).
 	Interval time.Duration
@@ -72,12 +69,10 @@ type Config struct {
 	// HistoryCapacity is the per-target ring capacity of the fleet history
 	// store (history.DefaultCapacity when zero).
 	HistoryCapacity int
-	// TraceRing is the round-trace ring size (obs.DefaultTraceRing when zero).
-	TraceRing int
 	// SelfRefWatts is the reference power of one fully-busy core for the
 	// collector's own self-power meter; zero disables self metering.
 	SelfRefWatts float64
-	// Passive disables dialing entirely: node addresses name ingest queues an
+	// Passive disables dialing entirely: node addresses name nodes an
 	// embedding process feeds itself through FeedPayload (benchmarks, tests).
 	Passive bool
 	// Logger receives connection lifecycle events (slog.Default when nil).
@@ -103,9 +98,8 @@ type Collector struct {
 	nodes   []*nodeConn
 	byAddr  map[string]*nodeConn
 
-	notify chan *nodeConn // ingest work queue; a node appears at most once
-
-	// Rollup machinery: persistent shard workers plus the driver's reusable
+	// Rollup machinery: the shards (shard 0 swept by the driver, one
+	// persistent worker per further shard) plus the driver's reusable
 	// scratch, all sized once at start so a round allocates nothing here.
 	roundMu    sync.Mutex
 	shards     []*rollupShard
@@ -127,12 +121,6 @@ type Collector struct {
 // New starts a collector: node links begin dialing immediately, and with a
 // non-zero Interval fleet rounds begin ticking.
 func New(cfg Config) (*Collector, error) {
-	if cfg.Shards <= 0 {
-		cfg.Shards = 4
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = min(8, runtime.GOMAXPROCS(0))
-	}
 	if cfg.StaleAfter <= 0 {
 		cfg.StaleAfter = 5 * time.Second
 	}
@@ -142,14 +130,16 @@ func New(cfg Config) (*Collector, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
+	// One shard sweeps a small fleet fastest; a large one gains from a shard
+	// per CPU, up to 4.
+	shards := min(4, runtime.GOMAXPROCS(0))
 	c := &Collector{
 		cfg:       cfg,
 		log:       cfg.Logger,
-		tracer:    obs.NewTracer(cfg.TraceRing),
+		tracer:    obs.NewTracer(obs.DefaultTraceRing),
 		hist:      history.NewStore(cfg.HistoryCapacity),
 		byAddr:    make(map[string]*nodeConn),
-		notify:    make(chan *nodeConn, 8192),
-		shardDone: make(chan struct{}, cfg.Shards),
+		shardDone: make(chan struct{}, shards-1),
 		journal:   newJournal(cfg.JournalCapacity),
 		subs:      fanout.NewRegistry((*FleetReport).retain, (*FleetReport).Release, cfg.Logger),
 		e2eHist:   &obs.Histogram{},
@@ -160,15 +150,14 @@ func New(cfg Config) (*Collector, error) {
 	if cfg.SelfRefWatts > 0 {
 		c.self = obs.NewSelfMeter(cfg.SelfRefWatts, runtime.NumCPU())
 	}
-	for i := 0; i < cfg.Shards; i++ {
-		sh := &rollupShard{idx: i, wake: make(chan struct{}, 1)}
+	for i := range shards {
+		sh := &rollupShard{idx: i}
 		c.shards = append(c.shards, sh)
-		c.wg.Add(1)
-		go c.shardLoop(sh)
-	}
-	for i := 0; i < cfg.Workers; i++ {
-		c.wg.Add(1)
-		go c.worker()
+		if i > 0 {
+			sh.wake = make(chan struct{}, 1)
+			c.wg.Add(1)
+			go c.shardLoop(sh)
+		}
 	}
 	for _, addr := range cfg.Nodes {
 		if err := c.AddNode(addr); err != nil {
@@ -199,8 +188,8 @@ func (c *Collector) tickLoop() {
 
 // AddNode joins one daemon address to the gather set; its link dials (and
 // keeps redialing) in the background — unless the collector is passive, in
-// which case the node only names an ingest queue for FeedPayload. Adding an
-// address twice is an error.
+// which case the node is fed through FeedPayload. Adding an address twice is
+// an error.
 func (c *Collector) AddNode(addr string) error {
 	n := &nodeConn{addr: addr}
 	c.nodesMu.Lock()
@@ -281,14 +270,17 @@ type NodeStats struct {
 	// Frames counts accepted frame commits; Bytes counts wire bytes read.
 	Frames uint64 `json:"frames"`
 	Bytes  uint64 `json:"bytes"`
-	// DecodeErrors counts messages that failed to frame or decode;
-	// DroppedPayloads counts
-	// payloads shed by the node's drop-oldest ring; Reconnects counts link
-	// re-establishments; StaleSkips counts rounds that skipped the node.
-	DecodeErrors    uint64 `json:"decodeErrors"`
+	// DecodeErrors counts messages that failed to frame or decode.
+	DecodeErrors uint64 `json:"decodeErrors"`
+	// DroppedPayloads is always 0: the collector queues no payloads, and a
+	// link sheds in the publisher's per-connection queue instead.
+	//
+	// Deprecated: frames a link lost count in SeqGaps.
 	DroppedPayloads uint64 `json:"droppedPayloads"`
-	Reconnects      uint64 `json:"reconnects"`
-	StaleSkips      uint64 `json:"staleSkips"`
+	// Reconnects counts link re-establishments; StaleSkips counts rounds
+	// that skipped the node.
+	Reconnects uint64 `json:"reconnects"`
+	StaleSkips uint64 `json:"staleSkips"`
 	// State is the node's health classification as of the last round.
 	State string `json:"state"`
 	// LagSeconds/SkewSeconds are the provenance-derived link estimates (zero
@@ -387,7 +379,6 @@ func (c *Collector) Stats() Stats {
 		ns.Frames = n.frames.Load()
 		ns.Bytes = n.bytes.Load()
 		ns.DecodeErrors = n.decodeErrs.Load()
-		ns.DroppedPayloads = n.ring.dropped.Load()
 		ns.Reconnects = n.reconnects.Load()
 		ns.StaleSkips = n.staleSkips.Load()
 		s.Nodes = append(s.Nodes, ns)
@@ -395,8 +386,8 @@ func (c *Collector) Stats() Stats {
 	return s
 }
 
-// Close tears the collector down: links close, workers drain, subscriptions
-// close. Idempotent.
+// Close tears the collector down: links close, readers and shard workers
+// exit, subscriptions close. Idempotent.
 func (c *Collector) Close() error {
 	c.closeOnce.Do(func() {
 		close(c.done)

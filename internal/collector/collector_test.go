@@ -64,7 +64,7 @@ func TestFleetConservation(t *testing.T) {
 			defer pub.Close()
 			pubs[i], addrs[i] = pub, pub.Addr().String()
 		}
-		c, err := New(Config{Nodes: addrs, Shards: 2, StaleAfter: time.Minute})
+		c, err := New(Config{Nodes: addrs, StaleAfter: time.Minute})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,8 +369,8 @@ func TestSubscribeFanout(t *testing.T) {
 
 // TestPassiveFeed exercises the in-process feeding hooks the fleet bench is
 // built on: a passive collector dials nothing, FeedPayload pushes encoded wire
-// payloads through the real queue/worker/commit path, and NodeLastSeq is the
-// poll that tells the feeder its frames have landed.
+// payloads through the real decode/commit path, and NodeLastSeq tells the
+// feeder its frames have landed.
 func TestPassiveFeed(t *testing.T) {
 	// The subtest is named for the wire format the feed carries.
 	t.Run("binary", func(t *testing.T) {
@@ -473,7 +473,7 @@ func TestRollupAllocationFlat(t *testing.T) {
 	measure := func(nodes int) float64 {
 		// Small history capacity so the per-target rings fill during warm-up;
 		// their lazy growth is a warm-up cost, not steady state.
-		c, err := New(Config{Shards: 4, StaleAfter: time.Hour, HistoryCapacity: 8})
+		c, err := New(Config{StaleAfter: time.Hour, HistoryCapacity: 8})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,17 +7,19 @@ import (
 )
 
 // In-process feeding: with Config.Passive the collector dials nothing and the
-// embedding process plays the daemons itself, pushing encoded wire payloads
-// straight into the ingest queues. powerapi-bench drives its fleet-scale
-// cells through these hooks, so the metered path — pooled buffer, drop-oldest
-// ring, worker decode, seq-strict commit — is exactly the one a socket reader
-// feeds, minus the socket.
+// embedding process plays the daemons itself, handing encoded wire messages
+// to FeedPayload. powerapi-bench and perfbench drive their fleet cells through
+// these hooks, so the metered path — decode into the node's scratch, then the
+// seq-strict commit — is exactly the one a socket reader runs, minus the
+// socket.
 
-// FeedPayload hands one complete wire message (AppendBinaryBatch output,
-// header included) to node i's ingest queue exactly as the link reader would,
-// and counts the whole message in the node's Bytes as the reader does. The
-// payload is copied into a pooled buffer, so the caller may reuse msg
-// immediately. Nodes are indexed in Config.Nodes order.
+// FeedPayload decodes one complete wire message (AppendBinaryBatch output,
+// header included) into node i's contribution and commits it before it
+// returns, exactly as the link reader would, and counts the whole message in
+// the node's Bytes as the reader does. Concurrent feeders of one node take
+// turns; the caller may reuse msg as soon as the call returns. A payload that
+// fails to decode counts as a decode error, not as a returned error. Nodes
+// are indexed in Config.Nodes order.
 func (c *Collector) FeedPayload(node int, msg []byte) error {
 	n, err := c.nodeAt(node)
 	if err != nil {
@@ -28,15 +30,13 @@ func (c *Collector) FeedPayload(node int, msg []byte) error {
 		return fmt.Errorf("collector: feed node %d: %w", node, err)
 	}
 	n.bytes.Add(uint64(len(msg)))
-	pb := getBuf()
-	*pb = append(*pb, payload...)
-	c.enqueue(n, pb)
+	c.ingest(n, payload)
 	return nil
 }
 
-// NodeLastSeq returns node i's last committed frame sequence — the cheap poll
-// a feeder uses to wait for its payloads to land (Stats snapshots every node
-// and allocates; this does neither).
+// NodeLastSeq returns node i's last committed frame sequence — the cheap read
+// a feeder uses to check which of its payloads landed (Stats snapshots every
+// node and allocates; this does neither).
 func (c *Collector) NodeLastSeq(node int) uint64 {
 	n, err := c.nodeAt(node)
 	if err != nil {

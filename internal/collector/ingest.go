@@ -8,82 +8,21 @@ import (
 	"sync/atomic"
 	"time"
 
-	"powerapi/internal/core"
 	"powerapi/internal/obs"
 	"powerapi/internal/target"
 	"powerapi/internal/vmbridge"
 )
 
-// Ingest is the gather half of the collector: per-node reader goroutines that
-// do nothing but blocking socket reads, per-node drop-oldest payload rings
-// with pooled buffers, and a bounded worker pool that decodes payloads into
-// each node's retained contribution. The split keeps the expensive work (the
-// decode) on a fixed number of goroutines however many nodes are connected,
-// and the ring keeps one slow decode from backing a socket up: a node that
-// outpaces its drainage sheds whole payloads, oldest first — the same
-// load-shedding contract the VM bridge transports make.
-
-// payloadRingSize is the per-node ring depth. A node publishes one payload
-// per daemon round, so a backlog deeper than a few rounds means the workers
-// are saturated and older rounds are worthless anyway.
-const payloadRingSize = 4
-
-// bufPool recycles payload buffers across all node links. Buffers travel as
-// *[]byte end to end — pool to ring to worker and back — so returning one
-// re-uses its box instead of allocating a fresh one per payload (the classic
-// sync.Pool re-boxing leak, which would cost one heap allocation per node per
-// round and break the allocation-flat ingest claim).
-var bufPool = sync.Pool{New: func() any { return new([]byte) }}
-
-func getBuf() *[]byte  { return bufPool.Get().(*[]byte) }
-func putBuf(b *[]byte) { *b = (*b)[:0]; bufPool.Put(b) }
-
-// payloadRing is one node's pending-payload queue: push never blocks, evicting
-// the oldest payload (whose buffer the pusher recycles) when full.
-type payloadRing struct {
-	mu      sync.Mutex
-	items   [payloadRingSize]*[]byte
-	head, n int
-	dropped atomic.Uint64
-}
-
-// push enqueues a payload, returning the evicted oldest buffer (nil if none).
-//
-//powerapi:hotpath
-func (r *payloadRing) push(p *[]byte) (evicted *[]byte) {
-	r.mu.Lock()
-	if r.n == payloadRingSize {
-		evicted = r.items[r.head]
-		r.items[r.head] = nil
-		r.head = (r.head + 1) % payloadRingSize
-		r.n--
-		r.dropped.Add(1)
-	}
-	r.items[(r.head+r.n)%payloadRingSize] = p
-	r.n++
-	r.mu.Unlock()
-	return evicted
-}
-
-// pop dequeues the oldest pending payload, nil when none is pending.
-//
-//powerapi:hotpath
-func (r *payloadRing) pop() *[]byte {
-	r.mu.Lock()
-	if r.n == 0 {
-		r.mu.Unlock()
-		return nil
-	}
-	p := r.items[r.head]
-	r.items[r.head] = nil
-	r.head = (r.head + 1) % payloadRingSize
-	r.n--
-	r.mu.Unlock()
-	return p
-}
+// Ingest is the gather half of the collector: one goroutine per node link
+// reads each message into one reused buffer, decodes it into the node's
+// retained contribution and commits it before reading the next. A link sheds
+// load in one place, the publisher's per-connection drop-oldest queue: a
+// collector that falls behind stops reading, TCP backs the link up, and the
+// daemon drops its oldest unsent frames (ConnStats.DroppedBatches there,
+// SeqGaps here).
 
 // nodeConn is one gathered daemon link: the dial/read goroutine's state, the
-// ingest queue, and the node's retained contribution the rollup sweeps.
+// decode scratch, and the node's retained contribution the rollup sweeps.
 type nodeConn struct {
 	addr string
 
@@ -92,16 +31,13 @@ type nodeConn struct {
 	conn    net.Conn
 	retired bool
 
-	// Ingest queue.
-	ring   payloadRing
-	queued atomic.Bool
-
-	// Decode scratch, guarded by drainMu (one worker drains a node at a
-	// time). building ping-pongs with the retained slices at commit, so the
-	// steady state allocates neither. frameCB/rowCB are the decode callbacks,
-	// built once on the node's first payload and reused for every later
-	// message so the per-message ingest path stays allocation-free.
-	drainMu  sync.Mutex
+	// Decode scratch, guarded by ingestMu: one ingest per node at a time,
+	// whether from the link reader or from concurrent feeders of a passive
+	// node. building ping-pongs with the retained slices at commit, so the
+	// steady state allocates neither. frameCB/rowCB are the decode
+	// callbacks, built once on the node's first payload and reused for every
+	// later message so the per-message ingest path stays allocation-free.
+	ingestMu sync.Mutex
 	building rowBuf
 	pending  pendingFrame
 	frameCB  func(h vmbridge.FrameHeader) bool
@@ -252,74 +188,36 @@ func (c *Collector) nodeLoop(n *nodeConn) {
 	}
 }
 
-// readConn pumps one live connection's messages into the node's ring until
-// the link ends. Buffers come from the shared pool and return to it when
-// evicted or drained. A message that fails to frame (bad magic, over-limit
-// length) ends the link like link loss does, but counts as a decode error.
+// readConn decodes and commits one live connection's messages, in one
+// buffer reused across reads, until the link ends. A message that fails to
+// frame (bad magic, over-limit length) ends the link like link loss does, but
+// counts as a decode error.
 func (c *Collector) readConn(n *nodeConn, conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 64*1024)
+	var buf []byte
 	for {
-		pb := getBuf()
-		payload, err := vmbridge.ReadBinaryMessage(br, *pb)
+		payload, err := vmbridge.ReadBinaryMessage(br, buf[:0])
 		if err != nil {
-			putBuf(pb)
 			if !vmbridge.LinkLost(err) {
 				n.decodeErrs.Add(1)
 			}
 			return
 		}
-		*pb = payload // ReadBinaryMessage may have grown the backing array
+		buf = payload // ReadBinaryMessage may have grown the backing array
 		n.bytes.Add(uint64(len(payload)) + vmbridge.BinaryMessageHeader)
-		c.enqueue(n, pb)
+		c.ingest(n, payload)
 	}
 }
 
-// enqueue hands one payload to the worker pool, shedding the node's oldest
-// pending payload if its ring is full.
-//
-//powerapi:hotpath
-func (c *Collector) enqueue(n *nodeConn, pb *[]byte) {
-	if evicted := n.ring.push(pb); evicted != nil {
-		putBuf(evicted)
-	}
-	if n.queued.CompareAndSwap(false, true) {
-		select {
-		case c.notify <- n:
-		default:
-			// Queue saturated (cannot happen while nodes <= cap): unmark so
-			// the next payload retries rather than stranding the ring.
-			n.queued.Store(false)
-		}
-	}
-}
-
-// worker is one ingest worker: it drains whole node rings, decoding each
-// payload into the node's retained contribution.
-func (c *Collector) worker() {
-	defer c.wg.Done()
-	for {
-		select {
-		case <-c.done:
-			return
-		case n := <-c.notify:
-			n.queued.Store(false)
-			n.drainMu.Lock()
-			for pb := n.ring.pop(); pb != nil; pb = n.ring.pop() {
-				c.ingest(n, *pb)
-				putBuf(pb)
-			}
-			n.drainMu.Unlock()
-		}
-	}
-}
-
-// ingest decodes one payload and commits its frames. Caller holds n.drainMu.
-// The span is recorded against timestamp 0 — ingest happens between fleet
-// rounds, so it feeds the stage histogram without joining a round trace.
+// ingest decodes one payload and commits its frames under n.ingestMu. The
+// span is recorded against timestamp 0 — ingest happens between fleet rounds,
+// so it feeds the stage histogram without joining a round trace.
 func (c *Collector) ingest(n *nodeConn, payload []byte) {
+	n.ingestMu.Lock()
 	start := c.tracer.Now()
 	c.ingestBinary(n, payload)
 	c.tracer.Record(0, obs.StageIngest, 0, start, c.tracer.Now())
+	n.ingestMu.Unlock()
 }
 
 // ingestBinary folds a binary batch allocation-free: row keys resolve to
@@ -457,11 +355,13 @@ const maxSaneRowWatts = 1e9
 // with a parsed target per slot for history recording and a top-level flag
 // per slot for the conservation contract (only rows like "cgroup:x" — no
 // nested path — sum against the node total; "cgroup:x/y" double-counts its
-// parent by design). Reads take the shared lock and allocate nothing; only a
-// never-seen key takes the exclusive lock.
+// parent by design). Reads take the shared lock and allocate nothing: the
+// byte-keyed map probe does not copy its key. Only a never-seen key takes the
+// exclusive lock, and slots are assign-only.
 type keyTable struct {
 	mu       sync.RWMutex
-	ks       core.KeySlots
+	slots    map[string]int32
+	keys     []string
 	targets  []target.Target
 	topLevel []bool
 }
@@ -473,7 +373,7 @@ type keyTable struct {
 //powerapi:hotpath
 func (t *keyTable) slotBytesTop(key []byte) (int32, bool) {
 	t.mu.RLock()
-	s, ok := t.ks.LookupBytes(key)
+	s, ok := t.slots[string(key)]
 	if ok {
 		top := t.topLevel[s]
 		t.mu.RUnlock()
@@ -481,30 +381,32 @@ func (t *keyTable) slotBytesTop(key []byte) (int32, bool) {
 	}
 	t.mu.RUnlock()
 	//powerapi:allow hotpath miss path: a never-seen key interns once, every later round hits the byte-keyed lookup
-	s = t.assign(string(key))
-	return s, t.top(s)
+	return t.assign(key)
 }
 
-func (t *keyTable) top(slot int32) bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.topLevel[slot]
-}
-
-func (t *keyTable) assign(key string) int32 {
+// assign interns a key the shared-lock probe missed. The probe repeats under
+// the exclusive lock, since another link may have assigned the key between
+// the two locks.
+func (t *keyTable) assign(key []byte) (int32, bool) {
 	t.mu.Lock()
-	s := t.ks.Assign(key)
-	for len(t.targets) < t.ks.Len() {
-		k := t.ks.Key(int32(len(t.targets)))
-		tg, err := target.Parse(k)
-		if err != nil {
-			tg = target.Target{}
-		}
-		t.targets = append(t.targets, tg)
-		t.topLevel = append(t.topLevel, isTopLevelKey(k))
+	defer t.mu.Unlock()
+	if s, ok := t.slots[string(key)]; ok {
+		return s, t.topLevel[s]
 	}
-	t.mu.Unlock()
-	return s
+	if t.slots == nil {
+		t.slots = make(map[string]int32)
+	}
+	k := string(key)
+	s := int32(len(t.keys))
+	t.slots[k] = s
+	t.keys = append(t.keys, k)
+	tg, err := target.Parse(k)
+	if err != nil {
+		tg = target.Target{}
+	}
+	t.targets = append(t.targets, tg)
+	t.topLevel = append(t.topLevel, isTopLevelKey(k))
+	return s, t.topLevel[s]
 }
 
 // isTopLevelKey reports whether a route key names a top-level cgroup — the
@@ -524,5 +426,5 @@ func (t *keyTable) target(slot int32) target.Target {
 func (t *keyTable) len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.ks.Len()
+	return len(t.keys)
 }

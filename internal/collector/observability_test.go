@@ -350,7 +350,6 @@ func TestMixedStampFleetConservation(t *testing.T) {
 		Nodes:      []string{"bench://plain", "bench://stamped-a", "bench://stamped-b"},
 		Passive:    true,
 		StaleAfter: time.Hour,
-		Shards:     2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -12,13 +12,15 @@ import (
 	"powerapi/internal/target"
 )
 
-// Rollup is the fleet round: S persistent shard workers each sweep their
+// Rollup is the fleet round: min(4, GOMAXPROCS) shards each sweep their
 // subset of nodes — skipping contributions older than StaleAfter — into an
 // epoch-reset SparseSet plus flat scratch, and the driver merges the shards
-// into one pooled FleetReport. Everything a round touches is retained across
-// rounds (shard sets, scratch slices, report maps with warm buckets), so the
-// steady-state allocation count depends on the shard count alone: growing the
-// fleet from 10 nodes to 1000 changes the work per round, not the garbage.
+// into one pooled FleetReport. The driver sweeps shard 0 itself and wakes one
+// persistent worker per further shard, so on one CPU no worker exists.
+// Everything a round touches is retained across rounds (shard sets, scratch
+// slices, report maps with warm buckets), so the steady-state allocation
+// count depends on the shard count alone: growing the fleet from 10 nodes to
+// 1000 changes the work per round, not the garbage.
 
 // FleetReport is one fleet round's rollup. Reports delivered through Rollup
 // or a subscription are pooled: each holder owns one reference and must call
@@ -117,8 +119,9 @@ type nodeEntry struct {
 	watts float64
 }
 
-// rollupShard is one persistent rollup worker's state. Only its own goroutine
-// touches the accumulators; wake/done synchronise with the driver.
+// rollupShard is one shard's sweep state. Only the goroutine sweeping it (the
+// driver for shard 0, the shard's worker otherwise) touches the
+// accumulators; wake/done synchronise a worker with the driver.
 type rollupShard struct {
 	idx   int
 	wake  chan struct{}
@@ -185,10 +188,11 @@ func (c *Collector) Rollup() *FleetReport {
 	c.roundNodes = append(c.roundNodes[:0], c.nodes...)
 	c.nodesMu.Unlock()
 
-	for _, sh := range c.shards {
+	for _, sh := range c.shards[1:] {
 		sh.wake <- struct{}{}
 	}
-	for range c.shards {
+	c.runShard(c.shards[0])
+	for range c.shards[1:] {
 		<-c.shardDone
 	}
 
@@ -215,7 +219,7 @@ func (c *Collector) Rollup() *FleetReport {
 	}
 	c.keys.mu.RLock()
 	for _, slot := range c.merged.Touched() {
-		p.perTarget[c.keys.ks.Key(slot)] = c.merged.Value(slot)
+		p.perTarget[c.keys.keys[slot]] = c.merged.Value(slot)
 	}
 	c.keys.mu.RUnlock()
 	if c.self != nil {

@@ -3,6 +3,7 @@ package collector
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -154,4 +155,130 @@ func TestFleetSubscribeBackpressureMatrix(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestManySubscribersMixedPoliciesConservation is the fleet twin of the
+// daemon's acceptance test: 128 subscriptions cycling through the three
+// policies ride 100 rounds of a fed four-node fleet whose cgroup rows are
+// shared across nodes. Every subscriber ends on the last round, Block misses
+// nothing, every received round conserves, and every pooled report returns.
+func TestManySubscribersMixedPoliciesConservation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("128 subscribers x 100 rounds is too slow for -short")
+	}
+	const (
+		nodes       = 4
+		subscribers = 128
+		rounds      = 100
+	)
+	// rowWatts is node i's watts on one shared cgroup in round seq; the node
+	// total adds 10 W no cgroup claims.
+	rowWatts := func(key string, i int, seq uint64) float64 {
+		if key == "cgroup:web" {
+			return 1 + float64(i) + 0.01*float64(seq)
+		}
+		return 2 + 0.5*float64(i) + 0.02*float64(seq)
+	}
+	keys := []string{"cgroup:web", "cgroup:db"}
+	gets0, _, puts0 := fleetPool.Counters()
+	addrs := make([]string, nodes)
+	for i := range addrs {
+		addrs[i] = fmt.Sprintf("bench://n%d", i)
+	}
+	c, err := New(Config{Nodes: addrs, Passive: true, StaleAfter: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	subs := make([]*Subscription, subscribers)
+	received := make([][]uint64, subscribers)
+	failures := make([]string, subscribers)
+	var wg sync.WaitGroup
+	for s := range subs {
+		policy := []core.BackpressurePolicy{core.Block, core.Conflate, core.DropOldest}[s%3]
+		sub, err := c.Subscribe(SubscribeOptions{Name: fmt.Sprintf("sub-%d", s), Policy: policy, Buffer: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs[s] = sub
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := range sub.C() {
+				received[s] = append(received[s], rep.Seq)
+				if failures[s] == "" {
+					failures[s] = checkFedRound(rep, nodes, keys, rowWatts)
+				}
+				rep.Release()
+			}
+		}()
+	}
+
+	var buf []byte
+	for seq := uint64(1); seq <= rounds; seq++ {
+		for i := range nodes {
+			rows := make([]vmbridge.TargetRow, len(keys))
+			total := 10.0
+			for j, key := range keys {
+				rows[j] = vmbridge.TargetRow{Key: key, Watts: rowWatts(key, i, seq)}
+				total += rows[j].Watts
+			}
+			buf = vmbridge.AppendBinaryBatch(buf[:0], []vmbridge.VMPowerFrame{nodeFrame(fmt.Sprintf("node-%d", i), seq, total, rows)})
+			if err := c.FeedPayload(i, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.Rollup().Release()
+	}
+	c.Close()
+	wg.Wait()
+
+	for s, sub := range subs {
+		got := received[s]
+		if failures[s] != "" {
+			t.Fatalf("subscriber %d (%v): %s", s, sub.Policy(), failures[s])
+		}
+		if len(got) == 0 || got[len(got)-1] != rounds {
+			t.Fatalf("subscriber %d (%v) received rounds %v, want to end on %d", s, sub.Policy(), got, rounds)
+		}
+		if sub.Policy() == core.Block {
+			if len(got) != rounds || sub.Dropped() != 0 {
+				t.Fatalf("Block subscriber %d received %d of %d rounds (dropped %d)", s, len(got), rounds, sub.Dropped())
+			}
+			for k, seq := range got {
+				if seq != uint64(k+1) {
+					t.Fatalf("Block subscriber %d got round %d at position %d", s, seq, k)
+				}
+			}
+		}
+	}
+	gets, _, puts := fleetPool.Counters()
+	if out, out0 := int64(gets-puts), int64(gets0-puts0); out != out0 {
+		t.Fatalf("fleet pool outstanding %d after release, want %d as before the test", out, out0)
+	}
+}
+
+// checkFedRound verifies one received round against what every node was fed
+// for it: the total is the per-node sum, and each shared key sums its rows.
+func checkFedRound(rep *FleetReport, nodes int, keys []string, rowWatts func(string, int, uint64) float64) string {
+	if rep.Nodes != nodes {
+		return fmt.Sprintf("round %d rolled up %d nodes, want %d", rep.Seq, rep.Nodes, nodes)
+	}
+	var nodeSum float64
+	for _, w := range rep.PerNode {
+		nodeSum += w
+	}
+	if math.Abs(rep.TotalWatts-nodeSum) > 1e-6 {
+		return fmt.Sprintf("round %d: total %.9f W, per-node sum %.9f W", rep.Seq, rep.TotalWatts, nodeSum)
+	}
+	for _, key := range keys {
+		var want float64
+		for i := range nodes {
+			want += rowWatts(key, i, rep.Seq)
+		}
+		if got := rep.PerTarget[key]; math.Abs(got-want) > 1e-6 {
+			return fmt.Sprintf("round %d: %s = %.9f W, fed %.9f W", rep.Seq, key, got, want)
+		}
+	}
+	return ""
 }

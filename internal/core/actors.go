@@ -173,13 +173,15 @@ func (s *sensorShardBehavior) tick(ctx *actor.Context, req tickRequest) {
 			}
 		}
 	}
+	// Each stage records its span before handing the round on, so whoever
+	// the finished round wakes sees every span of it.
+	s.tracer.Record(req.Timestamp, obs.StageSensor, s.shard, traceStart, s.tracer.Now())
 	if delivered := ctx.Publish(s.topic, batch); delivered == 0 {
 		ctx.Publish(TopicErrors, PipelineError{
 			Stage: "sensor",
 			Err:   fmt.Errorf("core: sensor shard %d has no formula subscriber", s.shard),
 		})
 	}
-	s.tracer.Record(req.Timestamp, obs.StageSensor, s.shard, traceStart, s.tracer.Now())
 }
 
 // formulaShardBehavior converts one shard's batched sensor reports into a
@@ -274,11 +276,11 @@ func (f *formulaShardBehavior) estimateBatch(ctx *actor.Context, batch SensorRep
 		}
 		out.Estimates = append(out.Estimates, est)
 	}
-	ctx.Publish(TopicPowerEstimates, out)
 	// The sample batch is fully consumed: hand its slice back to the source
 	// pool so the next tick reuses the backing array.
 	source.PutTargetSlice(batch.Samples)
 	f.tracer.Record(batch.Timestamp, obs.StageFormula, batch.Shard, traceStart, f.tracer.Now())
+	ctx.Publish(TopicPowerEstimates, out)
 }
 
 // aggregatorBehavior merges the per-shard partial estimates of each sampling
@@ -381,11 +383,15 @@ func (a *aggregatorBehavior) Receive(ctx *actor.Context, msg actor.Message) {
 		}
 		putEstimateSlice(m.Estimates)
 		round.batches++
-		if round.batches >= m.NumShards {
+		done := round.batches >= m.NumShards
+		if done {
 			a.finish(ctx, m.Timestamp, round)
 		}
 		a.tracer.Record(m.Timestamp, obs.StageAggregate, m.Shard, traceStart, a.tracer.Now())
 		a.tracer.SetPendingRounds(len(a.pending))
+		if done {
+			a.publish(ctx, round)
+		}
 	default:
 		ctx.Publish(TopicErrors, PipelineError{
 			Stage: "aggregator",
@@ -573,6 +579,14 @@ func (a *aggregatorBehavior) finish(ctx *actor.Context, ts time.Duration, round 
 	// kept out of TotalWatts (the simulated machine's figure).
 	report.SelfWatts = a.self.Sample()
 	a.prevPIDs = len(report.PerPID)
+	delete(a.pending, ts)
+}
+
+// publish hands a finished round to the reports topic. Receive calls it only
+// after the round's last aggregate span and the pending-rounds gauge are
+// recorded, so a reader woken by the report sees both settled.
+func (a *aggregatorBehavior) publish(ctx *actor.Context, round *roundState) {
+	report := &round.buf.report
 	// The published copy carries the round's lease with one reference, owned
 	// by the reports topic's consumer (the facade's fanout releases it after
 	// delivering to every subscription). With no consumer the round strands
@@ -580,7 +594,6 @@ func (a *aggregatorBehavior) finish(ctx *actor.Context, ts time.Duration, round 
 	if delivered := ctx.Publish(TopicAggregatedReports, *report); delivered == 0 {
 		report.Release()
 	}
-	delete(a.pending, ts)
 	a.putRoundState(round)
 }
 

@@ -63,7 +63,6 @@ type options struct {
 	retention       int
 	historyEnabled  bool
 	historyCapacity int
-	traceRing       int
 	selfPower       bool
 	logger          *slog.Logger
 }
@@ -191,14 +190,6 @@ func WithFlushingReporter(name string, deliver func(AggregatedReport) error, flu
 	return func(o *options) {
 		o.extraReporters = append(o.extraReporters, namedReporter{name: name, deliver: deliver, flush: flush})
 	}
-}
-
-// WithTraceRing sets how many recent round traces the pipeline's tracer
-// retains for the debug surfaces (obs.DefaultTraceRing when n <= 0). Tracing
-// itself is always on — its record path is lock-free and allocation-free —
-// so this only sizes the /api/v1/debug/rounds window.
-func WithTraceRing(n int) Option {
-	return func(o *options) { o.traceRing = n }
 }
 
 // WithSelfPower enables self-power attribution: every report's SelfWatts is
@@ -425,7 +416,7 @@ func New(m *machine.Machine, powerModel *model.CPUPowerModel, opts ...Option) (a
 		monitored:      make(map[target.Target]bool),
 		members:        make(map[int]bool),
 		lastCollect:    m.Now(),
-		tracer:         obs.NewTracer(cfg.traceRing),
+		tracer:         obs.NewTracer(obs.DefaultTraceRing),
 		logger:         cfg.logger,
 	}
 	if api.logger == nil {

@@ -16,8 +16,8 @@ import (
 // clearing its backing arrays between rounds: an epoch stamp per slot tells
 // stale values from live ones, so reset is O(1) and only the slots actually
 // touched by a round are ever visited again. The aggregator merges shard
-// batches into one; the fleet collector reuses it (keyed by KeySlots slots) to
-// roll nodes up without per-round map churn.
+// batches into one; the fleet collector reuses it (keyed by its route-key
+// slots) to roll nodes up without per-round map churn.
 type SparseSet struct {
 	epoch   uint32
 	epochs  []uint32

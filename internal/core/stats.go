@@ -59,7 +59,7 @@ type MonitorStats struct {
 	// not-yet-compacted free slots).
 	SlotsLive     int `json:"slotsLive"`
 	SlotsCapacity int `json:"slotsCapacity"`
-	// TraceCapacity is the round-trace ring size (WithTraceRing).
+	// TraceCapacity is the round-trace ring size (obs.DefaultTraceRing).
 	TraceCapacity int                `json:"traceCapacity"`
 	Subscriptions []SubscriptionInfo `json:"subscriptions,omitempty"`
 	ReportPool    ReportPoolStats    `json:"reportPool"`

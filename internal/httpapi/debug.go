@@ -21,7 +21,12 @@ import (
 // instants relative to round begin, busy time, span count and the slowest
 // shard's attribution.
 func (s *Server) handleDebugRounds(w http.ResponseWriter, r *http.Request) {
-	tracer := s.mon.Tracer()
+	writeRounds(w, s.mon.Tracer())
+}
+
+// writeRounds writes one tracer's retained round timelines and its ring
+// capacity.
+func writeRounds(w http.ResponseWriter, tracer *obs.Tracer) {
 	writeJSON(w, map[string]any{
 		"capacity": tracer.Capacity(),
 		"rounds":   tracer.Rounds(),
@@ -109,25 +114,38 @@ func writeObsMetrics(b *strings.Builder, stats core.MonitorStats) {
 	b.WriteString("# TYPE powerapi_round_duration_quantile_seconds gauge\n")
 	writeQuantileSeries(b, "powerapi_round_duration_quantile_seconds", "", stats.Round)
 
-	if len(stats.Stages) > 0 {
-		b.WriteString("# HELP powerapi_stage_duration_seconds Latency of one pipeline stage span since startup.\n")
-		b.WriteString("# TYPE powerapi_stage_duration_seconds histogram\n")
-		for _, st := range stats.Stages {
-			writeHistogramSeries(b, "powerapi_stage_duration_seconds", fmt.Sprintf("stage=%q,", st.Stage), st)
-		}
-		b.WriteString("# HELP powerapi_stage_duration_quantile_seconds Per-stage latency quantiles since startup.\n")
-		b.WriteString("# TYPE powerapi_stage_duration_quantile_seconds gauge\n")
-		for _, st := range stats.Stages {
-			writeQuantileSeries(b, "powerapi_stage_duration_quantile_seconds", fmt.Sprintf("stage=%q,", st.Stage), st)
-		}
-	}
+	writeStageMetrics(b, "pipeline", stats.Stages)
+	writeSelfMetrics(b, "monitoring", stats.Self)
+}
 
-	if stats.Self.Enabled {
-		b.WriteString("# HELP powerapi_self_watts Power attributed to the monitoring process itself.\n")
-		b.WriteString("# TYPE powerapi_self_watts gauge\n")
-		fmt.Fprintf(b, "powerapi_self_watts %g\n", stats.Self.Watts)
-		b.WriteString("# HELP powerapi_self_cpu_seconds_total CPU time consumed by the monitoring process.\n")
-		b.WriteString("# TYPE powerapi_self_cpu_seconds_total counter\n")
-		fmt.Fprintf(b, "powerapi_self_cpu_seconds_total %g\n", stats.Self.CPUSeconds)
+// writeStageMetrics emits the per-stage latency histograms and quantiles;
+// owner names whose stages they are in the HELP text.
+func writeStageMetrics(b *strings.Builder, owner string, stages []obs.StageStats) {
+	if len(stages) == 0 {
+		return
 	}
+	fmt.Fprintf(b, "# HELP powerapi_stage_duration_seconds Latency of one %s stage span since startup.\n", owner)
+	b.WriteString("# TYPE powerapi_stage_duration_seconds histogram\n")
+	for _, st := range stages {
+		writeHistogramSeries(b, "powerapi_stage_duration_seconds", fmt.Sprintf("stage=%q,", st.Stage), st)
+	}
+	b.WriteString("# HELP powerapi_stage_duration_quantile_seconds Per-stage latency quantiles since startup.\n")
+	b.WriteString("# TYPE powerapi_stage_duration_quantile_seconds gauge\n")
+	for _, st := range stages {
+		writeQuantileSeries(b, "powerapi_stage_duration_quantile_seconds", fmt.Sprintf("stage=%q,", st.Stage), st)
+	}
+}
+
+// writeSelfMetrics emits the self-power families when self metering is on;
+// process names the metered process in the HELP text.
+func writeSelfMetrics(b *strings.Builder, process string, self core.SelfStats) {
+	if !self.Enabled {
+		return
+	}
+	fmt.Fprintf(b, "# HELP powerapi_self_watts Power attributed to the %s process itself.\n", process)
+	b.WriteString("# TYPE powerapi_self_watts gauge\n")
+	fmt.Fprintf(b, "powerapi_self_watts %g\n", self.Watts)
+	fmt.Fprintf(b, "# HELP powerapi_self_cpu_seconds_total CPU time consumed by the %s process.\n", process)
+	b.WriteString("# TYPE powerapi_self_cpu_seconds_total counter\n")
+	fmt.Fprintf(b, "powerapi_self_cpu_seconds_total %g\n", self.CPUSeconds)
 }

@@ -14,7 +14,6 @@ import (
 
 	"powerapi/internal/collector"
 	"powerapi/internal/core"
-	"powerapi/internal/history"
 )
 
 // FleetServer serves one fleet collector over HTTP — the cluster tier's
@@ -177,26 +176,8 @@ func (f *FleetServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	b.WriteString("# HELP powerapi_fleet_round_duration_quantile_seconds Fleet round-duration quantiles since startup.\n")
 	b.WriteString("# TYPE powerapi_fleet_round_duration_quantile_seconds gauge\n")
 	writeQuantileSeries(&b, "powerapi_fleet_round_duration_quantile_seconds", "", tracer.RoundStats())
-	if stages := tracer.StageStats(); len(stages) > 0 {
-		b.WriteString("# HELP powerapi_stage_duration_seconds Latency of one collector stage span since startup.\n")
-		b.WriteString("# TYPE powerapi_stage_duration_seconds histogram\n")
-		for _, st := range stages {
-			writeHistogramSeries(&b, "powerapi_stage_duration_seconds", fmt.Sprintf("stage=%q,", st.Stage), st)
-		}
-		b.WriteString("# HELP powerapi_stage_duration_quantile_seconds Per-stage latency quantiles since startup.\n")
-		b.WriteString("# TYPE powerapi_stage_duration_quantile_seconds gauge\n")
-		for _, st := range stages {
-			writeQuantileSeries(&b, "powerapi_stage_duration_quantile_seconds", fmt.Sprintf("stage=%q,", st.Stage), st)
-		}
-	}
-	if stats.Self.Enabled {
-		b.WriteString("# HELP powerapi_self_watts Power attributed to the collector process itself.\n")
-		b.WriteString("# TYPE powerapi_self_watts gauge\n")
-		fmt.Fprintf(&b, "powerapi_self_watts %g\n", stats.Self.Watts)
-		b.WriteString("# HELP powerapi_self_cpu_seconds_total CPU time consumed by the collector process.\n")
-		b.WriteString("# TYPE powerapi_self_cpu_seconds_total counter\n")
-		fmt.Fprintf(&b, "powerapi_self_cpu_seconds_total %g\n", stats.Self.CPUSeconds)
-	}
+	writeStageMetrics(&b, "collector", tracer.StageStats())
+	writeSelfMetrics(&b, "collector", stats.Self)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_, _ = w.Write([]byte(b.String()))
 }
@@ -233,9 +214,6 @@ func writeNodeLinkMetrics(b *strings.Builder, nodes []collector.NodeStats) {
 	b.WriteString("# HELP powerapi_node_link_decode_errors_total Messages from one node that failed to frame or decode.\n")
 	b.WriteString("# TYPE powerapi_node_link_decode_errors_total counter\n")
 	row("powerapi_node_link_decode_errors_total", func(n collector.NodeStats) string { return fmt.Sprintf("%d", n.DecodeErrors) })
-	b.WriteString("# HELP powerapi_node_link_dropped_payloads_total Payloads shed by one node's drop-oldest ingest ring.\n")
-	b.WriteString("# TYPE powerapi_node_link_dropped_payloads_total counter\n")
-	row("powerapi_node_link_dropped_payloads_total", func(n collector.NodeStats) string { return fmt.Sprintf("%d", n.DroppedPayloads) })
 	b.WriteString("# HELP powerapi_node_link_reconnects_total Times the gather link to one node was re-established.\n")
 	b.WriteString("# TYPE powerapi_node_link_reconnects_total counter\n")
 	row("powerapi_node_link_reconnects_total", func(n collector.NodeStats) string { return fmt.Sprintf("%d", n.Reconnects) })
@@ -397,45 +375,13 @@ func (f *FleetServer) handleNodes(w http.ResponseWriter, r *http.Request) {
 // daemon's query surface with node targets joining the kind set
 // (kind=node, target=node:NAME).
 func (f *FleetServer) handleQuery(w http.ResponseWriter, r *http.Request) {
-	q, err := parseQuery(r)
-	if err != nil {
-		jsonError(w, http.StatusBadRequest, err)
-		return
-	}
-	stats, err := f.col.Query(q)
-	switch {
-	case errors.Is(err, history.ErrDisabled):
-		jsonError(w, http.StatusServiceUnavailable, err)
-		return
-	case err != nil:
-		jsonError(w, http.StatusBadRequest, err)
-		return
-	}
-	rows := make([]queryStatsRow, 0, len(stats))
-	for _, st := range stats {
-		rows = append(rows, queryStatsRow{
-			Target:       st.Target.String(),
-			Kind:         st.Target.Kind.String(),
-			Samples:      st.Samples,
-			FirstSeconds: st.First.Seconds(),
-			LastSeconds:  st.Last.Seconds(),
-			AvgWatts:     st.AvgWatts,
-			MaxWatts:     st.MaxWatts,
-			P95Watts:     st.P95Watts,
-			LastWatts:    st.LastWatts,
-		})
-	}
-	writeJSON(w, map[string]any{"results": rows})
+	serveQuery(w, r, f.col.Query)
 }
 
 // handleDebugRounds serves the per-round stage timeline of the last fleet
 // rounds retained by the trace ring.
 func (f *FleetServer) handleDebugRounds(w http.ResponseWriter, r *http.Request) {
-	tracer := f.col.Tracer()
-	writeJSON(w, map[string]any{
-		"capacity": tracer.Capacity(),
-		"rounds":   tracer.Rounds(),
-	})
+	writeRounds(w, f.col.Tracer())
 }
 
 // handleDebugStats serves the collector's full observability snapshot.

@@ -282,12 +282,18 @@ type queryStatsRow struct {
 // "machine"), kind (repeatable: process|cgroup|machine), cgroup (subtree
 // path), minWatts.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	serveQuery(w, r, s.mon.Query)
+}
+
+// serveQuery parses one history query from the URL, runs it through the
+// tier's query call and writes the rows.
+func serveQuery(w http.ResponseWriter, r *http.Request, query func(history.Query) ([]history.Stats, error)) {
 	q, err := parseQuery(r)
 	if err != nil {
 		jsonError(w, http.StatusBadRequest, err)
 		return
 	}
-	stats, err := s.mon.Query(q)
+	stats, err := query(q)
 	switch {
 	case errors.Is(err, history.ErrDisabled):
 		jsonError(w, http.StatusServiceUnavailable, err)

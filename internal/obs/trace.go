@@ -142,8 +142,8 @@ type traceSlot struct {
 	spans   [NumStages]span
 }
 
-// DefaultTraceRing is the number of recent round traces retained when the
-// ring size is not configured.
+// DefaultTraceRing is the number of recent round traces the daemon and the
+// collector retain.
 const DefaultTraceRing = 64
 
 // Tracer owns the round-trace ring and the per-stage histograms. All record

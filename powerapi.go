@@ -403,10 +403,6 @@ func WithReportRetention(n int) MonitorOption { return core.WithReportRetention(
 // machine total — plus the HTTP /api/v1/query endpoint.
 func WithHistory(capacity int) MonitorOption { return core.WithHistory(capacity) }
 
-// WithTraceRing sizes the per-round trace ring backing Monitor.Tracer() and
-// the /api/v1/debug/rounds endpoint (default 64 rounds; 0 keeps the default).
-func WithTraceRing(rounds int) MonitorOption { return core.WithTraceRing(rounds) }
-
 // WithSelfPower meters the monitoring process itself: every report carries
 // the daemon's own consumption (SelfWatts, the powerapi-self row) computed
 // from the process's real CPU time scaled to the machine spec's TDP.
