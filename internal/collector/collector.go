@@ -386,11 +386,23 @@ func (c *Collector) Stats() Stats {
 	return s
 }
 
-// Close tears the collector down: links close, readers and shard workers
-// exit, subscriptions close. Idempotent.
+// Close tears the collector down: subscriptions close, links close, readers
+// and shard workers exit. A Rollup in flight finishes first; a Rollup after
+// Close still returns a round. Idempotent.
 func (c *Collector) Close() error {
 	c.closeOnce.Do(func() {
 		close(c.done)
+		// Closing the subscriptions first cancels a Block delivery a round is
+		// stuck in, so that round can release roundMu; a later round's
+		// Publish delivers nothing.
+		c.subs.CloseAll()
+		// Holding roundMu, no round is between its closed check and its last
+		// shard wake, and every later Rollup sees done closed.
+		c.roundMu.Lock()
+		for _, sh := range c.shards[1:] {
+			close(sh.wake)
+		}
+		c.roundMu.Unlock()
 		c.nodesMu.Lock()
 		nodes := append([]*nodeConn(nil), c.nodes...)
 		c.nodesMu.Unlock()
@@ -404,7 +416,6 @@ func (c *Collector) Close() error {
 		for _, o := range outs {
 			o.Close()
 		}
-		c.subs.CloseAll()
 	})
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"powerapi/internal/fanout"
 	"powerapi/internal/vmbridge"
 )
 
@@ -229,4 +230,84 @@ func pooledRoundAllocs(c *Collector, n int) (allocs uint64, rounds int) {
 		}
 	}
 	return allocs, rounds
+}
+
+// returnsWithin fails the test when f has not returned after 2 s; f keeps
+// running, so a hang surfaces as a failure instead of stalling the suite.
+func returnsWithin(t *testing.T, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatalf("%s did not return within 2 s", what)
+	}
+}
+
+// TestRollupAfterClose rolls a closed multi-shard collector up: the shard
+// workers are gone, so the round must sweep every shard itself and return.
+func TestRollupAfterClose(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	c, err := New(Config{Nodes: []string{"bench://a", "bench://b"}, Passive: true, StaleAfter: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedFrame(t, c, 0, nodeFrame("a", 1, 10, []vmbridge.TargetRow{{Key: "cgroup:web", Watts: 4}}))
+	feedFrame(t, c, 1, nodeFrame("b", 1, 20, []vmbridge.TargetRow{{Key: "cgroup:web", Watts: 5}}))
+	c.Close()
+	var rep *FleetReport
+	returnsWithin(t, "Rollup after Close", func() { rep = c.Rollup() })
+	defer rep.Release()
+	if rep.Nodes != 2 || rep.TotalWatts != 30 || rep.PerTarget["cgroup:web"] != 9 {
+		t.Fatalf("round after Close: %d nodes, %g W total, %g W web; want 2, 30, 9",
+			rep.Nodes, rep.TotalWatts, rep.PerTarget["cgroup:web"])
+	}
+}
+
+// TestCloseDuringTickedRollups closes collectors whose internal ticker rolls
+// up every 50 µs, so Close often lands while a round has woken its shard
+// workers: every Close must return.
+func TestCloseDuringTickedRollups(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for i := range 200 {
+		c, err := New(Config{Nodes: []string{"bench://a"}, Passive: true, StaleAfter: time.Hour, Interval: 50 * time.Microsecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(100 * time.Microsecond)
+		returnsWithin(t, fmt.Sprintf("Close %d", i+1), func() { c.Close() })
+	}
+}
+
+// TestCloseCancelsBlockedRollup closes the collector while a caller's Rollup
+// waits on a full Block subscription nobody reads. Close must cancel that
+// delivery before it waits for the round, so both calls return.
+func TestCloseCancelsBlockedRollup(t *testing.T) {
+	c, err := New(Config{Nodes: []string{"bench://a"}, Passive: true, StaleAfter: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := c.Subscribe(SubscribeOptions{Name: "stalled", Policy: fanout.Block, Buffer: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Rollup().Release() // fills the buffer; nobody reads it
+	rolled := make(chan struct{})
+	go func() {
+		defer close(rolled)
+		c.Rollup().Release()
+	}()
+	waitUntil(t, "the second round to start", func() bool { return c.seq.Load() == 2 })
+	// Give it time to block on the full channel; the test passes whichever
+	// comes first, but only this order exercises the cancelled delivery.
+	time.Sleep(20 * time.Millisecond)
+	returnsWithin(t, "Close", func() { c.Close() })
+	returnsWithin(t, "the blocked Rollup", func() { <-rolled })
+	for rep := range sub.C() {
+		rep.Release()
+	}
 }

@@ -120,8 +120,9 @@ type nodeEntry struct {
 }
 
 // rollupShard is one shard's sweep state. Only the goroutine sweeping it (the
-// driver for shard 0, the shard's worker otherwise) touches the
-// accumulators; wake/done synchronise a worker with the driver.
+// driver for shard 0 and, after Close, for every shard; the shard's worker
+// otherwise) touches the accumulators; wake and shardDone synchronise a
+// worker with the driver.
 type rollupShard struct {
 	idx   int
 	wake  chan struct{}
@@ -132,16 +133,13 @@ type rollupShard struct {
 	stale int
 }
 
+// shardLoop serves one shard's wakes until Close closes the wake channel, so
+// a round the driver started is always swept, even while Close runs.
 func (c *Collector) shardLoop(sh *rollupShard) {
 	defer c.wg.Done()
-	for {
-		select {
-		case <-c.done:
-			return
-		case <-sh.wake:
-			c.runShard(sh)
-			c.shardDone <- struct{}{}
-		}
+	for range sh.wake {
+		c.runShard(sh)
+		c.shardDone <- struct{}{}
 	}
 }
 
@@ -188,12 +186,20 @@ func (c *Collector) Rollup() *FleetReport {
 	c.roundNodes = append(c.roundNodes[:0], c.nodes...)
 	c.nodesMu.Unlock()
 
-	for _, sh := range c.shards[1:] {
-		sh.wake <- struct{}{}
-	}
-	c.runShard(c.shards[0])
-	for range c.shards[1:] {
-		<-c.shardDone
+	if c.closed() {
+		// Close has stopped the shard workers (it closes their wake channels
+		// under roundMu), so this round sweeps every shard itself.
+		for _, sh := range c.shards {
+			c.runShard(sh)
+		}
+	} else {
+		for _, sh := range c.shards[1:] {
+			sh.wake <- struct{}{}
+		}
+		c.runShard(c.shards[0])
+		for range c.shards[1:] {
+			<-c.shardDone
+		}
 	}
 
 	p := getPooledFleet()

@@ -28,11 +28,10 @@ type sensorShardBehavior struct {
 	sampleTimeout time.Duration
 	tracer        *obs.Tracer
 
-	// pidSlots/otherSlots remember the round slot (+1; 0 means none) the
-	// facade assigned to each attached target, so every tick can stamp the
+	// pidSlots remembers the round slot (+1; 0 means none) the facade
+	// assigned to each attached process, so every tick can stamp the
 	// source's samples without the facade on the hot path.
-	pidSlots   map[int]int32
-	otherSlots map[target.Target]int32
+	pidSlots map[int]int32
 }
 
 func newSensorShardBehavior(attr, total source.Source, shard, shards int, sampleTimeout time.Duration, tracer *obs.Tracer) *sensorShardBehavior {
@@ -45,7 +44,6 @@ func newSensorShardBehavior(attr, total source.Source, shard, shards int, sample
 		sampleTimeout: sampleTimeout,
 		tracer:        tracer,
 		pidSlots:      make(map[int]int32),
-		otherSlots:    make(map[target.Target]int32),
 	}
 }
 
@@ -75,11 +73,7 @@ func (s *sensorShardBehavior) attach(req attachRequest) error {
 		return fmt.Errorf("core: %w", err)
 	}
 	if req.Slot >= 0 {
-		if req.Target.Kind == target.KindProcess {
-			s.pidSlots[req.Target.PID] = req.Slot + 1
-		} else {
-			s.otherSlots[req.Target] = req.Slot + 1
-		}
+		s.pidSlots[req.Target.PID] = req.Slot + 1
 	}
 	return nil
 }
@@ -92,11 +86,7 @@ func (s *sensorShardBehavior) detach(t target.Target) error {
 	if err := dyn.Remove(t); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	if t.Kind == target.KindProcess {
-		delete(s.pidSlots, t.PID)
-	} else {
-		delete(s.otherSlots, t)
-	}
+	delete(s.pidSlots, t.PID)
 	return nil
 }
 
@@ -131,18 +121,14 @@ func (s *sensorShardBehavior) tick(ctx *actor.Context, req tickRequest) {
 	// count and hands the slice over (it never reuses it), so the batch can
 	// adopt it wholesale instead of reallocating and copying per tick.
 	batch.Samples = sample.Targets
-	// Stamp each sample with its round slot. A target the facade never
+	// Stamp each sample with its round slot. A process the facade never
 	// attached (a custom source emitting extra targets) has none: its sample
 	// is dropped and the batch compacted, which copies nothing while every
 	// sample has a slot.
 	kept := 0
 	for i := range batch.Samples {
 		ts := &batch.Samples[i]
-		if ts.Target.Kind == target.KindProcess {
-			ts.Slot = s.pidSlots[ts.Target.PID]
-		} else {
-			ts.Slot = s.otherSlots[ts.Target]
-		}
+		ts.Slot = s.pidSlots[ts.Target.PID]
 		if ts.Slot == 0 {
 			continue
 		}
@@ -329,11 +315,6 @@ type aggregatorBehavior struct {
 type roundState struct {
 	buf *pooledReport
 	set SparseSet
-	// cgroupDirect holds the estimates cgroup-scope sources produced for
-	// whole groups (path → watts). Kept apart from the rollup so the two
-	// cannot double-count each other. Never published; recycled with the
-	// round.
-	cgroupDirect map[string]float64
 	// claimed is the vmRollup's per-round duplicate-PID guard, recycled with
 	// the round.
 	claimed map[int]string
@@ -442,7 +423,6 @@ func (a *aggregatorBehavior) getRoundState() *roundState {
 // holders (or was released by the caller).
 func (a *aggregatorBehavior) putRoundState(round *roundState) {
 	round.buf = nil
-	clear(round.cgroupDirect)
 	clear(round.claimed)
 	round.batches = 0
 	round.measuredWatts, round.sumWeight, round.activeSum = 0, 0, 0
@@ -538,16 +518,7 @@ func (a *aggregatorBehavior) finish(ctx *actor.Context, ts time.Duration, round 
 					lost++
 					continue
 				}
-				t := targets[slot]
-				switch t.Kind {
-				case target.KindProcess:
-					report.PerPID[t.PID] += v
-				case target.KindCgroup:
-					if round.cgroupDirect == nil {
-						round.cgroupDirect = make(map[string]float64)
-					}
-					round.cgroupDirect[t.Path] += v
-				}
+				report.PerPID[targets[slot].PID] += v
 			}
 		})
 		if lost > 0 {
@@ -599,28 +570,19 @@ func (a *aggregatorBehavior) publish(ctx *actor.Context, round *roundState) {
 
 // rollup fills report.PerCgroup: every hierarchy group's power is the sum of
 // the per-PID estimates of its recursive members (read from view, the
-// hierarchy's membership snapshot; nil without a hierarchy), and every
-// direct estimate a cgroup-scope source produced is credited to its group
-// and all its ancestors. Each PID's watts are read from the single PerPID
+// hierarchy's membership snapshot; nil without a hierarchy, when there is
+// nothing to roll up). Each PID's watts are read from the single PerPID
 // entry, so a process reported both standalone and inside a group is counted
 // once in ActiveWatts and merely projected into the group view; nested
 // groups roll up to their parents by construction.
 func (a *aggregatorBehavior) rollup(round *roundState, view *cgroup.View) {
-	report := &round.buf.report
-	if view == nil && len(round.cgroupDirect) == 0 {
+	if view == nil {
 		return
 	}
+	report := &round.buf.report
 	perCgroup := ensureStringMap(round.buf.perCgroup, a.prevCgroups)
 	round.buf.perCgroup = perCgroup
-	if view != nil {
-		sumGroups(perCgroup, report.PerPID, view)
-	}
-	for path, watts := range round.cgroupDirect {
-		perCgroup[path] += watts
-		for _, anc := range cgroup.Ancestors(path) {
-			perCgroup[anc] += watts
-		}
-	}
+	sumGroups(perCgroup, report.PerPID, view)
 	if len(perCgroup) > 0 {
 		report.PerCgroup = perCgroup
 		a.prevCgroups = len(perCgroup)

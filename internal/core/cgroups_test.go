@@ -315,11 +315,11 @@ func TestCgroupDetachKeepsStandaloneProcesses(t *testing.T) {
 	}
 }
 
-// TestCgroupScopeSourceDirectEstimates runs the pipeline with a cgroup-scope
-// attribution source: whole groups are sampled as single units, their direct
-// estimates are normalized against the measured total and credited up the
-// hierarchy.
-func TestCgroupScopeSourceDirectEstimates(t *testing.T) {
+// TestCgroupRollupProcfsMode runs the procfs-mode pipeline over three
+// processes in web/api and db: the sensor samples the member processes, the
+// measured total is attributed across them, and the hierarchy rollup credits
+// each group and its ancestors with the sum of its members.
+func TestCgroupRollupProcfsMode(t *testing.T) {
 	m := newTestMachine(t)
 	h := cgroup.NewHierarchy()
 	pids := spawnLevels(t, m, 0.9, 0.5, 0.7)
@@ -328,22 +328,13 @@ func TestCgroupScopeSourceDirectEstimates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	api, err := New(m, testModel(),
-		WithSources(source.ModeProcfs),
-		WithSourceFactories(SourceFactories{
-			Attribution: func(int) (source.Source, error) { return source.NewCgroups(m, h) },
-		}),
-		WithCgroups(h),
-	)
+	api, err := New(m, testModel(), WithSources(source.ModeProcfs), WithCgroups(h))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(api.Shutdown)
 	if err := api.AttachTargets(target.Cgroup("web/api"), target.Cgroup("db")); err != nil {
 		t.Fatal(err)
-	}
-	if got := api.MonitoredTargets(); len(got) != 2 {
-		t.Fatalf("MonitoredTargets() = %v", got)
 	}
 	if _, err := m.Run(2 * time.Second); err != nil {
 		t.Fatal(err)
@@ -352,8 +343,8 @@ func TestCgroupScopeSourceDirectEstimates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.PerPID) != 0 {
-		t.Fatalf("cgroup-scope sensing should produce no per-PID rows: %v", r.PerPID)
+	if len(r.PerPID) != 3 {
+		t.Fatalf("PerPID = %v, want one row per member process", r.PerPID)
 	}
 	if r.MeasuredWatts <= 0 {
 		t.Fatal("procfs mode should measure a utilisation total")
@@ -362,7 +353,7 @@ func TestCgroupScopeSourceDirectEstimates(t *testing.T) {
 	if math.Abs(attached-r.MeasuredWatts) > 1e-6 {
 		t.Fatalf("attached groups %.9f != measured %.9f", attached, r.MeasuredWatts)
 	}
-	// The parent group is credited with its descendant's direct estimate.
+	// The parent group is the sum of its only child's members.
 	if math.Abs(r.PerCgroup["web"]-r.PerCgroup["web/api"]) > 1e-9 {
 		t.Fatalf("ancestor web %.9f != web/api %.9f", r.PerCgroup["web"], r.PerCgroup["web/api"])
 	}
@@ -370,17 +361,6 @@ func TestCgroupScopeSourceDirectEstimates(t *testing.T) {
 	if r.PerCgroup["web/api"] <= r.PerCgroup["db"] {
 		t.Fatalf("two-process web/api (%.2f W) should outdraw db (%.2f W)",
 			r.PerCgroup["web/api"], r.PerCgroup["db"])
-	}
-	// A group overlapping an already-monitored one (ancestor or descendant)
-	// would be sampled twice by a cgroup-scope source; the attach refuses.
-	if err := h.Create("web"); err != nil {
-		t.Fatal(err)
-	}
-	if err := api.AttachTargets(target.Cgroup("web")); err == nil {
-		t.Fatal("attaching an ancestor of a monitored group should fail")
-	}
-	if err := api.AttachTargets(target.Cgroup("web/api")); err == nil {
-		t.Fatal("attaching a monitored group twice should fail as an overlap")
 	}
 	if api.ErrorCount() != 0 {
 		t.Fatalf("pipeline errors: %v", api.LastError())

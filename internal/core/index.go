@@ -6,7 +6,7 @@ import (
 	"powerapi/internal/target"
 )
 
-// slotIndex assigns every attached target a small dense integer — its round
+// slotIndex assigns every attached process a small dense integer — its round
 // slot — at attach time. The hot path is keyed by these slots instead of by
 // target identity: sensor shards stamp each sample with its slot, and the
 // aggregator accumulates per-round watts into slice-backed sparse sets indexed
@@ -21,10 +21,9 @@ import (
 // shard attach, release after the shard detach); the aggregator only reads.
 type slotIndex struct {
 	mu sync.RWMutex
-	// pidSlots indexes process targets by raw PID (the common case — integer
-	// hashing, no string work); otherSlots carries cgroup/vm targets.
-	pidSlots   map[int]int32
-	otherSlots map[target.Target]int32
+	// pidSlots indexes the attached processes by raw PID: sensor shards
+	// sample processes only, so the PID is the whole key.
+	pidSlots map[int]int32
 	// targets[slot] is the owner of a slot. Entries of freed slots keep their
 	// last owner until reuse, so an in-flight round can still materialise a
 	// sample of a just-detached target instead of dropping its watts.
@@ -35,10 +34,7 @@ type slotIndex struct {
 }
 
 func newSlotIndex() *slotIndex {
-	return &slotIndex{
-		pidSlots:   make(map[int]int32),
-		otherSlots: make(map[target.Target]int32),
-	}
+	return &slotIndex{pidSlots: make(map[int]int32)}
 }
 
 // assign returns the slot of t, allocating one if the target has none, and
@@ -47,7 +43,7 @@ func newSlotIndex() *slotIndex {
 func (ix *slotIndex) assign(t target.Target) (int32, bool) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if slot, ok := ix.lookupLocked(t); ok {
+	if slot, ok := ix.pidSlots[t.PID]; ok {
 		return slot, true
 	}
 	var slot int32
@@ -62,11 +58,7 @@ func (ix *slotIndex) assign(t target.Target) (int32, bool) {
 	ix.targets[slot] = t
 	ix.used[slot] = true
 	ix.count++
-	if t.Kind == target.KindProcess {
-		ix.pidSlots[t.PID] = slot
-	} else {
-		ix.otherSlots[t] = slot
-	}
+	ix.pidSlots[t.PID] = slot
 	return slot, false
 }
 
@@ -75,15 +67,11 @@ func (ix *slotIndex) assign(t target.Target) (int32, bool) {
 func (ix *slotIndex) release(t target.Target) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	slot, ok := ix.lookupLocked(t)
+	slot, ok := ix.pidSlots[t.PID]
 	if !ok {
 		return
 	}
-	if t.Kind == target.KindProcess {
-		delete(ix.pidSlots, t.PID)
-	} else {
-		delete(ix.otherSlots, t)
-	}
+	delete(ix.pidSlots, t.PID)
 	ix.used[slot] = false
 	ix.count--
 	ix.free = append(ix.free, slot)
@@ -104,28 +92,6 @@ func (ix *slotIndex) release(t target.Target) {
 		}
 		ix.free = kept
 	}
-}
-
-// lookup returns the slot of t, or -1 when the target has none.
-//
-//powerapi:hotpath
-func (ix *slotIndex) lookup(t target.Target) int32 {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if slot, ok := ix.lookupLocked(t); ok {
-		return slot
-	}
-	return -1
-}
-
-//powerapi:hotpath
-func (ix *slotIndex) lookupLocked(t target.Target) (int32, bool) {
-	if t.Kind == target.KindProcess {
-		slot, ok := ix.pidSlots[t.PID]
-		return slot, ok
-	}
-	slot, ok := ix.otherSlots[t]
-	return slot, ok
 }
 
 // capacity returns the current slot-array length (live slots plus not-yet

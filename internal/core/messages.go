@@ -182,10 +182,8 @@ type AggregatedReport struct {
 	PerPID map[int]float64 `json:"perPid"`
 	// PerCgroup is the active power attributed to each control group, keyed
 	// by hierarchy path ("web", "web/api"). A group's power is the exact sum
-	// of its member processes (descendants included) plus any estimate a
-	// cgroup-scope source produced for it directly; nested groups roll up to
-	// their parents. Empty when no cgroup hierarchy is configured and no
-	// cgroup targets are monitored.
+	// of its member processes (descendants included); nested groups roll up
+	// to their parents. Empty when no cgroup hierarchy is configured.
 	PerCgroup map[string]float64 `json:"perCgroup,omitempty"`
 	// PerVM is the active power attributed to each defined virtual machine
 	// (WithVMs), keyed by VM name. A VM's power is the exact sum of the

@@ -296,7 +296,6 @@ type PowerAPI struct {
 	sources        []source.Source
 	hierarchy      *cgroup.Hierarchy
 	vms            map[string]VMDef
-	attrScope      source.Scope
 	flushes        []func() error
 	// tracer is the self-observability layer every stage stamps its spans
 	// into; it is always present (never nil). self attributes the meter's own
@@ -317,7 +316,8 @@ type PowerAPI struct {
 	drainWG sync.WaitGroup
 
 	// collectMu guards the per-round waiters Collect registers before
-	// broadcasting a tick; the fanout completes them ahead of subscriptions.
+	// broadcasting a tick; the fanout completes them once the round is
+	// published and its trace finished.
 	collectMu      sync.Mutex
 	collectWaiters map[time.Duration]chan AggregatedReport
 
@@ -508,11 +508,6 @@ func New(m *machine.Machine, powerModel *model.CPUPowerModel, opts ...Option) (a
 			return nil, fmt.Errorf("core: open %s source for shard %d: %w", attrSrc.Name(), i, err)
 		}
 		api.sources = append(api.sources, attrSrc)
-		if i == 0 {
-			// The shard pool is homogeneous (one factory), so shard 0 tells the
-			// facade whether attribution samples processes or whole cgroups.
-			api.attrScope = attrSrc.Scope()
-		}
 		var shardTotal source.Source
 		if i == 0 {
 			shardTotal = totalSrc
@@ -530,11 +525,6 @@ func New(m *machine.Machine, powerModel *model.CPUPowerModel, opts ...Option) (a
 	sensors, err := actor.NewRouter(actor.ConsistentHash, sensorRefs...)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
-	}
-	if len(vms) > 0 && api.attrScope == source.ScopeCgroup {
-		// The per-VM rollup sums per-process rows; a cgroup-scope attribution
-		// source produces none (it samples whole groups as single units).
-		return nil, errors.New("core: VM definitions require a process-scope attribution source")
 	}
 	// The aggregator keeps in-flight round state across restarts; reporters
 	// wrap externally supplied delivery functions. Both keep their instance
@@ -559,7 +549,7 @@ func New(m *machine.Machine, powerModel *model.CPUPowerModel, opts ...Option) (a
 	}
 	// The Reporter stage is the fanout: one actor consumes the aggregated
 	// reports topic and publishes every round to the subscription registry
-	// (after completing any waiter a synchronous Collect registered).
+	// (before completing any waiter a synchronous Collect registered).
 	reporterBhv := newReporterBehavior(api.fanout)
 	reporter, err := api.system.SpawnSupervised("reporter",
 		func() actor.Behavior { return reporterBhv }, 0, supervised("reporter"))
@@ -715,25 +705,26 @@ func sortedVMDefs(vms map[string]VMDef) []VMDef {
 	return out
 }
 
-// fanout runs on the Reporter actor goroutine: it completes the waiter of a
-// synchronous Collect (first, so a slow subscriber cannot delay the round's
-// own caller) and then publishes the report to every live subscription.
+// fanout runs on the Reporter actor goroutine: it publishes the report to
+// every live subscription, finishes the round's trace and only then completes
+// the waiter of a synchronous Collect, so the caller reads a finished round
+// (its span recorded, the round histogram counting it).
 func (p *PowerAPI) fanout(report AggregatedReport) {
 	traceStart := p.tracer.Now()
 	ts := report.Timestamp
-	p.collectMu.Lock()
-	if waiter, ok := p.collectWaiters[report.Timestamp]; ok {
-		delete(p.collectWaiters, report.Timestamp)
-		report.retain()  // the Collect caller's reference (released at its next Collect)
-		waiter <- report // buffered one deep; the fanout is the only sender
-	}
-	p.collectMu.Unlock()
 	p.subs.Publish(report) // each delivered channel send holds its own reference
-	report.Release()       // the aggregator's publishing reference
 	p.tracer.Record(ts, obs.StageFanout, 0, traceStart, p.tracer.Now())
 	// The fanout is the last synchronous stage: every consumer holds the
 	// round now, so this stamp is the round's end-to-end duration.
 	p.tracer.FinishRound(ts)
+	p.collectMu.Lock()
+	if waiter, ok := p.collectWaiters[ts]; ok {
+		delete(p.collectWaiters, ts)
+		report.retain()  // the Collect caller's reference (released at its next Collect)
+		waiter <- report // buffered one deep; the fanout is the only sender
+	}
+	p.collectMu.Unlock()
+	report.Release() // the aggregator's publishing reference
 }
 
 // recordError surfaces a failure through the pipeline's error counter and
@@ -906,11 +897,11 @@ func (p *PowerAPI) Attach(pids ...int) error {
 
 // AttachTargets starts monitoring the given targets. Process targets are
 // routed to their Sensor shard directly. Attaching a cgroup target (which
-// requires WithCgroups unless the attribution source itself has cgroup scope)
-// monitors the group's member processes, descendants included; membership is
-// re-synchronised on the first Collect after a membership change or a process
-// exit. The machine is always monitored through the pipeline's machine-scope
-// source, so machine targets are rejected.
+// requires WithCgroups) monitors the group's member processes, descendants
+// included; membership is re-synchronised on the first Collect after a
+// membership change or a process exit. The machine is always monitored
+// through the pipeline's machine-scope source, so machine targets are
+// rejected.
 func (p *PowerAPI) AttachTargets(targets ...target.Target) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -928,23 +919,6 @@ func (p *PowerAPI) AttachTargets(targets ...target.Target) error {
 			}
 			p.monitored[t] = true
 		case target.KindCgroup:
-			if p.attrScope == source.ScopeCgroup {
-				// The attribution source samples whole groups as single units,
-				// weighting each by its recursive members — so monitoring a
-				// group alongside one of its ancestors would count the nested
-				// members twice, once per unit. Reject the overlap instead of
-				// quietly skewing the attribution.
-				for other := range p.monitored {
-					if other.Kind == target.KindCgroup && cgroupPathsOverlap(other.Path, t.Path) {
-						return fmt.Errorf("core: cannot attach %v: it overlaps monitored %v (a cgroup-scope source would double-count the nested members)", t, other)
-					}
-				}
-				if err := p.askAttach(t); err != nil {
-					return err
-				}
-				p.monitored[t] = true
-				continue
-			}
 			if p.hierarchy == nil {
 				return fmt.Errorf("core: cannot attach %v: no cgroup hierarchy configured (WithCgroups)", t)
 			}
@@ -1064,12 +1038,6 @@ func (p *PowerAPI) DetachTargets(targets ...target.Target) error {
 				p.dropHistory(t)
 			}
 			delete(p.monitored, t)
-		case t.Kind == target.KindCgroup && p.attrScope == source.ScopeCgroup:
-			if err := p.askDetach(t); err != nil {
-				return err
-			}
-			delete(p.monitored, t)
-			p.dropHistory(t)
 		default:
 			delete(p.monitored, t)
 			if err := p.syncCgroupsLocked(); err != nil {
@@ -1135,9 +1103,6 @@ func (p *PowerAPI) syncCgroupsLocked() (err error) {
 	}
 	if p.hierarchy != nil {
 		p.hierarchy.Prune(alive)
-	}
-	if p.attrScope == source.ScopeCgroup {
-		return nil // a cgroup-scope source reads memberships live
 	}
 	desired := make(map[int]bool)
 	for t := range p.monitored {

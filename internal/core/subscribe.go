@@ -5,7 +5,6 @@ import (
 
 	"powerapi/internal/cgroup"
 	"powerapi/internal/fanout"
-	"powerapi/internal/source"
 	"powerapi/internal/target"
 )
 
@@ -243,11 +242,11 @@ func (s *projection) acceptVM(name string, watts float64) bool {
 // the pipeline by design. Subscribing is safe at any time, including while
 // rounds are in flight (delivery starts with the next round).
 func (p *PowerAPI) Subscribe(opts SubscribeOptions) (*Subscription, error) {
-	// A cgroup-subtree filter needs cgroup rows (or a hierarchy to resolve
-	// process membership) to ever match; on a pipeline with neither, the
-	// subscription would silently never deliver — reject it instead.
-	if opts.CgroupSubtree != "" && p.hierarchy == nil && p.attrScope != source.ScopeCgroup {
-		return nil, fmt.Errorf("core: subscription filters cgroup subtree %q but the monitor has no cgroup hierarchy (WithCgroups) and no cgroup-scope source", opts.CgroupSubtree)
+	// A cgroup-subtree filter needs a hierarchy to resolve process membership
+	// to ever match; on a pipeline without one, the subscription would
+	// silently never deliver — reject it instead.
+	if opts.CgroupSubtree != "" && p.hierarchy == nil {
+		return nil, fmt.Errorf("core: subscription filters cgroup subtree %q but the monitor has no cgroup hierarchy (WithCgroups)", opts.CgroupSubtree)
 	}
 	if opts.Every < 0 {
 		return nil, fmt.Errorf("core: subscription decimation must not be negative, got %d", opts.Every)

@@ -168,3 +168,57 @@ func TestTraceHistoryStageAppears(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// TestCollectReturnsFinishedRound stalls the fanout on a slow Block
+// subscriber: each round Collect returns must already be finished in the
+// tracer (its duration stamped, the round histogram counting it), because the
+// fanout hands the round to its caller last.
+func TestCollectReturnsFinishedRound(t *testing.T) {
+	m := newTestMachine(t)
+	api := newTestAPI(t, m)
+	pid := spawnLevels(t, m, 0.5)[0]
+	if err := api.Attach(pid); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := api.Subscribe(SubscribeOptions{Name: "slow", Policy: Block, Buffer: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		for report := range sub.C() {
+			time.Sleep(20 * time.Millisecond)
+			report.Release()
+		}
+	}()
+	defer func() {
+		sub.Close()
+		<-drained
+	}()
+	for i := 1; i <= 5; i++ {
+		if _, err := m.Run(m.Tick()); err != nil {
+			t.Fatal(err)
+		}
+		report, err := api.Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, round := range api.Tracer().Rounds() {
+			if round.TimestampSeconds != report.Timestamp.Seconds() {
+				continue
+			}
+			found = true
+			if round.DurationSeconds <= 0 {
+				t.Fatalf("round %d returned by Collect is unfinished in the tracer", i)
+			}
+		}
+		if !found {
+			t.Fatalf("round %d returned by Collect is missing from the tracer", i)
+		}
+		if got := api.Stats().Round.Count; got != uint64(i) {
+			t.Fatalf("round histogram counts %d rounds after Collect %d", got, i)
+		}
+	}
+}

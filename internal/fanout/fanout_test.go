@@ -239,3 +239,78 @@ func TestProjectionSkipsAndMaps(t *testing.T) {
 		}
 	}
 }
+
+// TestConcurrentPublishers publishes from several goroutines at once: the
+// Block subscriber receives every report exactly once, the DropOldest one
+// counts every report it evicted, and every reference comes back.
+func TestConcurrentPublishers(t *testing.T) {
+	const publishers, perPublisher = 4, 200
+	const total = publishers * perPublisher
+	l, reg := newLedger()
+	block, err := reg.Subscribe(Options{Policy: Block, Buffer: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lossy, err := reg.Subscribe(Options{Policy: DropOldest, Buffer: 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[int]int)
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		for v := range block.C() {
+			seen[v]++
+			l.add(v, -1)
+		}
+	}()
+	var wg sync.WaitGroup
+	for p := range publishers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range perPublisher {
+				reg.Publish(p*perPublisher + i + 1)
+			}
+		}()
+	}
+	wg.Wait()
+	block.Close()
+	<-drained
+	lossy.Close()
+	for v := range lossy.C() {
+		l.add(v, -1)
+	}
+	if len(seen) != total {
+		t.Fatalf("Block subscriber saw %d distinct reports, want %d", len(seen), total)
+	}
+	for v, n := range seen {
+		if n != 1 {
+			t.Fatalf("report %d delivered %d times to the Block subscriber", v, n)
+		}
+	}
+	if lossy.Delivered() != total || lossy.Dropped() != total-2 {
+		t.Fatalf("DropOldest delivered %d dropped %d, want %d/%d", lossy.Delivered(), lossy.Dropped(), total, total-2)
+	}
+	for v := 1; v <= total; v++ {
+		if l.held(v) != 0 {
+			t.Fatalf("report %d left with %d references", v, l.held(v))
+		}
+	}
+}
+
+// TestPublishAfterCloseAll checks that a closed registry refuses a report
+// outright: Publish returns ErrClosed and takes no reference.
+func TestPublishAfterCloseAll(t *testing.T) {
+	l, reg := newLedger()
+	if err := reg.Publish(1); err != nil {
+		t.Fatalf("Publish on an open registry: %v", err)
+	}
+	reg.CloseAll()
+	if err := reg.Publish(2); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Publish after CloseAll: %v, want ErrClosed", err)
+	}
+	if l.held(2) != 0 {
+		t.Fatalf("report published after CloseAll holds %d references, want 0", l.held(2))
+	}
+}

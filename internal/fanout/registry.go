@@ -53,7 +53,8 @@ func (p Policy) Valid() bool {
 // subscriptions that leave Options.Buffer zero.
 const DefaultBuffer = 16
 
-// ErrClosed is returned by Subscribe once the registry has been closed.
+// ErrClosed is returned by Subscribe and Publish once the registry has been
+// closed.
 var ErrClosed = errors.New("fanout: registry closed")
 
 // Options shapes one subscription's delivery.
@@ -198,9 +199,9 @@ func (s *Subscription[R]) send(report R) (sent bool, evicted R, dropped bool) {
 	return true, evicted, dropped
 }
 
-// Registry is a set of live subscriptions that one publisher fans reports
-// out to. Subscribe and Close may run on any goroutine, concurrently with a
-// publish.
+// Registry is a set of live subscriptions that publishers fan reports out
+// to. Publish, Subscribe and Close may run on any goroutine, concurrently
+// with a publish.
 type Registry[R any] struct {
 	// retain and release add and drop one holder of a report; the registry
 	// calls them for each reference it places into, or takes out of, a
@@ -213,9 +214,11 @@ type Registry[R any] struct {
 	subs   map[uint64]*Subscription[R]
 	closed bool
 
-	// snap is Publish's reusable snapshot. Only the publishing goroutine
-	// touches it.
-	snap []*Subscription[R]
+	// pubMu makes concurrent publishers take turns, so each subscription
+	// still has one sender at a time. snap is Publish's reusable snapshot,
+	// touched only under pubMu.
+	pubMu sync.Mutex
+	snap  []*Subscription[R]
 }
 
 // NewRegistry returns an empty registry. retain and release manage the
@@ -286,11 +289,18 @@ func (r *Registry[R]) remove(id uint64) {
 }
 
 // Publish fans one report out to every live subscription; the caller keeps
-// its own reference. Only one goroutine may publish at a time. The snapshot
-// keeps Subscribe and Close concurrent with a publish race-free: a
-// subscription added mid-publish starts with the next report.
-func (r *Registry[R]) Publish(report R) {
+// its own reference. It is safe for concurrent use: publishers take turns.
+// The snapshot keeps Subscribe and Close concurrent with a publish
+// race-free: a subscription added mid-publish starts with the next report.
+// After CloseAll, Publish delivers nothing and returns ErrClosed.
+func (r *Registry[R]) Publish(report R) error {
+	r.pubMu.Lock()
+	defer r.pubMu.Unlock()
 	r.mu.RLock()
+	if r.closed {
+		r.mu.RUnlock()
+		return ErrClosed
+	}
 	snapshot := r.snap[:0]
 	for _, s := range r.subs {
 		snapshot = append(snapshot, s)
@@ -301,6 +311,7 @@ func (r *Registry[R]) Publish(report R) {
 		s.offer(report)
 		snapshot[i] = nil // no stale *Subscription pins past the round
 	}
+	return nil
 }
 
 // Len returns the number of live subscriptions.

@@ -11,8 +11,8 @@ import (
 // This file exposes the VM-bridge transports of a daemon on its /metrics
 // exposition: per-publisher sent and dropped-connection counters, and
 // per-connection sent/dropped counters of every registered publisher (one row
-// per downstream collector or guest, labelled by remote address), plus
-// decode-error/drop counters of every registered receiver. Every
+// per downstream collector or guest, labelled by remote address), plus the
+// decode-error counter of every registered receiver. Every
 // link speaks the one binary frame; the codec="binary" label stays so that
 // the families keep their label sets. Registration is explicit — the daemon wires in the
 // transports it actually opened — so a daemon without bridges pays nothing.
@@ -47,8 +47,8 @@ func (s *Server) RegisterBridgePublisher(name string, p *vmbridge.TCPPublisher) 
 	s.bridges.mu.Unlock()
 }
 
-// RegisterBridgeReceiver adds one TCP receiver's decode-error and drop
-// counters to the /metrics exposition under the given name.
+// RegisterBridgeReceiver adds one TCP receiver's decode-error counter to the
+// /metrics exposition under the given name.
 func (s *Server) RegisterBridgeReceiver(name string, r *vmbridge.TCPReceiver) {
 	if r == nil {
 		return
@@ -104,12 +104,6 @@ func (bs *bridgeSet) writeBridgeMetrics(b *strings.Builder) {
 		for _, nr := range receivers {
 			fmt.Fprintf(b, "powerapi_bridge_decode_errors_total{receiver=\"%s\",codec=\"binary\"} %d\n",
 				escapeLabel(nr.name), nr.recv.DecodeErrors())
-		}
-		b.WriteString("# HELP powerapi_bridge_receiver_dropped_frames_total Decoded frames one bridge receiver's buffer evicted unread.\n")
-		b.WriteString("# TYPE powerapi_bridge_receiver_dropped_frames_total counter\n")
-		for _, nr := range receivers {
-			fmt.Fprintf(b, "powerapi_bridge_receiver_dropped_frames_total{receiver=\"%s\",codec=\"binary\"} %d\n",
-				escapeLabel(nr.name), nr.recv.DroppedFrames())
 		}
 	}
 }

@@ -317,7 +317,6 @@ func TestBridgeMetricsRegistration(t *testing.T) {
 		`powerapi_bridge_published_frames_total{publisher="fleet-publish"} 1`,
 		`powerapi_bridge_conn_dropped_batches_total{publisher="fleet-publish",remote=`,
 		`powerapi_bridge_decode_errors_total{receiver="guest-power",codec="binary"} 0`,
-		`powerapi_bridge_receiver_dropped_frames_total{receiver="guest-power",codec="binary"}`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %q in:\n%s", want, body)

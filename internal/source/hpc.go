@@ -48,9 +48,6 @@ func NewHPC(m *machine.Machine, events []hpc.Event) (*HPC, error) {
 // Name implements Source.
 func (s *HPC) Name() string { return "hpc" }
 
-// Scope implements Source.
-func (s *HPC) Scope() Scope { return ScopeProcess }
-
 // Open implements Source.
 func (s *HPC) Open(targets []target.Target) error {
 	for _, t := range targets {

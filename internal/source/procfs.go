@@ -32,9 +32,6 @@ func NewProcfs(m *machine.Machine) (*Procfs, error) {
 // Name implements Source.
 func (s *Procfs) Name() string { return "procfs" }
 
-// Scope implements Source.
-func (s *Procfs) Scope() Scope { return ScopeProcess }
-
 // Open implements Source.
 func (s *Procfs) Open(targets []target.Target) error {
 	for _, t := range targets {
@@ -143,9 +140,6 @@ func NewUtilizationTotal(m *machine.Machine) (*UtilizationTotal, error) {
 
 // Name implements Source.
 func (s *UtilizationTotal) Name() string { return "util" }
-
-// Scope implements Source.
-func (s *UtilizationTotal) Scope() Scope { return ScopeMachine }
 
 // totalCPUTime sums the cumulative CPU time of every process the machine has
 // ever run (exited ones keep their tally, like /proc accounting until reap).

@@ -69,9 +69,6 @@ func NewMachineRAPL(m *machine.Machine, domains ...rapl.Domain) (*RAPL, error) {
 // Name implements Source.
 func (s *RAPL) Name() string { return "rapl" }
 
-// Scope implements Source.
-func (s *RAPL) Scope() Scope { return ScopeMachine }
-
 // Domains returns the RAPL domains the source integrates.
 func (s *RAPL) Domains() []rapl.Domain { return append([]rapl.Domain(nil), s.domains...) }
 

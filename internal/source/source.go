@@ -9,13 +9,13 @@
 //	        unavailable (containers, locked-down perf_event_paranoid);
 //	util    a coarse machine-level power proxy from /proc/stat utilisation.
 //
-// Sources come in three scopes. Process-scope sources sample every attached
-// process target and yield either counter deltas or attribution weights;
-// cgroup-scope sources do the same for whole control groups; machine-scope
-// sources yield one measured machine power. A sensing Mode pairs an
-// attribution scope with a machine scope — e.g. ModeBlended attributes the
-// RAPL package total across targets keyed by their counter activity, the
-// Kepler-style split.
+// Sources play one of two roles. An attribution source samples every attached
+// process and yields either counter deltas or attribution weights; a cgroup's
+// or a VM's power is always the sum of its member processes' estimates. A
+// machine-total source yields one measured machine power. A sensing Mode
+// pairs an attribution source with a machine-total source — e.g. ModeBlended
+// attributes the RAPL package total across processes keyed by their counter
+// activity, the Kepler-style split.
 package source
 
 import (
@@ -28,41 +28,13 @@ import (
 	"powerapi/internal/target"
 )
 
-// Scope classifies what a source measures.
-type Scope int
-
-// Source scopes.
-const (
-	// ScopeProcess marks sources that sample each attached process target.
-	ScopeProcess Scope = iota + 1
-	// ScopeMachine marks sources that measure one machine-level power.
-	ScopeMachine
-	// ScopeCgroup marks sources that sample each attached cgroup target as
-	// one unit (container-level sensing without per-PID detail).
-	ScopeCgroup
-)
-
-// String implements fmt.Stringer.
-func (s Scope) String() string {
-	switch s {
-	case ScopeProcess:
-		return "process"
-	case ScopeMachine:
-		return "machine"
-	case ScopeCgroup:
-		return "cgroup"
-	default:
-		return fmt.Sprintf("Scope(%d)", int(s))
-	}
-}
-
-// TargetSample is one attached target within a Sample.
+// TargetSample is one attached process within a Sample.
 type TargetSample struct {
-	// Target identifies the monitored target (process or cgroup).
+	// Target identifies the monitored process.
 	Target target.Target `json:"target"`
-	// Slot is the dense round-slot index the pipeline assigned to the target
+	// Slot is the dense round-slot index the pipeline assigned to the process
 	// at attach time, encoded as slot+1 so the zero value means "no slot"
-	// (the sensor shard stamps it, and drops a sample of a target it never
+	// (the sensor shard stamps it, and drops a sample of a process it never
 	// attached). It lets the aggregator accumulate into slice-backed sparse
 	// sets instead of rebuilding maps every round. Sources leave it alone.
 	Slot int32 `json:"-"`
@@ -114,10 +86,10 @@ type Sample struct {
 	// elapsed since the previous sample (a zero-length window has no
 	// well-defined power).
 	HasMeasured bool
-	// Targets holds one entry per attached target (process- and
-	// cgroup-scope sources). The slice is handed over to the caller: the
-	// source must not reuse it for a later Sample, because the pipeline
-	// ships it downstream as part of an in-flight message.
+	// Targets holds one entry per attached process (attribution sources).
+	// The slice is handed over to the caller: the source must not reuse it
+	// for a later Sample, because the pipeline ships it downstream as part of
+	// an in-flight message.
 	Targets []TargetSample
 }
 
@@ -126,9 +98,6 @@ type Sample struct {
 type Source interface {
 	// Name identifies the backend ("hpc", "rapl", "procfs", …).
 	Name() string
-	// Scope reports whether the source samples processes, cgroups or the
-	// machine.
-	Scope() Scope
 	// Open prepares the source for the given monitoring targets
 	// (machine-scope sources ignore them).
 	Open(targets []target.Target) error
@@ -140,16 +109,15 @@ type Source interface {
 	Close() error
 }
 
-// Dynamic is implemented by attribution sources whose target set can change
+// Dynamic is implemented by attribution sources whose process set can change
 // after Open, which is how the pipeline serves attach/detach without
-// reopening the backend.
+// reopening the backend. The pipeline only ever adds process targets.
 type Dynamic interface {
 	Source
-	// Add starts sampling a target. Adding a target twice is idempotent.
-	// Sources reject targets outside their scope (a process-scope source
-	// cannot sample a cgroup as one unit).
+	// Add starts sampling a process. Adding a process twice is idempotent;
+	// any other kind of target is rejected.
 	Add(t target.Target) error
-	// Remove stops sampling a target; removing an unknown target fails.
+	// Remove stops sampling a process; removing an unknown target fails.
 	Remove(t target.Target) error
 }
 

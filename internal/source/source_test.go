@@ -68,7 +68,7 @@ func TestHPCSourceReadsCounterDeltas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src.Name() != "hpc" || src.Scope() != ScopeProcess {
+	if src.Name() != "hpc" {
 		t.Fatal("hpc source identity broken")
 	}
 	if err := src.Open([]target.Target{target.Process(pid)}); err != nil {
@@ -144,7 +144,7 @@ func TestProcfsSourceWeighsByCPUTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src.Name() != "procfs" || src.Scope() != ScopeProcess {
+	if src.Name() != "procfs" {
 		t.Fatal("procfs source identity broken")
 	}
 	if err := src.Open([]target.Target{target.Process(heavy), target.Process(light)}); err != nil {
@@ -186,9 +186,6 @@ func TestUtilizationTotalTracksLoad(t *testing.T) {
 	src, err := NewUtilizationTotal(m)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if src.Scope() != ScopeMachine {
-		t.Fatal("util source must be machine scope")
 	}
 	if err := src.Open(nil); err != nil {
 		t.Fatal(err)
@@ -237,7 +234,7 @@ func TestRAPLSourceMeasuresPackagePower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src.Name() != "rapl" || src.Scope() != ScopeMachine {
+	if src.Name() != "rapl" {
 		t.Fatal("rapl source identity broken")
 	}
 	if err := src.Open(nil); err != nil {

@@ -144,10 +144,6 @@ func NewDelegatedSource(recv Receiver, vm string, opts ...DelegatedOption) (*Del
 // Name implements source.Source.
 func (s *DelegatedSource) Name() string { return "delegated" }
 
-// Scope implements source.Source: the delegated figure is the guest machine's
-// power.
-func (s *DelegatedSource) Scope() source.Scope { return source.ScopeMachine }
-
 // VMName returns the VM whose frames the source consumes.
 func (s *DelegatedSource) VMName() string { return s.vm }
 

@@ -11,18 +11,22 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"powerapi/internal/fanout"
 )
 
 // TCPPublisher is the wire transport of the bridge, the virtio-serial
 // stand-in: it listens on a TCP address and streams every published frame to
 // every connected receiver as one binary message (AppendBinaryBatch).
 // Connections are broadcast fan-out — a guest dialing in receives every VM's
-// row and reads its own (DelegatedSource does). A slow connection sheds
-// frames drop-oldest and a dead one is dropped on write failure; neither
-// backpressures the host pipeline.
+// row and reads its own (DelegatedSource does). Each connection is a
+// drop-oldest subscription of the publisher's fanout: a slow connection sheds
+// frames there, the one place a bridge link sheds, and a dead one is dropped
+// on write failure; neither backpressures the host pipeline.
 type TCPPublisher struct {
-	ln net.Listener
-	wg sync.WaitGroup
+	ln   net.Listener
+	subs *fanout.Registry[VMPowerFrame]
+	wg   sync.WaitGroup
 
 	mu     sync.Mutex
 	conns  map[uint64]*tcpConn
@@ -36,8 +40,8 @@ type TCPPublisher struct {
 type tcpConn struct {
 	conn   net.Conn
 	remote string
-	frames *frameChan    // frames pending for this connection, drop-oldest
-	sent   atomic.Uint64 // frames written to the wire
+	frames *fanout.Subscription[VMPowerFrame] // frames pending for this connection, drop-oldest
+	sent   atomic.Uint64                      // frames written to the wire
 }
 
 // ConnStats is the observable state of one live publisher connection, the
@@ -62,7 +66,7 @@ func ListenTCP(addr string) (*TCPPublisher, error) {
 	if err != nil {
 		return nil, fmt.Errorf("vmbridge: listen on %s: %w", addr, err)
 	}
-	p := &TCPPublisher{ln: ln, conns: make(map[uint64]*tcpConn)}
+	p := &TCPPublisher{ln: ln, subs: newFrameRegistry(), conns: make(map[uint64]*tcpConn)}
 	p.wg.Add(1)
 	go p.acceptLoop()
 	return p, nil
@@ -87,7 +91,7 @@ func (p *TCPPublisher) ConnStats() []ConnStats {
 			Remote:         c.remote,
 			WireVersion:    BinaryVersionProvenance,
 			SentFrames:     c.sent.Load(),
-			DroppedBatches: c.frames.evicted.Load(),
+			DroppedBatches: c.frames.Dropped(),
 		})
 	}
 	p.mu.Unlock()
@@ -111,13 +115,16 @@ func (p *TCPPublisher) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		c := &tcpConn{conn: conn, remote: conn.RemoteAddr().String(), frames: newFrameChan()}
+		c := &tcpConn{conn: conn, remote: conn.RemoteAddr().String()}
 		p.mu.Lock()
 		if p.closed {
 			p.mu.Unlock()
 			conn.Close()
 			return
 		}
+		// Close marks the publisher closed before it closes the registry, so
+		// an open publisher's registry accepts the subscription.
+		c.frames, _ = p.subs.Subscribe(frameQueue(c.remote), nil)
 		p.nextID++
 		id := p.nextID
 		p.conns[id] = c
@@ -134,7 +141,7 @@ func (p *TCPPublisher) writeLoop(id uint64, c *tcpConn) {
 	defer p.wg.Done()
 	defer c.conn.Close()
 	var scratch []byte // encoding buffer, reused across frames
-	for frame := range c.frames.ch {
+	for frame := range c.frames.C() {
 		scratch = AppendBinaryBatch(scratch[:0], []VMPowerFrame{frame})
 		if _, err := c.conn.Write(scratch); err != nil {
 			p.dropConn(id)
@@ -152,7 +159,7 @@ func (p *TCPPublisher) dropConn(id uint64) {
 	p.mu.Unlock()
 	if ok {
 		p.dropped.Add(1)
-		c.frames.close()
+		c.frames.Close()
 		c.conn.Close()
 	}
 }
@@ -161,18 +168,8 @@ func (p *TCPPublisher) dropConn(id uint64) {
 // (drop-oldest per connection). With no receiver connected the frame is
 // simply lost, like writing to an unattached serial port.
 func (p *TCPPublisher) Send(frame VMPowerFrame) error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
+	if p.subs.Publish(frame) != nil {
 		return ErrClosed
-	}
-	snapshot := make([]*tcpConn, 0, len(p.conns))
-	for _, c := range p.conns {
-		snapshot = append(snapshot, c)
-	}
-	p.mu.Unlock()
-	for _, c := range snapshot {
-		c.frames.deliver(frame)
 	}
 	return nil
 }
@@ -193,8 +190,8 @@ func (p *TCPPublisher) Close() error {
 	p.conns = make(map[uint64]*tcpConn)
 	p.mu.Unlock()
 	err := p.ln.Close()
+	p.subs.CloseAll()
 	for _, c := range remaining {
-		c.frames.close()
 		c.conn.Close()
 	}
 	p.wg.Wait()
@@ -203,10 +200,13 @@ func (p *TCPPublisher) Close() error {
 
 // TCPReceiver consumes the frame stream of a TCPPublisher. When the
 // connection drops (or the publisher closes), the Frames channel closes — the
-// guest-side DelegatedSource turns that into its staleness policy.
+// guest-side DelegatedSource turns that into its staleness policy. The
+// receiver sheds nothing: while its channel is full it stops reading, so a
+// slow consumer backs the link up into the publisher's per-connection queue.
 type TCPReceiver struct {
 	conn   net.Conn
-	frames *frameChan
+	frames chan VMPowerFrame
+	done   chan struct{} // closed by Close; aborts a send waiting for room
 	wg     sync.WaitGroup
 
 	closeOnce sync.Once
@@ -221,7 +221,7 @@ func DialTCP(addr string) (*TCPReceiver, error) {
 	if err != nil {
 		return nil, fmt.Errorf("vmbridge: dial %s: %w", addr, err)
 	}
-	r := &TCPReceiver{conn: conn, frames: newFrameChan()}
+	r := &TCPReceiver{conn: conn, frames: make(chan VMPowerFrame, frameBuffer), done: make(chan struct{})}
 	r.wg.Add(1)
 	go r.readLoop()
 	return r, nil
@@ -229,9 +229,9 @@ func DialTCP(addr string) (*TCPReceiver, error) {
 
 func (r *TCPReceiver) readLoop() {
 	defer r.wg.Done()
-	// The read loop is the only deliverer; frames.close afterwards waits out
-	// the last deliver, so consumers see every decoded frame, then the close.
-	defer r.frames.close()
+	// The read loop is the only sender, so consumers see every decoded frame,
+	// then the close.
+	defer close(r.frames)
 	br := bufio.NewReaderSize(r.conn, 64*1024)
 	var buf []byte
 	var frames []VMPowerFrame
@@ -248,26 +248,27 @@ func (r *TCPReceiver) readLoop() {
 			return
 		}
 		for _, f := range frames {
-			r.frames.deliver(f)
+			select {
+			case r.frames <- f:
+			case <-r.done:
+				return
+			}
 		}
 	}
 }
 
 // Frames implements Receiver.
-func (r *TCPReceiver) Frames() <-chan VMPowerFrame { return r.frames.ch }
+func (r *TCPReceiver) Frames() <-chan VMPowerFrame { return r.frames }
 
 // DecodeErrors returns how many wire messages failed to frame or decode; each
 // one ended the link.
 func (r *TCPReceiver) DecodeErrors() uint64 { return r.decodeErrs.Load() }
 
-// DroppedFrames returns how many decoded frames the receiver's buffer evicted
-// unread (a consumer slower than the wire).
-func (r *TCPReceiver) DroppedFrames() uint64 { return r.frames.evicted.Load() }
-
 // Close implements Receiver: the connection closes and the Frames channel
 // closes once the read loop drains. It is idempotent.
 func (r *TCPReceiver) Close() error {
 	r.closeOnce.Do(func() {
+		close(r.done)
 		r.closeErr = r.conn.Close()
 		r.wg.Wait()
 	})

@@ -1,6 +1,7 @@
 package vmbridge
 
 import (
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -67,5 +68,74 @@ func TestBackoffJitterAndCap(t *testing.T) {
 	}
 	if d := Backoff(0, 3); d != 0 {
 		t.Fatalf("zero base paused %v", d)
+	}
+}
+
+// TestGuestLinkShedsAtPublisher dials a receiver nobody reads. Once its
+// channel is full the receiver must stop reading, so the publisher's writes
+// stall and its per-connection queue sheds; draining the receiver then yields
+// strictly increasing seqs, ending with the last frame sent.
+func TestGuestLinkShedsAtPublisher(t *testing.T) {
+	pub, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pub.Close()
+	recv, err := DialTCP(pub.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
+	waitUntil(t, "connection", func() bool { return pub.Connections() == 1 })
+
+	// About 100 KB per frame, so a few hundred frames fill the socket buffers.
+	rows := make([]TargetRow, 4096)
+	for i := range rows {
+		rows[i] = TargetRow{Key: fmt.Sprintf("cgroup:svc-%04d", i), Watts: 0.01}
+	}
+	var seq uint64
+	send := func() {
+		t.Helper()
+		seq++
+		if err := pub.Send(VMPowerFrame{VM: "host", Seq: seq, Watts: 40.96, Rows: rows}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	conn := func() ConnStats { return pub.ConnStats()[0] }
+	// Send each frame once the previous one is on the wire, until a write
+	// has made no progress for a second: the socket buffers are full.
+	const maxFrames = 1000
+	for stalled := false; !stalled; {
+		if seq > maxFrames {
+			t.Fatalf("%d frames written without a stall: the receiver keeps reading while nobody consumes its frames", maxFrames)
+		}
+		send()
+		deadline := time.Now().Add(time.Second)
+		for conn().SentFrames < seq && !stalled {
+			time.Sleep(time.Millisecond)
+			stalled = time.Now().After(deadline)
+		}
+	}
+	for range frameBuffer + 1 { // one more than the publisher's queue holds
+		send()
+	}
+	if d := conn().DroppedBatches; d == 0 {
+		t.Fatalf("publisher shed nothing after its queue overflowed: %+v", conn())
+	}
+
+	var last uint64
+	for last < seq {
+		select {
+		case f, ok := <-recv.Frames():
+			if !ok {
+				t.Fatalf("link closed at seq %d, before the last frame %d arrived", last, seq)
+			}
+			if f.Seq <= last {
+				t.Fatalf("seq %d arrived after seq %d", f.Seq, last)
+			}
+			last = f.Seq
+		case <-time.After(5 * time.Second):
+			t.Fatalf("the last frame %d never arrived (got up to %d)", seq, last)
+		}
 	}
 }

@@ -18,16 +18,17 @@
 // -vm-publish and -fleet-publish, and dials with -vm-delegate).
 // Both fan every frame out to every receiver; each guest reads its own row.
 // Frame delivery is deliberately lossy (drop-oldest, like a serial port
-// buffer): a stalled guest never backpressures the host pipeline, and the
-// DelegatedSource's staleness policy defines what the guest reports when
-// frames stop arriving.
+// buffer) and sheds in one place, the sender's queue per receiver (per
+// connection on TCP): a stalled guest never backpressures the host pipeline,
+// and the DelegatedSource's staleness policy defines what the guest reports
+// when frames stop arriving.
 package vmbridge
 
 import (
 	"errors"
-	"sync"
-	"sync/atomic"
 	"time"
+
+	"powerapi/internal/fanout"
 )
 
 // VMPowerFrame is one publisher round: the node's total estimate and its
@@ -119,110 +120,57 @@ type Receiver interface {
 // ErrClosed is returned when sending on a closed transport.
 var ErrClosed = errors.New("vmbridge: transport is closed")
 
-// frameBuffer is the capacity of every frame queue: deep enough to ride out
-// scheduling jitter, shallow enough that a dead guest holds only a bounded
-// backlog before drop-oldest kicks in.
+// frameBuffer is the capacity of every frame queue and of a TCP receiver's
+// channel: deep enough to ride out scheduling jitter, shallow enough that a
+// dead guest holds only a bounded backlog before the sender's queue drops
+// its oldest frames.
 const frameBuffer = 64
 
-// frameChan is the drop-oldest frame queue shared by the transports — per
-// receiver, and per connection on the TCP publisher: the sender-side deliver
-// never blocks (it evicts the oldest unread frame to make room) and close is
-// race-free against an in-flight deliver, the same send-mutex + done-channel
-// handshake the monitor's subscription fanout uses.
-type frameChan struct {
-	ch        chan VMPowerFrame
-	done      chan struct{}
-	sendMu    sync.Mutex
-	closeOnce sync.Once
-	evicted   atomic.Uint64
+// newFrameRegistry returns the fanout a transport sends through: each
+// receiver (Loopback) or connection (TCPPublisher) subscribes with
+// frameQueue. Frames hold no pooled buffer, so retaining and releasing one
+// is a no-op.
+func newFrameRegistry() *fanout.Registry[VMPowerFrame] {
+	noop := func(VMPowerFrame) {}
+	return fanout.NewRegistry(noop, noop, nil)
 }
 
-func newFrameChan() *frameChan {
-	return &frameChan{ch: make(chan VMPowerFrame, frameBuffer), done: make(chan struct{})}
-}
-
-// deliver enqueues one frame, evicting the oldest unread one when the buffer
-// is full. Safe against a concurrent close and concurrent delivers.
-func (f *frameChan) deliver(v VMPowerFrame) {
-	f.sendMu.Lock()
-	defer f.sendMu.Unlock()
-	select {
-	case <-f.done:
-		return
-	default:
-	}
-	for {
-		select {
-		case f.ch <- v:
-			return
-		default:
-		}
-		select {
-		case <-f.ch:
-			f.evicted.Add(1)
-		default:
-		}
-	}
-}
-
-// close closes the frame channel once, waiting out any deliver in flight.
-func (f *frameChan) close() {
-	f.closeOnce.Do(func() {
-		close(f.done)
-		f.sendMu.Lock()
-		close(f.ch)
-		f.sendMu.Unlock()
-	})
+// frameQueue returns the options of one drop-oldest frame queue: a send never
+// blocks, it evicts the oldest unread frame to make room.
+func frameQueue(name string) fanout.Options {
+	return fanout.Options{Name: name, Policy: fanout.DropOldest, Buffer: frameBuffer}
 }
 
 // Loopback is the in-process transport: Send fans every frame out to every
-// receiver created with NewReceiver. It stands in for the host↔guest channel
-// when both instances live in one process (tests, examples, simulated
-// guests).
+// receiver created with NewReceiver, each through its own drop-oldest queue.
+// It stands in for the host↔guest channel when both instances live in one
+// process (tests, examples, simulated guests).
 type Loopback struct {
-	mu        sync.Mutex
-	receivers map[uint64]*loopbackReceiver
-	nextID    uint64
-	closed    bool
+	subs *fanout.Registry[VMPowerFrame]
 }
 
 // NewLoopback creates an in-process bridge transport with no receivers yet.
 func NewLoopback() *Loopback {
-	return &Loopback{receivers: make(map[uint64]*loopbackReceiver)}
+	return &Loopback{subs: newFrameRegistry()}
 }
 
 // NewReceiver attaches one receiver to the loopback; every subsequent Send
 // reaches it. A receiver created after Close is already closed (its Frames
 // channel is closed), mirroring a dial against a dead link.
 func (l *Loopback) NewReceiver() Receiver {
-	r := &loopbackReceiver{hub: l, frames: newFrameChan()}
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		r.frames.close()
-		return r
+	sub, err := l.subs.Subscribe(frameQueue("loopback"), nil)
+	if err != nil { // the loopback is closed
+		dead := make(deadReceiver)
+		close(dead)
+		return dead
 	}
-	l.nextID++
-	r.id = l.nextID
-	l.receivers[r.id] = r
-	l.mu.Unlock()
-	return r
+	return loopbackReceiver{sub: sub}
 }
 
 // Send implements Transport.
 func (l *Loopback) Send(frame VMPowerFrame) error {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
+	if l.subs.Publish(frame) != nil {
 		return ErrClosed
-	}
-	snapshot := make([]*loopbackReceiver, 0, len(l.receivers))
-	for _, r := range l.receivers {
-		snapshot = append(snapshot, r)
-	}
-	l.mu.Unlock()
-	for _, r := range snapshot {
-		r.frames.deliver(frame)
 	}
 	return nil
 }
@@ -230,35 +178,30 @@ func (l *Loopback) Send(frame VMPowerFrame) error {
 // Close implements Transport: every receiver's Frames channel closes (link
 // loss) and further Sends fail. It is idempotent.
 func (l *Loopback) Close() error {
-	l.mu.Lock()
-	l.closed = true
-	remaining := make([]*loopbackReceiver, 0, len(l.receivers))
-	for _, r := range l.receivers {
-		remaining = append(remaining, r)
-	}
-	l.receivers = make(map[uint64]*loopbackReceiver)
-	l.mu.Unlock()
-	for _, r := range remaining {
-		r.frames.close()
-	}
+	l.subs.CloseAll()
 	return nil
 }
 
+// deadReceiver is a receiver of a closed loopback: its Frames channel is
+// closed from the start.
+type deadReceiver chan VMPowerFrame
+
+// Frames implements Receiver.
+func (r deadReceiver) Frames() <-chan VMPowerFrame { return r }
+
+// Close implements Receiver.
+func (deadReceiver) Close() error { return nil }
+
 type loopbackReceiver struct {
-	hub    *Loopback
-	id     uint64
-	frames *frameChan
+	sub *fanout.Subscription[VMPowerFrame]
 }
 
 // Frames implements Receiver.
-func (r *loopbackReceiver) Frames() <-chan VMPowerFrame { return r.frames.ch }
+func (r loopbackReceiver) Frames() <-chan VMPowerFrame { return r.sub.C() }
 
 // Close implements Receiver: the receiver detaches from the loopback and its
 // Frames channel closes.
-func (r *loopbackReceiver) Close() error {
-	r.hub.mu.Lock()
-	delete(r.hub.receivers, r.id)
-	r.hub.mu.Unlock()
-	r.frames.close()
+func (r loopbackReceiver) Close() error {
+	r.sub.Close()
 	return nil
 }
