@@ -31,7 +31,6 @@ import (
 	"powerapi/internal/fanout"
 	"powerapi/internal/history"
 	"powerapi/internal/obs"
-	"powerapi/internal/target"
 )
 
 // Config shapes a Collector. The zero value is usable: no nodes yet (AddNode
@@ -272,6 +271,12 @@ type NodeStats struct {
 	Bytes  uint64 `json:"bytes"`
 	// DecodeErrors counts messages that failed to frame or decode.
 	DecodeErrors uint64 `json:"decodeErrors"`
+	// LayoutMisses counts the rows, in frames that decoded whole, whose key
+	// was not at the same index in the node's last accepted frame, so ingest
+	// resolved them through the key map. A sender that repeats its key order
+	// adds only its first frame's rows; one whose key set changes every
+	// frame adds nearly every row.
+	LayoutMisses uint64 `json:"layoutMisses"`
 	// DroppedPayloads is always 0: the collector queues no payloads, and a
 	// link sheds in the publisher's per-connection queue instead.
 	//
@@ -372,6 +377,7 @@ func (c *Collector) Stats() Stats {
 		}
 		ns.Round = n.lastRound
 		ns.SeqGaps = n.seqGaps
+		ns.LayoutMisses = n.layoutMisses
 		n.mu.Unlock()
 		ns.State = NodeState(n.state.Load()).String()
 		ns.Violations = n.violations.Load()
@@ -428,7 +434,3 @@ func (c *Collector) closed() bool {
 		return false
 	}
 }
-
-// fleetTarget resolves a route-key slot to the target recorded in fleet
-// history.
-func (c *Collector) fleetTarget(slot int32) target.Target { return c.keys.target(slot) }

@@ -37,6 +37,9 @@ type nodeConn struct {
 	// steady state allocates neither. frameCB/rowCB are the decode
 	// callbacks, built once on the node's first payload and reused for every
 	// later message so the per-message ingest path stays allocation-free.
+	// The retained slots double as the node's row layout: only commit
+	// writes them, under both ingestMu and mu, so the row callback reads
+	// them under ingestMu alone.
 	ingestMu sync.Mutex
 	building rowBuf
 	pending  pendingFrame
@@ -59,6 +62,9 @@ type nodeConn struct {
 	// carried non-finite or negative watts.
 	topWatts float64
 	badRows  int
+	// layoutMisses counts the rows of wholly decoded frames, accepted or
+	// stale, whose key was not at their index in the last accepted frame.
+	layoutMisses uint64
 	// Provenance-derived link quality, meaningful only while lastEmit != 0
 	// (an unstamped frame carries zero). Offsets are arrival−emit deltas in
 	// nanoseconds across two unrelated monotonic clocks: only their movement
@@ -99,6 +105,7 @@ type rowBuf struct {
 	watts    []float64
 	topWatts float64
 	badRows  int
+	misses   int
 }
 
 // pendingFrame is the header of the frame currently being decoded; its byte
@@ -221,10 +228,18 @@ func (c *Collector) ingest(n *nodeConn, payload []byte) {
 }
 
 // ingestBinary folds a binary batch allocation-free: row keys resolve to
-// fleet-global slots through the byte-keyed lookup, rows append into the
-// node's reusable building buffers (accumulating the top-level-row sum the
-// conservation contract checks), and commit swaps them into place. An
+// fleet-global slots, rows append into the node's reusable building buffers
+// (accumulating the top-level-row sum the conservation contract checks), and
+// commit swaps them into place. The key table's read lock is held across the
+// whole decode, so a message costs one lock round trip, not one per row. A
+// row first tries the slot its node's last accepted frame had at the same
+// index — senders repeat their key order, so a steady frame resolves every
+// row by one string comparison — and probes the key map only on a miss. An
 // unstamped frame commits with zero provenance stamps.
+//
+// Lock order is keys.mu then n.mu (commit runs inside the decode). Nothing
+// under the held read lock may take it again: a recursive RLock deadlocks
+// once a writer waits, so a never-seen key drops it to intern.
 //
 //powerapi:hotpath
 func (c *Collector) ingestBinary(n *nodeConn, payload []byte) {
@@ -242,13 +257,27 @@ func (c *Collector) ingestBinary(n *nodeConn, payload []byte) {
 		}
 		//powerapi:allow hotpath closures built once per node on first payload, reused for every later message
 		n.rowCB = func(key []byte, watts float64) {
-			slot, top := c.keys.slotBytesTop(key)
+			want := int32(-1)
+			if i := len(n.building.slots); i < len(n.slots) {
+				want = n.slots[i]
+			}
+			slot, ok := c.keys.lookupLocked(want, key)
+			if !ok {
+				c.keys.mu.RUnlock()
+				slot = c.keys.assign(key)
+				c.keys.mu.RLock()
+			}
+			if slot != want {
+				n.building.misses++
+			}
 			n.building.slots = append(n.building.slots, slot)
 			n.building.watts = append(n.building.watts, watts)
-			n.building.note(top, watts)
+			n.building.note(c.keys.topLevel[slot], watts)
 		}
 	}
+	c.keys.mu.RLock()
 	err := vmbridge.DecodeBinaryBatch(payload, n.frameCB, n.rowCB)
+	c.keys.mu.RUnlock()
 	if err != nil {
 		n.pending.valid = false
 		n.building.reset()
@@ -263,6 +292,7 @@ func (b *rowBuf) reset() {
 	b.watts = b.watts[:0]
 	b.topWatts = 0
 	b.badRows = 0
+	b.misses = 0
 }
 
 // note folds one row into the contract accumulators: the top-level sum the
@@ -299,6 +329,7 @@ func (c *Collector) commit(n *nodeConn) {
 	n.pending.valid = false
 	now := c.tracer.Now()
 	n.mu.Lock()
+	n.layoutMisses += uint64(n.building.misses)
 	if n.pending.seq <= n.lastSeq {
 		n.mu.Unlock()
 		n.building.reset()
@@ -355,9 +386,10 @@ const maxSaneRowWatts = 1e9
 // with a parsed target per slot for history recording and a top-level flag
 // per slot for the conservation contract (only rows like "cgroup:x" — no
 // nested path — sum against the node total; "cgroup:x/y" double-counts its
-// parent by design). Reads take the shared lock and allocate nothing: the
-// byte-keyed map probe does not copy its key. Only a never-seen key takes the
-// exclusive lock, and slots are assign-only.
+// parent by design). Readers hold the shared lock (ingest for a whole
+// message) and allocate nothing: the byte-keyed map probe does not copy its
+// key. Only a never-seen key takes the exclusive lock, and slots are
+// assign-only.
 type keyTable struct {
 	mu       sync.RWMutex
 	slots    map[string]int32
@@ -366,32 +398,30 @@ type keyTable struct {
 	topLevel []bool
 }
 
-// slotBytesTop resolves a row key to its fleet-global slot plus the slot's
-// top-level flag, under one shared-lock acquisition so the ingest row
-// callback pays one lock round-trip per row. A never-seen key interns once.
+// lookupLocked resolves a row key under the caller's shared lock. want is
+// the slot the row's node had at the same index in its last accepted frame
+// (-1 for none): when the table's own key for it equals the row's bytes, it
+// is the answer without a map probe. Comparing against the table's string,
+// not a copy, keeps the check sound should a slot ever be reused. ok is false
+// for a never-seen key.
 //
 //powerapi:hotpath
-func (t *keyTable) slotBytesTop(key []byte) (int32, bool) {
-	t.mu.RLock()
-	s, ok := t.slots[string(key)]
-	if ok {
-		top := t.topLevel[s]
-		t.mu.RUnlock()
-		return s, top
+func (t *keyTable) lookupLocked(want int32, key []byte) (int32, bool) {
+	if want >= 0 && t.keys[want] == string(key) {
+		return want, true
 	}
-	t.mu.RUnlock()
-	//powerapi:allow hotpath miss path: a never-seen key interns once, every later round hits the byte-keyed lookup
-	return t.assign(key)
+	s, ok := t.slots[string(key)]
+	return s, ok
 }
 
 // assign interns a key the shared-lock probe missed. The probe repeats under
 // the exclusive lock, since another link may have assigned the key between
 // the two locks.
-func (t *keyTable) assign(key []byte) (int32, bool) {
+func (t *keyTable) assign(key []byte) int32 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if s, ok := t.slots[string(key)]; ok {
-		return s, t.topLevel[s]
+		return s
 	}
 	if t.slots == nil {
 		t.slots = make(map[string]int32)
@@ -406,7 +436,7 @@ func (t *keyTable) assign(key []byte) (int32, bool) {
 	}
 	t.targets = append(t.targets, tg)
 	t.topLevel = append(t.topLevel, isTopLevelKey(k))
-	return s, t.topLevel[s]
+	return s
 }
 
 // isTopLevelKey reports whether a route key names a top-level cgroup — the
@@ -415,12 +445,6 @@ func (t *keyTable) assign(key []byte) (int32, bool) {
 func isTopLevelKey(key string) bool {
 	const p = "cgroup:"
 	return strings.HasPrefix(key, p) && !strings.Contains(key[len(p):], "/")
-}
-
-func (t *keyTable) target(slot int32) target.Target {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.targets[slot]
 }
 
 func (t *keyTable) len() int {

@@ -1,9 +1,11 @@
 package collector
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -310,4 +312,234 @@ func TestCloseCancelsBlockedRollup(t *testing.T) {
 	for rep := range sub.C() {
 		rep.Release()
 	}
+}
+
+// layoutFrame builds a node frame whose rows carry keys in the given order.
+// Row watts depend on node, index and seq, so a row filed under the wrong
+// slot changes a sum; the node total is the top-level rows plus 7 W idle.
+func layoutFrame(node int, seq uint64, keys []string) (f vmbridge.VMPowerFrame, top float64) {
+	rows := make([]vmbridge.TargetRow, len(keys))
+	for i, k := range keys {
+		rows[i] = vmbridge.TargetRow{Key: k, Watts: 0.5 + 0.1*float64(i) + 0.01*float64(seq) + 0.3*float64(node)}
+		if isTopLevelKey(k) {
+			top += rows[i].Watts
+		}
+	}
+	return nodeFrame(fmt.Sprintf("node-%d", node), seq, top+7, rows), top
+}
+
+// TestIngestLayoutFollowsKeyChanges feeds frames whose keys are reordered,
+// added, dropped and replaced, with one node and with two that share half
+// their keys. Ingest first tries each row's slot at the same index in the
+// node's last accepted frame, so after every step the rollup, the node's
+// top-level sum and its layout-miss count must match what was fed.
+func TestIngestLayoutFollowsKeyChanges(t *testing.T) {
+	bases := [][]string{
+		{"cgroup:web", "cgroup:web/api", "cgroup:db", "vm:guest", "cgroup:batch", "cgroup:batch/etl", "cgroup:cache", "cgroup:web/api/v2"},
+		{"cgroup:ml", "cgroup:web", "cgroup:ml/train", "cgroup:db", "cgroup:log", "cgroup:batch", "vm:other", "cgroup:cache"},
+	}
+	type step struct {
+		name   string
+		next   func(node int, prev []string) []string
+		stale  bool // fed with a seq below the last accepted one
+		cut    bool // payload cut off mid-row
+		misses uint64
+	}
+	same := func(_ int, prev []string) []string { return prev }
+	reversed := func(_ int, prev []string) []string {
+		out := slices.Clone(prev)
+		slices.Reverse(out)
+		return out
+	}
+	steps := []step{
+		{name: "first frame", next: func(node int, _ []string) []string { return bases[node] }, misses: 8},
+		{name: "same order again", next: same, misses: 0},
+		{name: "two keys swapped", next: func(_ int, prev []string) []string {
+			out := slices.Clone(prev)
+			out[1], out[5] = out[5], out[1]
+			return out
+		}, misses: 2},
+		{name: "key inserted mid-frame", next: func(node int, prev []string) []string {
+			return slices.Insert(slices.Clone(prev), 3, fmt.Sprintf("cgroup:new-%d", node))
+		}, misses: 6}, // rows 3..8: the new key and the shifted tail
+		{name: "key dropped", next: func(_ int, prev []string) []string {
+			return slices.Delete(slices.Clone(prev), 2, 3)
+		}, misses: 6}, // rows 2..7 shift up by one
+		{name: "all keys fresh", next: func(node int, _ []string) []string {
+			out := make([]string, 8)
+			for i := range out {
+				out[i] = fmt.Sprintf("cgroup:fresh-%d", i) // shared by both nodes
+				if i%2 == 1 {
+					out[i] = fmt.Sprintf("cgroup:fresh-%d/node-%d", i-1, node)
+				}
+			}
+			return out
+		}, misses: 8},
+		// A stale frame's rows count, since they were resolved, but it
+		// leaves the layout as it was.
+		{name: "stale seq in another order", next: reversed, stale: true, misses: 8},
+		{name: "old order again", next: same, misses: 0},
+		// A frame that fails to decode counts no rows.
+		{name: "payload cut off mid-row", next: reversed, cut: true, misses: 0},
+		{name: "good frame after the cut", next: same, misses: 0},
+	}
+
+	for _, nodes := range []int{1, 2} {
+		t.Run(fmt.Sprintf("nodes=%d", nodes), func(t *testing.T) {
+			addrs := make([]string, nodes)
+			for i := range addrs {
+				addrs[i] = fmt.Sprintf("bench://n%d", i)
+			}
+			c, err := New(Config{Nodes: addrs, Passive: true, StaleAfter: time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			order := make([][]string, nodes) // last accepted key order
+			seq := make([]uint64, nodes)     // last accepted seq
+			top := make([]float64, nodes)    // last accepted top-level sum
+			total := make([]float64, nodes)  // last accepted node total
+			sums := make([][]float64, nodes) // last accepted row watts
+			misses := make([]uint64, nodes)  // expected LayoutMisses
+			decodeErrs := make([]uint64, nodes)
+			for _, st := range steps {
+				for i := range nodes {
+					keys := st.next(i, order[i])
+					s := seq[i] + 1
+					if st.stale {
+						s = seq[i] - 1
+					}
+					f, fTop := layoutFrame(i, s, keys)
+					msg := vmbridge.AppendBinaryBatch(nil, []vmbridge.VMPowerFrame{f})
+					if st.cut {
+						msg = msg[:len(msg)-3] // inside the last row's watts
+						binary.LittleEndian.PutUint32(msg[4:], uint32(len(msg)-vmbridge.BinaryMessageHeader))
+						decodeErrs[i]++
+					}
+					if err := c.FeedPayload(i, msg); err != nil {
+						t.Fatalf("%s: node %d: %v", st.name, i, err)
+					}
+					misses[i] += st.misses
+					if st.stale || st.cut {
+						continue
+					}
+					order[i], seq[i], top[i], total[i] = keys, s, fTop, f.Watts
+					sums[i] = sums[i][:0]
+					for _, r := range f.Rows {
+						sums[i] = append(sums[i], r.Watts)
+					}
+				}
+
+				want := map[string]float64{}
+				wantTotal := 0.0
+				for i := range nodes {
+					wantTotal += total[i]
+					for j, k := range order[i] {
+						want[k] += sums[i][j]
+					}
+				}
+				rep := c.Rollup()
+				got := rep.Clone()
+				rep.Release()
+				if math.Abs(got.TotalWatts-wantTotal) > 1e-9 {
+					t.Fatalf("%s: TotalWatts %.12f, want %.12f", st.name, got.TotalWatts, wantTotal)
+				}
+				if len(got.PerTarget) != len(want) {
+					t.Fatalf("%s: %d keys rolled up, want %d: %v", st.name, len(got.PerTarget), len(want), got.PerTarget)
+				}
+				for k, w := range want {
+					if g, ok := got.PerTarget[k]; !ok || math.Abs(g-w) > 1e-9 {
+						t.Fatalf("%s: PerTarget[%s] = %.12f (present %v), want %.12f", st.name, k, g, ok, w)
+					}
+				}
+				stats := c.Stats()
+				for i := range nodes {
+					n := c.nodes[i]
+					n.mu.Lock()
+					gotTop := n.topWatts
+					n.mu.Unlock()
+					if math.Abs(gotTop-top[i]) > 1e-9 {
+						t.Fatalf("%s: node %d top-level sum %.12f, want the fed %.12f", st.name, i, gotTop, top[i])
+					}
+					ns := stats.Nodes[i]
+					if ns.LayoutMisses != misses[i] || ns.DecodeErrors != decodeErrs[i] || ns.LastSeq != seq[i] {
+						t.Fatalf("%s: node %d layout misses %d, decode errors %d, last seq %d; want %d, %d, %d",
+							st.name, i, ns.LayoutMisses, ns.DecodeErrors, ns.LastSeq, misses[i], decodeErrs[i], seq[i])
+					}
+				}
+			}
+		})
+	}
+
+	// Four feeders, one node each; node 3 brings fresh keys every frame, so
+	// it interns through the write lock while the others decode under the
+	// read lock.
+	t.Run("concurrent", func(t *testing.T) {
+		const nodes, rows, rounds = 4, 256, 60
+		addrs := make([]string, nodes)
+		for i := range addrs {
+			addrs[i] = fmt.Sprintf("bench://n%d", i)
+		}
+		c, err := New(Config{Nodes: addrs, Passive: true, StaleAfter: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		keysOf := func(node, round int) []string {
+			keys := make([]string, rows)
+			for j := range keys {
+				if node == nodes-1 {
+					keys[j] = fmt.Sprintf("cgroup:churn-%d-%d", round, j)
+				} else {
+					keys[j] = fmt.Sprintf("cgroup:svc-%03d", (j*7+node*rows/2)%(rows*2))
+				}
+			}
+			return keys
+		}
+		var wg sync.WaitGroup
+		for i := range nodes {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var buf []byte
+				for r := range rounds {
+					f, _ := layoutFrame(i, uint64(r+1), keysOf(i, r))
+					buf = vmbridge.AppendBinaryBatch(buf[:0], []vmbridge.VMPowerFrame{f})
+					if err := c.FeedPayload(i, buf); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		want := map[string]float64{}
+		wantTotal := 0.0
+		for i := range nodes {
+			f, _ := layoutFrame(i, rounds, keysOf(i, rounds-1))
+			wantTotal += f.Watts
+			for _, r := range f.Rows {
+				want[r.Key] += r.Watts
+			}
+		}
+		rep := c.Rollup()
+		defer rep.Release()
+		if math.Abs(rep.TotalWatts-wantTotal) > 1e-9 || len(rep.PerTarget) != len(want) {
+			t.Fatalf("rolled up %.12f W over %d keys, want %.12f W over %d", rep.TotalWatts, len(rep.PerTarget), wantTotal, len(want))
+		}
+		for k, w := range want {
+			if g, ok := rep.PerTarget[k]; !ok || math.Abs(g-w) > 1e-9 {
+				t.Fatalf("PerTarget[%s] = %.12f (present %v), want %.12f", k, g, ok, w)
+			}
+		}
+		for i, ns := range c.Stats().Nodes {
+			wantMisses := uint64(rows) // the first frame: no layout yet
+			if i == nodes-1 {
+				wantMisses = rows * rounds
+			}
+			if ns.LayoutMisses != wantMisses || ns.LastSeq != rounds {
+				t.Fatalf("node %d: layout misses %d, last seq %d; want %d, %d", i, ns.LayoutMisses, ns.LastSeq, wantMisses, rounds)
+			}
+		}
+	})
 }

@@ -214,6 +214,9 @@ func writeNodeLinkMetrics(b *strings.Builder, nodes []collector.NodeStats) {
 	b.WriteString("# HELP powerapi_node_link_decode_errors_total Messages from one node that failed to frame or decode.\n")
 	b.WriteString("# TYPE powerapi_node_link_decode_errors_total counter\n")
 	row("powerapi_node_link_decode_errors_total", func(n collector.NodeStats) string { return fmt.Sprintf("%d", n.DecodeErrors) })
+	b.WriteString("# HELP powerapi_node_link_layout_misses_total Rows from one node whose key was not at its index in the node's last accepted frame.\n")
+	b.WriteString("# TYPE powerapi_node_link_layout_misses_total counter\n")
+	row("powerapi_node_link_layout_misses_total", func(n collector.NodeStats) string { return fmt.Sprintf("%d", n.LayoutMisses) })
 	b.WriteString("# HELP powerapi_node_link_reconnects_total Times the gather link to one node was re-established.\n")
 	b.WriteString("# TYPE powerapi_node_link_reconnects_total counter\n")
 	row("powerapi_node_link_reconnects_total", func(n collector.NodeStats) string { return fmt.Sprintf("%d", n.Reconnects) })

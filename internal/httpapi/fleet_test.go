@@ -114,6 +114,7 @@ func TestFleetMetricsExposition(t *testing.T) {
 		`powerapi_fleet_target_watts{key="cgroup:web/api"} 15`,
 		`powerapi_node_link_connected{addr=`,
 		`powerapi_node_link_frames_total{`,
+		`powerapi_node_link_layout_misses_total{`,
 		"powerapi_fleet_rounds_total 1",
 		"powerapi_fleet_keys 2",
 		"# TYPE powerapi_fleet_round_duration_seconds histogram",
