@@ -315,7 +315,7 @@ func BenchmarkRouterRoute(b *testing.B) {
 		}
 		refs[i] = ref
 	}
-	router, err := actor.NewRouter(actor.ConsistentHash, refs...)
+	router, err := actor.NewRouter(refs...)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -72,7 +72,6 @@ func run(args []string) error {
 		selfRef    = fs.Float64("self-ref-watts", 65, "reference watts of one fully busy core for the collector's self-power row (0 disables)")
 		lagAfter   = fs.Duration("lag-after", 0, "health model: contribution age or ingest lag beyond which a node turns lagging (0 picks 2x interval)")
 		goneAfter  = fs.Duration("gone-after", 0, "health model: how long past staleness a node stays stale before it is declared gone (0 picks 4x stale-after)")
-		spike      = fs.Float64("spike-factor", 4, "health model: flag a node total more than this multiple of its previous value as a power step spike")
 		journalCap = fs.Int("journal", collector.DefaultJournalCapacity, "event journal ring capacity (/api/v1/events)")
 		outputTCP  = fs.String("output-jsonl", "", `push JSON-lines fleet rounds and events to this sink ("host:port" dials TCP, "file:PATH" appends to a file)`)
 		outputURL  = fs.String("output-webhook", "", "POST batched fleet rounds and events as JSON arrays to this URL")
@@ -138,7 +137,6 @@ func run(args []string) error {
 		StaleAfter:      *staleAfter,
 		LagAfter:        *lagAfter,
 		GoneAfter:       *goneAfter,
-		SpikeFactor:     *spike,
 		JournalCapacity: *journalCap,
 		HistoryCapacity: *histCap,
 		SelfRefWatts:    *selfRef,

@@ -5,22 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"sync/atomic"
 	"time"
-)
-
-// RouterStrategy selects how a Router picks the child for a keyed message.
-type RouterStrategy int
-
-const (
-	// RoundRobin cycles through the pool, ignoring routing keys. Suited to
-	// stateless children (e.g. pure Formula shards).
-	RoundRobin RouterStrategy = iota
-	// ConsistentHash places the children on a hash ring with virtual nodes
-	// and maps every routing key to the nearest child clockwise. The same key
-	// always reaches the same child for a fixed pool, which is what lets
-	// stateful Sensor shards own a stable partition of the monitored PIDs.
-	ConsistentHash
 )
 
 // virtualNodes is how many ring points each child contributes. Enough points
@@ -35,16 +20,18 @@ type ringPoint struct {
 
 // Router dispatches messages over a fixed pool of child actors — the
 // actor-level primitive behind the sharded PowerAPI pipeline, mirroring how
-// Akka routers fan work out to a pool of routees.
+// Akka's consistent-hashing routers fan work out to a pool of routees. The
+// children sit on a hash ring with virtual nodes, and every routing key maps
+// to the nearest child clockwise. The same key always reaches the same child
+// for a fixed pool, which is what lets stateful Sensor shards own a stable
+// partition of the monitored PIDs.
 type Router struct {
-	strategy RouterStrategy
 	children []*Ref
 	ring     []ringPoint
-	next     atomic.Uint64
 }
 
 // NewRouter builds a router over the given children.
-func NewRouter(strategy RouterStrategy, children ...*Ref) (*Router, error) {
+func NewRouter(children ...*Ref) (*Router, error) {
 	if len(children) == 0 {
 		return nil, errors.New("actor: router needs at least one child")
 	}
@@ -54,23 +41,20 @@ func NewRouter(strategy RouterStrategy, children ...*Ref) (*Router, error) {
 		}
 	}
 	r := &Router{
-		strategy: strategy,
 		children: append([]*Ref(nil), children...),
+		ring:     make([]ringPoint, 0, len(children)*virtualNodes),
 	}
-	if strategy == ConsistentHash {
-		r.ring = make([]ringPoint, 0, len(children)*virtualNodes)
-		for i, child := range r.children {
-			for v := 0; v < virtualNodes; v++ {
-				r.ring = append(r.ring, ringPoint{hash: hashString(fmt.Sprintf("%s#%d", child.Name(), v)), child: i})
-			}
+	for i, child := range r.children {
+		for v := 0; v < virtualNodes; v++ {
+			r.ring = append(r.ring, ringPoint{hash: hashString(fmt.Sprintf("%s#%d", child.Name(), v)), child: i})
 		}
-		sort.Slice(r.ring, func(a, b int) bool {
-			if r.ring[a].hash != r.ring[b].hash {
-				return r.ring[a].hash < r.ring[b].hash
-			}
-			return r.ring[a].child < r.ring[b].child
-		})
 	}
+	sort.Slice(r.ring, func(a, b int) bool {
+		if r.ring[a].hash != r.ring[b].hash {
+			return r.ring[a].hash < r.ring[b].hash
+		}
+		return r.ring[a].child < r.ring[b].child
+	})
 	return r, nil
 }
 
@@ -82,12 +66,8 @@ func (r *Router) Children() []*Ref {
 // Size returns the number of children in the pool.
 func (r *Router) Size() int { return len(r.children) }
 
-// IndexFor returns the pool index a routing key maps to. Under RoundRobin
-// the key is reduced modulo the pool size (still deterministic per key).
+// IndexFor returns the pool index a routing key maps to.
 func (r *Router) IndexFor(key uint64) int {
-	if r.strategy != ConsistentHash {
-		return int(key % uint64(len(r.children)))
-	}
 	h := hashUint64(key)
 	i := sort.Search(len(r.ring), func(i int) bool { return r.ring[i].hash >= h })
 	if i == len(r.ring) {
@@ -104,12 +84,6 @@ func (r *Router) ShardFor(key uint64) *Ref {
 // Route delivers a keyed message to the child owning the key.
 func (r *Router) Route(key uint64, msg Message) error {
 	return r.ShardFor(key).Tell(msg)
-}
-
-// Tell delivers an unkeyed message to the next child in round-robin order.
-func (r *Router) Tell(msg Message) error {
-	i := (r.next.Add(1) - 1) % uint64(len(r.children))
-	return r.children[i].Tell(msg)
 }
 
 // Broadcast delivers the message to every child and returns how many accepted

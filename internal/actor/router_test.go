@@ -26,14 +26,14 @@ func spawnPool(t *testing.T, s *System, n int) ([]*Ref, []*collector) {
 func TestRouterValidation(t *testing.T) {
 	s := NewSystem("test")
 	defer s.Shutdown()
-	if _, err := NewRouter(ConsistentHash); err == nil {
+	if _, err := NewRouter(); err == nil {
 		t.Fatal("empty pool should fail")
 	}
-	if _, err := NewRouter(ConsistentHash, nil); err == nil {
+	if _, err := NewRouter(nil); err == nil {
 		t.Fatal("nil child should fail")
 	}
 	refs, _ := spawnPool(t, s, 2)
-	r, err := NewRouter(ConsistentHash, refs...)
+	r, err := NewRouter(refs...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestConsistentHashRoutingIsStable(t *testing.T) {
 	s := NewSystem("test")
 	defer s.Shutdown()
 	refs, _ := spawnPool(t, s, 8)
-	r, err := NewRouter(ConsistentHash, refs...)
+	r, err := NewRouter(refs...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestConsistentHashRoutingIsStable(t *testing.T) {
 	}
 	// A second router over the same pool must agree (the mapping is a pure
 	// function of names and key, not construction order randomness).
-	r2, err := NewRouter(ConsistentHash, refs...)
+	r2, err := NewRouter(refs...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestConsistentHashSpreadsKeys(t *testing.T) {
 	s := NewSystem("test")
 	defer s.Shutdown()
 	refs, _ := spawnPool(t, s, 8)
-	r, err := NewRouter(ConsistentHash, refs...)
+	r, err := NewRouter(refs...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestConsistentHashSpreadsKeys(t *testing.T) {
 func TestRouterRouteDelivers(t *testing.T) {
 	s := NewSystem("test")
 	refs, cols := spawnPool(t, s, 4)
-	r, err := NewRouter(ConsistentHash, refs...)
+	r, err := NewRouter(refs...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,30 +132,10 @@ func TestRouterRouteDelivers(t *testing.T) {
 	}
 }
 
-func TestRoundRobinCyclesEvenly(t *testing.T) {
-	s := NewSystem("test")
-	refs, cols := spawnPool(t, s, 4)
-	r, err := NewRouter(RoundRobin, refs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		if err := r.Tell(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.Shutdown()
-	for i, col := range cols {
-		if got := len(col.messages()); got != 25 {
-			t.Fatalf("round-robin child %d received %d messages, want 25", i, got)
-		}
-	}
-}
-
 func TestRouterBroadcast(t *testing.T) {
 	s := NewSystem("test")
 	refs, cols := spawnPool(t, s, 3)
-	r, err := NewRouter(ConsistentHash, refs...)
+	r, err := NewRouter(refs...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +170,7 @@ func TestRouterAskRoutesToOwner(t *testing.T) {
 		}
 		refs[i] = ref
 	}
-	r, err := NewRouter(ConsistentHash, refs...)
+	r, err := NewRouter(refs...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,11 +10,11 @@
 // node's retained contribution — route keys resolved to dense fleet-global
 // slots by the collector's key table — so the steady state allocates nothing
 // per frame, and a collector that falls behind backs the link up until the
-// publisher sheds. Rollup is sharded, min(4, GOMAXPROCS) ways: the shards
-// sweep their subset of nodes into epoch-reset accumulators (core.SparseSet)
-// and the driver merges them into a pooled, refcounted FleetReport whose maps
-// are cleared, never reallocated — steady-state allocations per fleet round
-// do not depend on how many nodes or targets the fleet carries. A slow or
+// publisher sheds. Rollup runs on the goroutine that calls it: one sweep of
+// every node, in join order, into an epoch-reset accumulator
+// (core.SparseSet) and a pooled, refcounted FleetReport whose maps are
+// cleared, never reallocated — steady-state allocations per fleet round do
+// not depend on how many nodes or targets the fleet carries. A slow or
 // silent node never stalls a round: its last contribution is used until it
 // goes stale (Config.StaleAfter), then it is skipped and accounted as such.
 package collector
@@ -52,9 +52,6 @@ type Config struct {
 	// GoneAfter is how long past staleness a node stays "stale" before the
 	// health model declares it gone (default 4×StaleAfter).
 	GoneAfter time.Duration
-	// SpikeFactor flags a node total more than this multiple of its previous
-	// fresh value as a power step spike (default 4; values <= 1 mean default).
-	SpikeFactor float64
 	// JournalCapacity bounds the event journal ring
 	// (DefaultJournalCapacity when zero).
 	JournalCapacity int
@@ -62,9 +59,6 @@ type Config struct {
 	//
 	// Deprecated: leave it unset.
 	Codec int
-	// DialBackoff is the base reconnect pause, growing exponentially with
-	// jitter up to an internal cap (default 100ms).
-	DialBackoff time.Duration
 	// HistoryCapacity is the per-target ring capacity of the fleet history
 	// store (history.DefaultCapacity when zero).
 	HistoryCapacity int
@@ -97,12 +91,9 @@ type Collector struct {
 	nodes   []*nodeConn
 	byAddr  map[string]*nodeConn
 
-	// Rollup machinery: the shards (shard 0 swept by the driver, one
-	// persistent worker per further shard) plus the driver's reusable
-	// scratch, all sized once at start so a round allocates nothing here.
+	// Rollup state: roundMu serialises ticker rounds and caller rounds, and
+	// the scratch behind it is retained so a round allocates nothing here.
 	roundMu    sync.Mutex
-	shards     []*rollupShard
-	shardDone  chan struct{}
 	roundNodes []*nodeConn
 	merged     core.SparseSet
 	samples    []history.TargetSample
@@ -123,40 +114,24 @@ func New(cfg Config) (*Collector, error) {
 	if cfg.StaleAfter <= 0 {
 		cfg.StaleAfter = 5 * time.Second
 	}
-	if cfg.DialBackoff <= 0 {
-		cfg.DialBackoff = 100 * time.Millisecond
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
-	// One shard sweeps a small fleet fastest; a large one gains from a shard
-	// per CPU, up to 4.
-	shards := min(4, runtime.GOMAXPROCS(0))
 	c := &Collector{
-		cfg:       cfg,
-		log:       cfg.Logger,
-		tracer:    obs.NewTracer(obs.DefaultTraceRing),
-		hist:      history.NewStore(cfg.HistoryCapacity),
-		byAddr:    make(map[string]*nodeConn),
-		shardDone: make(chan struct{}, shards-1),
-		journal:   newJournal(cfg.JournalCapacity),
-		subs:      fanout.NewRegistry((*FleetReport).retain, (*FleetReport).Release, cfg.Logger),
-		e2eHist:   &obs.Histogram{},
-		start:     time.Now(),
-		done:      make(chan struct{}),
+		cfg:     cfg,
+		log:     cfg.Logger,
+		tracer:  obs.NewTracer(obs.DefaultTraceRing),
+		hist:    history.NewStore(cfg.HistoryCapacity),
+		byAddr:  make(map[string]*nodeConn),
+		journal: newJournal(cfg.JournalCapacity),
+		subs:    fanout.NewRegistry((*FleetReport).retain, (*FleetReport).Release, cfg.Logger),
+		e2eHist: &obs.Histogram{},
+		start:   time.Now(),
+		done:    make(chan struct{}),
 	}
 	c.tracer.SetRequiredStages(obs.StageRollup, obs.StageFanout)
 	if cfg.SelfRefWatts > 0 {
 		c.self = obs.NewSelfMeter(cfg.SelfRefWatts, runtime.NumCPU())
-	}
-	for i := range shards {
-		sh := &rollupShard{idx: i}
-		c.shards = append(c.shards, sh)
-		if i > 0 {
-			sh.wake = make(chan struct{}, 1)
-			c.wg.Add(1)
-			go c.shardLoop(sh)
-		}
 	}
 	for _, addr := range cfg.Nodes {
 		if err := c.AddNode(addr); err != nil {
@@ -393,7 +368,7 @@ func (c *Collector) Stats() Stats {
 }
 
 // Close tears the collector down: subscriptions close, links close, readers
-// and shard workers exit. A Rollup in flight finishes first; a Rollup after
+// and the ticker exit. A Rollup in flight finishes first; a Rollup after
 // Close still returns a round. Idempotent.
 func (c *Collector) Close() error {
 	c.closeOnce.Do(func() {
@@ -402,19 +377,16 @@ func (c *Collector) Close() error {
 		// stuck in, so that round can release roundMu; a later round's
 		// Publish delivers nothing.
 		c.subs.CloseAll()
-		// Holding roundMu, no round is between its closed check and its last
-		// shard wake, and every later Rollup sees done closed.
+		// Holding roundMu waits out a round in flight, so it finishes before
+		// Close returns; the links retire between rounds.
 		c.roundMu.Lock()
-		for _, sh := range c.shards[1:] {
-			close(sh.wake)
-		}
-		c.roundMu.Unlock()
 		c.nodesMu.Lock()
 		nodes := append([]*nodeConn(nil), c.nodes...)
 		c.nodesMu.Unlock()
 		for _, n := range nodes {
 			n.retire()
 		}
+		c.roundMu.Unlock()
 		c.wg.Wait()
 		c.outputsMu.Lock()
 		outs := append([]*Output(nil), c.outputs...)

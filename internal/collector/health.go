@@ -101,10 +101,6 @@ func (c *Collector) lagThresholds() (lagAfter, goneAfter int64) {
 func (c *Collector) evaluateHealth(now int64) {
 	lagAfter, goneAfter := c.lagThresholds()
 	staleAfter := int64(c.cfg.StaleAfter)
-	spike := c.cfg.SpikeFactor
-	if spike <= 1 {
-		spike = defaultSpikeFactor
-	}
 	for _, n := range c.roundNodes {
 		recon := n.reconnects.Load()
 
@@ -180,7 +176,7 @@ func (c *Collector) evaluateHealth(now int64) {
 					})
 				}
 			}
-			if prevTotal > 1 && total > spike*prevTotal {
+			if prevTotal > 1 && total > defaultSpikeFactor*prevTotal {
 				mask |= violSpike
 				if n.violMask&violSpike == 0 {
 					c.journal.append(Event{

@@ -150,6 +150,10 @@ func (n *nodeConn) setConn(conn net.Conn) bool {
 	return true
 }
 
+// dialBackoff is the base reconnect pause; vmbridge.Backoff grows it
+// exponentially with jitter up to its cap.
+const dialBackoff = 100 * time.Millisecond
+
 // nodeLoop owns one link: dial with vmbridge.Backoff pauses, read until the
 // link ends, reset and redial — forever, until the node is retired or the
 // collector closes.
@@ -161,7 +165,7 @@ func (c *Collector) nodeLoop(n *nodeConn) {
 		}
 		conn, err := net.Dial("tcp", n.addr)
 		if err != nil {
-			pause := vmbridge.Backoff(c.cfg.DialBackoff, attempt)
+			pause := vmbridge.Backoff(dialBackoff, attempt)
 			c.log.Warn("collector: node dial failed, backing off",
 				"addr", n.addr, "attempt", attempt, "backoff", pause, "err", err)
 			select {

@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"powerapi/internal/fanout"
+	"powerapi/internal/history"
+	"powerapi/internal/target"
 	"powerapi/internal/vmbridge"
 )
 
@@ -148,10 +150,11 @@ func TestFeedPayloadCommitsBeforeReturning(t *testing.T) {
 	}
 }
 
-// TestRollupShardsFollowGOMAXPROCS builds the same fed fleet under several
-// GOMAXPROCS values: the shard count is min(4, GOMAXPROCS), every shard count
-// rolls up the same figures, and a steady-state round allocates nothing.
-func TestRollupShardsFollowGOMAXPROCS(t *testing.T) {
+// TestRollupSameAcrossGOMAXPROCS builds the same fed fleet under several
+// GOMAXPROCS values: New starts no goroutine for a passive collector without
+// a ticker, every GOMAXPROCS rolls up the same figures, and a steady-state
+// round allocates nothing.
+func TestRollupSameAcrossGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	const nodes = 24
 	var ref *FleetReport
@@ -161,13 +164,14 @@ func TestRollupShardsFollowGOMAXPROCS(t *testing.T) {
 		for i := range addrs {
 			addrs[i] = fmt.Sprintf("bench://n%02d", i)
 		}
+		before := runtime.NumGoroutine()
 		c, err := New(Config{Nodes: addrs, Passive: true, StaleAfter: time.Hour, HistoryCapacity: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := len(c.shards), min(4, procs); got != want {
+		if started := runtime.NumGoroutine() - before; started > 0 {
 			c.Close()
-			t.Fatalf("GOMAXPROCS %d: %d rollup shards, want %d", procs, got, want)
+			t.Fatalf("GOMAXPROCS %d: New started %d goroutines for a passive collector without a ticker, want 0", procs, started)
 		}
 		for i := range nodes {
 			total := 10 + float64(i)/3
@@ -250,8 +254,8 @@ func returnsWithin(t *testing.T, what string, f func()) {
 	}
 }
 
-// TestRollupAfterClose rolls a closed multi-shard collector up: the shard
-// workers are gone, so the round must sweep every shard itself and return.
+// TestRollupAfterClose rolls a closed collector up: the round must still
+// sweep every node and return.
 func TestRollupAfterClose(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	c, err := New(Config{Nodes: []string{"bench://a", "bench://b"}, Passive: true, StaleAfter: time.Hour})
@@ -270,9 +274,46 @@ func TestRollupAfterClose(t *testing.T) {
 	}
 }
 
+// TestRollupSumsLinksSharingANodeName feeds two links whose frames carry one
+// node name, as two daemons on one host that keep the default -node-name do.
+// Both totals count once each in PerNode and in the node history row, so the
+// fleet total stays the sum of PerNode; per-link stats still tell the links
+// apart by address.
+func TestRollupSumsLinksSharingANodeName(t *testing.T) {
+	c, err := New(Config{Nodes: []string{"bench://a", "bench://b"}, Passive: true, StaleAfter: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	feedFrame(t, c, 0, nodeFrame("host", 1, 10, []vmbridge.TargetRow{{Key: "cgroup:web", Watts: 4}}))
+	feedFrame(t, c, 1, nodeFrame("host", 1, 30, []vmbridge.TargetRow{{Key: "cgroup:web", Watts: 5}}))
+	rep := c.Rollup()
+	defer rep.Release()
+	if rep.Nodes != 2 || rep.TotalWatts != 40 || rep.PerTarget["cgroup:web"] != 9 {
+		t.Fatalf("%d nodes, %g W total, %g W web; want 2, 40, 9", rep.Nodes, rep.TotalWatts, rep.PerTarget["cgroup:web"])
+	}
+	sum := 0.0
+	for _, w := range rep.PerNode {
+		sum += w
+	}
+	if len(rep.PerNode) != 1 || rep.PerNode["host"] != 40 || sum != rep.TotalWatts {
+		t.Fatalf("PerNode %v sums to %g W, want {host: 40} summing to the %g W total", rep.PerNode, sum, rep.TotalWatts)
+	}
+	stats, err := c.Query(history.Query{Targets: []target.Target{target.Node("host")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stats) != 1 || stats[0].LastWatts != 40 {
+		t.Fatalf("node:host history %+v, want one row at 40 W", stats)
+	}
+	if ns := c.Stats().Nodes; len(ns) != 2 || ns[0].Addr == ns[1].Addr || ns[0].Watts != 10 || ns[1].Watts != 30 {
+		t.Fatalf("per-link stats %+v, want two links at 10 W and 30 W", ns)
+	}
+}
+
 // TestCloseDuringTickedRollups closes collectors whose internal ticker rolls
-// up every 50 µs, so Close often lands while a round has woken its shard
-// workers: every Close must return.
+// up every 50 µs, so Close often lands while a round is in flight: every
+// Close must return.
 func TestCloseDuringTickedRollups(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	for i := range 200 {

@@ -5,22 +5,19 @@ import (
 	"sync/atomic"
 	"time"
 
-	"powerapi/internal/core"
 	"powerapi/internal/fanout"
 	"powerapi/internal/history"
 	"powerapi/internal/obs"
 	"powerapi/internal/target"
 )
 
-// Rollup is the fleet round: min(4, GOMAXPROCS) shards each sweep their
-// subset of nodes — skipping contributions older than StaleAfter — into an
-// epoch-reset SparseSet plus flat scratch, and the driver merges the shards
-// into one pooled FleetReport. The driver sweeps shard 0 itself and wakes one
-// persistent worker per further shard, so on one CPU no worker exists.
-// Everything a round touches is retained across rounds (shard sets, scratch
-// slices, report maps with warm buckets), so the steady-state allocation
-// count depends on the shard count alone: growing the fleet from 10 nodes to
-// 1000 changes the work per round, not the garbage.
+// Rollup is the fleet round: the goroutine that calls Rollup sweeps every
+// node in join order — skipping contributions older than StaleAfter — into
+// an epoch-reset SparseSet and a pooled FleetReport. Everything a round
+// touches is retained across rounds (the set, the history samples, report
+// maps with warm buckets), so a steady-state round allocates nothing:
+// growing the fleet from 10 nodes to 1000 changes the work per round, not the
+// garbage.
 
 // FleetReport is one fleet round's rollup. Reports delivered through Rollup
 // or a subscription are pooled: each holder owns one reference and must call
@@ -113,66 +110,9 @@ func (r *FleetReport) Clone() *FleetReport {
 	return &out
 }
 
-// nodeEntry is one live node's row in a shard's scratch.
-type nodeEntry struct {
-	name  string
-	watts float64
-}
-
-// rollupShard is one shard's sweep state. Only the goroutine sweeping it (the
-// driver for shard 0 and, after Close, for every shard; the shard's worker
-// otherwise) touches the accumulators; wake and shardDone synchronise a
-// worker with the driver.
-type rollupShard struct {
-	idx   int
-	wake  chan struct{}
-	set   core.SparseSet
-	nodes []nodeEntry
-	total float64
-	live  int
-	stale int
-}
-
-// shardLoop serves one shard's wakes until Close closes the wake channel, so
-// a round the driver started is always swept, even while Close runs.
-func (c *Collector) shardLoop(sh *rollupShard) {
-	defer c.wg.Done()
-	for range sh.wake {
-		c.runShard(sh)
-		c.shardDone <- struct{}{}
-	}
-}
-
-// runShard sweeps the shard's node subset (round-robin by index) into its
-// accumulators. A node's contribution is read under its mutex, so a commit
-// landing mid-round is seen whole or not at all.
-func (c *Collector) runShard(sh *rollupShard) {
-	sh.set.Reset()
-	sh.nodes = sh.nodes[:0]
-	sh.total, sh.live, sh.stale = 0, 0, 0
-	cutoff := c.tracer.Now() - int64(c.cfg.StaleAfter)
-	for i := sh.idx; i < len(c.roundNodes); i += len(c.shards) {
-		n := c.roundNodes[i]
-		n.mu.Lock()
-		if n.lastWall == 0 || n.lastWall < cutoff {
-			n.mu.Unlock()
-			n.staleSkips.Add(1)
-			sh.stale++
-			continue
-		}
-		sh.live++
-		sh.total += n.total
-		sh.nodes = append(sh.nodes, nodeEntry{name: n.name, watts: n.total})
-		for j, slot := range n.slots {
-			sh.set.Add(slot, n.watts[j])
-		}
-		n.mu.Unlock()
-	}
-}
-
-// Rollup runs one fleet round synchronously: shards sweep, the driver merges,
-// the round is recorded to fleet history and fanned out to subscribers. The
-// returned report carries one reference owned by the caller — Release it.
+// Rollup runs one fleet round synchronously: the sweep, the health pass,
+// the fleet history record and the fanout to subscribers. The returned
+// report carries one reference owned by the caller — Release it.
 func (c *Collector) Rollup() *FleetReport {
 	c.roundMu.Lock()
 	defer c.roundMu.Unlock()
@@ -186,43 +126,33 @@ func (c *Collector) Rollup() *FleetReport {
 	c.roundNodes = append(c.roundNodes[:0], c.nodes...)
 	c.nodesMu.Unlock()
 
-	if c.closed() {
-		// Close has stopped the shard workers (it closes their wake channels
-		// under roundMu), so this round sweeps every shard itself.
-		for _, sh := range c.shards {
-			c.runShard(sh)
-		}
-	} else {
-		for _, sh := range c.shards[1:] {
-			sh.wake <- struct{}{}
-		}
-		c.runShard(c.shards[0])
-		for range c.shards[1:] {
-			<-c.shardDone
-		}
-	}
-
 	p := getPooledFleet()
 	rep := &p.report
 	rep.Seq, rep.Timestamp, rep.Wall = seq, ts, time.Now()
-	for _, sh := range c.shards {
-		rep.TotalWatts += sh.total
-		rep.Nodes += sh.live
-		rep.StaleNodes += sh.stale
-		for _, e := range sh.nodes {
-			p.perNode[e.name] = e.watts
-		}
-	}
-	// Merge the shard accumulators into one dedup set first — a route key
-	// reported by nodes in different shards must land as one figure — then
-	// materialise the map under one read lock on the key table, so the
-	// per-slot key lookups are plain slice reads.
+	// A node's contribution is read under its mutex, so a commit landing
+	// mid-round is seen whole or not at all. Two links can carry one node
+	// name (two daemons on a host that keep the default -node-name); their
+	// totals add, so TotalWatts is always the sum of PerNode.
 	c.merged.Reset()
-	for _, sh := range c.shards {
-		for _, slot := range sh.set.Touched() {
-			c.merged.Add(slot, sh.set.Value(slot))
+	cutoff := c.tracer.Now() - int64(c.cfg.StaleAfter)
+	for _, n := range c.roundNodes {
+		n.mu.Lock()
+		if n.lastWall == 0 || n.lastWall < cutoff {
+			n.mu.Unlock()
+			n.staleSkips.Add(1)
+			rep.StaleNodes++
+			continue
 		}
+		rep.Nodes++
+		rep.TotalWatts += n.total
+		p.perNode[n.name] += n.total
+		for j, slot := range n.slots {
+			c.merged.Add(slot, n.watts[j])
+		}
+		n.mu.Unlock()
 	}
+	// Materialise the route keys under one read lock on the key table, so the
+	// per-slot key lookups are plain slice reads.
 	c.keys.mu.RLock()
 	for _, slot := range c.merged.Touched() {
 		p.perTarget[c.keys.keys[slot]] = c.merged.Value(slot)

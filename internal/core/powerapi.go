@@ -522,7 +522,7 @@ func New(m *machine.Machine, powerModel *model.CPUPowerModel, opts ...Option) (a
 		}
 		sensorRefs[i] = sensor
 	}
-	sensors, err := actor.NewRouter(actor.ConsistentHash, sensorRefs...)
+	sensors, err := actor.NewRouter(sensorRefs...)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

@@ -65,15 +65,15 @@ type TargetSample struct {
 	Watts  float64
 }
 
-// numShards is the width of the store's lock sharding. Targets are spread
-// across shards by RouteKey, so concurrent writers (and a writer against
-// concurrent readers) mostly touch disjoint locks; 16 is comfortably wider
-// than the pipelines a process realistically runs.
-const numShards = 16
+// Store retains the most recent samples of every observed target. One
+// RWMutex guards every ring. Each store has one round writer (the daemon's
+// history subscription, or the collector's rollup), so only queries and
+// target removals contend with it. RecordBatch lands a round under one write
+// lock: a concurrent Query sees each round whole or not at all, and
+// per-target sample order is always timestamp order.
+type Store struct {
+	capacity int
 
-// storeShard is one lock-domain of the store: a private mutex over a slice of
-// the target space.
-type storeShard struct {
 	mu    sync.RWMutex
 	rings map[target.Target]*ring
 	// tombstones records, per removed target, the last round it could have
@@ -85,47 +85,17 @@ type storeShard struct {
 	tombstones map[target.Target]time.Duration
 }
 
-// Store retains the most recent samples of every observed target. Its state
-// is lock-sharded by target: every operation on a single target takes exactly
-// one shard lock, and RecordBatch takes each involved shard's lock once per
-// round.
-//
-// Atomicity is per shard, not per round: a concurrent Query can observe a
-// round's samples for the targets of one shard before those of another. Within
-// a shard a round is still all-or-nothing, and per-target sample order is
-// always timestamp order — only the cross-target cut of an in-flight round is
-// relaxed. That trade buys the write path a ~numShards reduction in lock
-// contention against concurrent queries at 100k-target scale.
-type Store struct {
-	capacity int
-	shards   [numShards]storeShard
-
-	// batchMu serialises RecordBatch so the per-shard grouping scratch below
-	// can be reused round over round without allocation. Rounds arrive from a
-	// single FIFO subscription, so this lock is uncontended in practice.
-	batchMu sync.Mutex
-	grouped [numShards][]TargetSample
-}
-
 // NewStore creates a store retaining up to capacity samples per target
 // (DefaultCapacity when capacity is not positive).
 func NewStore(capacity int) *Store {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	s := &Store{capacity: capacity}
-	for i := range s.shards {
-		s.shards[i].rings = make(map[target.Target]*ring)
-		s.shards[i].tombstones = make(map[target.Target]time.Duration)
+	return &Store{
+		capacity:   capacity,
+		rings:      make(map[target.Target]*ring),
+		tombstones: make(map[target.Target]time.Duration),
 	}
-	return s
-}
-
-// shardFor maps a target to its lock-domain.
-//
-//powerapi:hotpath
-func (s *Store) shardFor(t target.Target) *storeShard {
-	return &s.shards[t.RouteKey()%numShards]
 }
 
 // Capacity returns the per-target ring capacity.
@@ -136,62 +106,46 @@ func (s *Store) Capacity() int { return s.capacity }
 //
 //powerapi:hotpath
 func (s *Store) Record(t target.Target, ts time.Duration, watts float64) {
-	sh := s.shardFor(t)
-	sh.mu.Lock()
-	sh.recordLocked(t, ts, watts, s.capacity)
-	sh.mu.Unlock()
+	s.mu.Lock()
+	s.recordLocked(t, ts, watts)
+	s.mu.Unlock()
 }
 
-// RecordBatch retains one round's samples for many targets, taking each
-// involved shard's lock exactly once: the round becomes visible to queries
-// atomically per shard (see the Store contract for the cross-shard cut), and
-// the hot path pays at most numShards lock acquisitions per round instead of
-// one per target. Rounds reach the store in timestamp order (the pipeline's
-// history writer is a FIFO subscription), so tombstones older than this round
-// can no longer match any future sample and are pruned — the tombstone maps
-// stay bounded by the targets removed since the previous round, not by every
-// target that ever existed.
+// RecordBatch retains one round's samples for many targets under one write
+// lock, so the round becomes visible to queries whole. Rounds reach the
+// store in timestamp order (the pipeline's history writer is a FIFO
+// subscription), so tombstones older than this round can no longer match
+// any future sample and are pruned — the tombstone map stays bounded by the
+// targets removed since the previous round, not by every target that ever
+// existed.
 //
 //powerapi:hotpath
 func (s *Store) RecordBatch(ts time.Duration, samples []TargetSample) {
-	s.batchMu.Lock()
-	defer s.batchMu.Unlock()
-	for i := range s.grouped {
-		s.grouped[i] = s.grouped[i][:0]
-	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, sm := range samples {
-		i := sm.Target.RouteKey() % numShards
-		s.grouped[i] = append(s.grouped[i], sm)
+		s.recordLocked(sm.Target, ts, sm.Watts)
 	}
-	for i := range s.shards {
-		group := s.grouped[i]
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for _, sm := range group {
-			sh.recordLocked(sm.Target, ts, sm.Watts, s.capacity)
+	for t, cutoff := range s.tombstones {
+		if cutoff < ts {
+			delete(s.tombstones, t)
 		}
-		for t, cutoff := range sh.tombstones {
-			if cutoff < ts {
-				delete(sh.tombstones, t)
-			}
-		}
-		sh.mu.Unlock()
 	}
 }
 
 //powerapi:hotpath
-func (sh *storeShard) recordLocked(t target.Target, ts time.Duration, watts float64, capacity int) {
-	if cutoff, ok := sh.tombstones[t]; ok {
+func (s *Store) recordLocked(t target.Target, ts time.Duration, watts float64) {
+	if cutoff, ok := s.tombstones[t]; ok {
 		if ts <= cutoff {
 			return // late sample of a removed target
 		}
-		delete(sh.tombstones, t) // the target is genuinely back
+		delete(s.tombstones, t) // the target is genuinely back
 	}
-	r, ok := sh.rings[t]
+	r, ok := s.rings[t]
 	if !ok {
 		//powerapi:allow hotpath one ring per target lifetime, not per round
-		r = &ring{capacity: capacity}
-		sh.rings[t] = r
+		r = &ring{capacity: s.capacity}
+		s.rings[t] = r
 	}
 	r.push(Sample{Timestamp: ts, Watts: watts})
 }
@@ -203,10 +157,9 @@ func (sh *storeShard) recordLocked(t target.Target, ts time.Duration, watts floa
 // daemon's store stays bounded by the live target set instead of
 // accumulating rings for every PID that ever existed.
 func (s *Store) Remove(t target.Target, cutoff time.Duration) {
-	sh := s.shardFor(t)
-	sh.mu.Lock()
-	sh.removeLocked(t, cutoff)
-	sh.mu.Unlock()
+	s.mu.Lock()
+	s.removeLocked(t, cutoff)
+	s.mu.Unlock()
 }
 
 // RemoveSubtree removes every cgroup target inside the subtree rooted at
@@ -215,36 +168,28 @@ func (s *Store) Remove(t target.Target, cutoff time.Duration) {
 // Subtree groups that are still monitored in their own right repopulate from
 // the next round.
 func (s *Store) RemoveSubtree(root string, cutoff time.Duration) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for t := range sh.rings {
-			if t.Kind == target.KindCgroup && cgroup.InSubtree(t.Path, root) {
-				sh.removeLocked(t, cutoff)
-			}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for t := range s.rings {
+		if t.Kind == target.KindCgroup && cgroup.InSubtree(t.Path, root) {
+			s.removeLocked(t, cutoff)
 		}
-		sh.mu.Unlock()
 	}
 }
 
-func (sh *storeShard) removeLocked(t target.Target, cutoff time.Duration) {
-	delete(sh.rings, t)
-	if cutoff >= sh.tombstones[t] {
-		sh.tombstones[t] = cutoff
+func (s *Store) removeLocked(t target.Target, cutoff time.Duration) {
+	delete(s.rings, t)
+	if cutoff >= s.tombstones[t] {
+		s.tombstones[t] = cutoff
 	}
 }
 
 // tombstoneCount returns how many removed targets still carry a tombstone
-// across all shards (tests and diagnostics).
+// (tests and diagnostics).
 func (s *Store) tombstoneCount() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		n += len(sh.tombstones)
-		sh.mu.RUnlock()
-	}
-	return n
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.tombstones)
 }
 
 // Occupancy reports how full the store is: the number of targets with
@@ -252,40 +197,32 @@ func (s *Store) tombstoneCount() int {
 // layer exposes both as gauges, so an operator can watch the ring memory a
 // long-lived daemon actually holds against targets × Capacity.
 func (s *Store) Occupancy() (targets, samples int) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		targets += len(sh.rings)
-		for _, r := range sh.rings {
-			samples += len(r.samples)
-		}
-		sh.mu.RUnlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, r := range s.rings {
+		samples += len(r.samples)
 	}
-	return targets, samples
+	return len(s.rings), samples
 }
 
 // Targets returns every target the store has retained samples for, sorted by
 // their string form.
 func (s *Store) Targets() []target.Target {
 	var out []target.Target
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for t := range sh.rings {
-			out = append(out, t)
-		}
-		sh.mu.RUnlock()
+	s.mu.RLock()
+	for t := range s.rings {
+		out = append(out, t)
 	}
+	s.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
 	return out
 }
 
 // Samples returns a copy of the retained samples of one target, oldest first.
 func (s *Store) Samples(t target.Target) []Sample {
-	sh := s.shardFor(t)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	r, ok := sh.rings[t]
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	r, ok := s.rings[t]
 	if !ok {
 		return nil
 	}
@@ -361,46 +298,41 @@ func (s *Store) Query(q Query) ([]Stats, error) {
 		}
 	}
 
-	// The snapshot is taken shard by shard: a round being recorded concurrently
-	// may be cut between shards, but each target's series is consistent.
 	type entry struct {
 		t       target.Target
 		samples []Sample
 	}
 	var entries []entry
 	scratch := make([]Sample, 0, s.capacity)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for t, r := range sh.rings {
-			if targetSet != nil && !targetSet[t] {
+	s.mu.RLock()
+	for t, r := range s.rings {
+		if targetSet != nil && !targetSet[t] {
+			continue
+		}
+		if kindSet != nil && !kindSet[t.Kind] {
+			continue
+		}
+		if q.CgroupSubtree != "" {
+			if t.Kind != target.KindCgroup || !cgroup.InSubtree(t.Path, q.CgroupSubtree) {
 				continue
-			}
-			if kindSet != nil && !kindSet[t.Kind] {
-				continue
-			}
-			if q.CgroupSubtree != "" {
-				if t.Kind != target.KindCgroup || !cgroup.InSubtree(t.Path, q.CgroupSubtree) {
-					continue
-				}
-			}
-			scratch = r.snapshot(scratch[:0])
-			selected := make([]Sample, 0, len(scratch))
-			for _, sm := range scratch {
-				if sm.Timestamp < q.From {
-					continue
-				}
-				if q.To != 0 && sm.Timestamp > q.To {
-					continue
-				}
-				selected = append(selected, sm)
-			}
-			if len(selected) > 0 {
-				entries = append(entries, entry{t: t, samples: selected})
 			}
 		}
-		sh.mu.RUnlock()
+		scratch = r.snapshot(scratch[:0])
+		selected := make([]Sample, 0, len(scratch))
+		for _, sm := range scratch {
+			if sm.Timestamp < q.From {
+				continue
+			}
+			if q.To != 0 && sm.Timestamp > q.To {
+				continue
+			}
+			selected = append(selected, sm)
+		}
+		if len(selected) > 0 {
+			entries = append(entries, entry{t: t, samples: selected})
+		}
 	}
+	s.mu.RUnlock()
 
 	out := make([]Stats, 0, len(entries))
 	for _, e := range entries {

@@ -135,6 +135,46 @@ func TestRecordBatchIsAtomic(t *testing.T) {
 	}
 }
 
+// TestQuerySeesWholeRounds records 200 rounds of 64 targets on one goroutine
+// while this one queries in a loop: every result must carry one Last
+// timestamp across all its rows, so no query sees part of a round.
+func TestQuerySeesWholeRounds(t *testing.T) {
+	const rounds, targets = 200, 64
+	s := NewStore(16)
+	batch := make([]TargetSample, targets)
+	for i := range batch {
+		batch[i] = TargetSample{Target: target.Process(i + 1), Watts: float64(i)}
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for r := 1; r <= rounds; r++ {
+			s.RecordBatch(seconds(r), batch)
+		}
+	}()
+	defer func() { <-done }()
+	for finished := false; !finished; {
+		select {
+		case <-done:
+			finished = true
+		default:
+		}
+		stats, err := s.Query(Query{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range stats {
+			if st.Last != stats[0].Last {
+				t.Fatalf("a query saw part of a round: %v last at %v, %v last at %v",
+					stats[0].Target, stats[0].Last, st.Target, st.Last)
+			}
+		}
+		if finished && len(stats) != targets {
+			t.Fatalf("final query returned %d targets, want %d", len(stats), targets)
+		}
+	}
+}
+
 func TestQueryAggregates(t *testing.T) {
 	s := NewStore(16)
 	pid := target.Process(1)

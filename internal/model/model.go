@@ -236,9 +236,6 @@ type CompiledFrequency struct {
 	terms   []compiledTerm
 }
 
-// FrequencyMHz returns the DVFS step the compiled formula applies to.
-func (cf *CompiledFrequency) FrequencyMHz() int { return cf.freqMHz }
-
 // EstimateActiveWatts evaluates the pre-resolved formula on a dense counter
 // vector. This is the per-target per-round hot path: no string parsing, no
 // map lookups, no allocations.
@@ -262,8 +259,7 @@ func (cf *CompiledFrequency) EstimateActiveWatts(deltas *hpc.CountsVec, window t
 // on every evaluation; a Compiled model resolves them once. A Compiled model
 // is safe for concurrent use.
 type Compiled struct {
-	idleWatts float64
-	freqs     []CompiledFrequency // ascending by frequency
+	freqs []CompiledFrequency // ascending by frequency
 }
 
 // Compile validates the model and pre-resolves every term.
@@ -271,7 +267,7 @@ func (m *CPUPowerModel) Compile() (*Compiled, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Compiled{idleWatts: m.IdleWatts, freqs: make([]CompiledFrequency, 0, len(m.Frequencies))}
+	c := &Compiled{freqs: make([]CompiledFrequency, 0, len(m.Frequencies))}
 	for _, fm := range m.Frequencies {
 		cf := CompiledFrequency{freqMHz: fm.FrequencyMHz, terms: make([]compiledTerm, 0, len(fm.Terms))}
 		for _, term := range fm.Terms {
@@ -286,9 +282,6 @@ func (m *CPUPowerModel) Compile() (*Compiled, error) {
 	sort.Slice(c.freqs, func(i, j int) bool { return c.freqs[i].freqMHz < c.freqs[j].freqMHz })
 	return c, nil
 }
-
-// IdleWatts returns the idle constant of the compiled model.
-func (c *Compiled) IdleWatts() float64 { return c.idleWatts }
 
 // ForFrequency returns the compiled formula nearest to freqMHz (same
 // fallback semantics as ModelForFrequency). Rounds resolve the frequency once
@@ -305,16 +298,6 @@ func (c *Compiled) ForFrequency(freqMHz int) (*CompiledFrequency, error) {
 		}
 	}
 	return best, nil
-}
-
-// EstimateActiveWatts estimates the active power of the activity described by
-// the dense counter vector observed over window at freqMHz.
-func (c *Compiled) EstimateActiveWatts(freqMHz int, deltas *hpc.CountsVec, window time.Duration) (float64, error) {
-	cf, err := c.ForFrequency(freqMHz)
-	if err != nil {
-		return 0, err
-	}
-	return cf.EstimateActiveWatts(deltas, window)
 }
 
 // Equation renders the whole model in the paper's two-level style.

@@ -283,3 +283,86 @@ func TestSaveAndLoadFile(t *testing.T) {
 		t.Fatal("saving an invalid model should fail")
 	}
 }
+
+// TestCompiledMatchesModel evaluates the compiled formula the formula shards
+// run against the CPUPowerModel it was compiled from: at every ladder
+// frequency, at exact midpoints between neighbours, and beyond both ends of
+// the ladder, over counts that give a positive estimate and counts that clamp
+// to 0. A non-positive window is an error on both.
+func TestCompiledMatchesModel(t *testing.T) {
+	ladder := &CPUPowerModel{
+		IdleWatts: 20,
+		Frequencies: []FrequencyModel{
+			{FrequencyMHz: 1600, Terms: []Term{
+				{Event: "instructions", WattsPerEventPerSecond: 1.5e-9},
+				{Event: "cache-misses", WattsPerEventPerSecond: -4e-7},
+			}},
+			{FrequencyMHz: 2400, Terms: []Term{
+				{Event: "instructions", WattsPerEventPerSecond: 1.9e-9},
+				{Event: "cycles", WattsPerEventPerSecond: 3.1e-10},
+			}},
+			{FrequencyMHz: 3300, Terms: []Term{
+				{Event: "instructions", WattsPerEventPerSecond: 2.22e-9},
+				{Event: "cache-references", WattsPerEventPerSecond: 2.48e-8},
+				{Event: "cache-misses", WattsPerEventPerSecond: 1.87e-7},
+			}},
+		},
+	}
+	countSets := []hpc.Counts{
+		{hpc.Instructions: 1e9, hpc.CacheReferences: 1e8, hpc.CacheMisses: 1e7, hpc.Cycles: 2e9},
+		// Miss-heavy: the 1600 MHz formula goes negative and clamps to 0.
+		{hpc.Instructions: 1e8, hpc.CacheReferences: 3e7, hpc.CacheMisses: 2e7, hpc.Cycles: 4e8},
+	}
+	clamped := 0
+	for _, m := range []*CPUPowerModel{PaperReferenceModel(), ladder} {
+		c, err := m.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var freqs []int
+		for i, fm := range m.Frequencies {
+			freqs = append(freqs, fm.FrequencyMHz)
+			if i > 0 {
+				freqs = append(freqs, (m.Frequencies[i-1].FrequencyMHz+fm.FrequencyMHz)/2)
+			}
+		}
+		freqs = append(freqs, m.Frequencies[0].FrequencyMHz-500, m.Frequencies[len(m.Frequencies)-1].FrequencyMHz+500)
+		for _, f := range freqs {
+			cf, err := c.ForFrequency(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, counts := range countSets {
+				var vec hpc.CountsVec
+				vec.AddCounts(counts)
+				for _, w := range []time.Duration{time.Second, 250 * time.Millisecond} {
+					want, err := m.EstimateActiveWatts(f, counts, w)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := cf.EstimateActiveWatts(&vec, w)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Abs(got-want) > 1e-12 {
+						t.Fatalf("%s at %d MHz over %v: compiled %.15g W, model %.15g W", m.SpecName, f, w, got, want)
+					}
+					if want == 0 {
+						clamped++
+					}
+				}
+				for _, w := range []time.Duration{0, -time.Second} {
+					if _, err := m.EstimateActiveWatts(f, counts, w); err == nil {
+						t.Fatalf("model accepted a %v window", w)
+					}
+					if _, err := cf.EstimateActiveWatts(&vec, w); err == nil {
+						t.Fatalf("compiled formula accepted a %v window", w)
+					}
+				}
+			}
+		}
+	}
+	if clamped == 0 {
+		t.Fatal("no case clamped to 0 W")
+	}
+}
