@@ -181,23 +181,21 @@ func BenchmarkMonitoringCollect(b *testing.B) {
 	}
 }
 
-// BenchmarkMonitorShards measures sampling-round throughput of the sharded
-// pipeline across pool sizes and monitored-process counts. Each iteration
-// advances the machine by one simulation tick (the cheapest valid window) and
-// performs one Collect, so the measured cost is dominated by the Sensor →
-// Formula → Aggregator hot path. The pids/s metric is the number of
-// per-process attributions produced per wall-clock second.
-func BenchmarkMonitorShards(b *testing.B) {
+// BenchmarkMonitor measures sampling-round throughput of the pipeline across
+// monitored-process counts. Each iteration advances the machine by one
+// simulation tick (the cheapest valid window) and performs one Collect, so
+// the measured cost is dominated by the Sensor → Formula → Aggregator hot
+// path. The pids/s metric is the number of per-process attributions produced
+// per wall-clock second.
+func BenchmarkMonitor(b *testing.B) {
 	for _, pidCount := range []int{100, 1000, 10000, 100000} {
-		for _, shards := range []int{1, 4, 8} {
-			b.Run(fmt.Sprintf("pids=%d/shards=%d", pidCount, shards), func(b *testing.B) {
-				benchmarkMonitorTick(b, pidCount, shards)
-			})
-		}
+		b.Run(fmt.Sprintf("pids=%d", pidCount), func(b *testing.B) {
+			benchmarkMonitorTick(b, pidCount)
+		})
 	}
 }
 
-func benchmarkMonitorTick(b *testing.B, pidCount, shards int) {
+func benchmarkMonitorTick(b *testing.B, pidCount int) {
 	cfg := DefaultMachineConfig()
 	cfg.Governor = GovernorPerformance
 	m, err := NewMachine(cfg)
@@ -206,7 +204,7 @@ func benchmarkMonitorTick(b *testing.B, pidCount, shards int) {
 	}
 	pids := make([]int, 0, pidCount)
 	for i := 0; i < pidCount; i++ {
-		// Vary the demand so shards don't all carry identical work.
+		// Vary the demand across processes.
 		gen, err := CPUStress(0.1+0.8*float64(i%9)/8, 0)
 		if err != nil {
 			b.Fatal(err)
@@ -217,7 +215,7 @@ func benchmarkMonitorTick(b *testing.B, pidCount, shards int) {
 		}
 		pids = append(pids, p.PID())
 	}
-	monitor, err := NewMonitor(m, PaperReferenceModel(), WithShards(shards))
+	monitor, err := NewMonitor(m, PaperReferenceModel())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -298,33 +296,6 @@ func BenchmarkSubscriptionFanout(b *testing.B) {
 			}
 			b.ReportMetric(float64(subscribers)*float64(b.N)/b.Elapsed().Seconds(), "deliveries/s")
 		})
-	}
-}
-
-// BenchmarkRouterRoute measures the dispatch cost of the consistent-hash
-// router on the attach/tick path.
-func BenchmarkRouterRoute(b *testing.B) {
-	system := actor.NewSystem("bench")
-	defer system.Shutdown()
-	refs := make([]*actor.Ref, 8)
-	for i := range refs {
-		ref, err := system.Spawn(fmt.Sprintf("sink-%d", i),
-			actor.BehaviorFunc(func(*actor.Context, actor.Message) {}), 4096)
-		if err != nil {
-			b.Fatal(err)
-		}
-		refs[i] = ref
-	}
-	router, err := actor.NewRouter(refs...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := router.Route(uint64(i), i); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -1,5 +1,5 @@
 // Command powerapi-bench measures the steady-state cost of a sampling round
-// across a matrix of monitored-target counts and shard-pool sizes, and writes
+// across a range of monitored-target counts, and writes
 // the result as a JSON benchmark report (BENCH_PR6.json at the repo root is
 // the checked-in trajectory). Unlike `go test -bench`, which averages the
 // warm-up into the figures, this harness warms each cell first and then
@@ -30,9 +30,8 @@ import (
 
 // Cell is one measured point of the matrix.
 type Cell struct {
-	// Targets and Shards identify the cell.
+	// Targets identifies the cell.
 	Targets int `json:"targets"`
-	Shards  int `json:"shards"`
 	// Rounds is how many steady-state rounds were metered (after warm-up).
 	Rounds int `json:"rounds"`
 	// RoundsPerSec is the sampling-round throughput.
@@ -63,12 +62,11 @@ type Report struct {
 // BudgetEntry caps the allocs/round and round-latency p99 of one cell. Cells
 // without an entry are reported but not enforced; a zero MaxRoundP99Seconds
 // leaves the latency unenforced for that cell. Pipeline entries carry
-// targets/shards; fleet entries carry nodes/targetsPerNode instead — giving
+// targets; fleet entries carry nodes/targetsPerNode instead — giving
 // every fleet scale the same caps is how the budget pins allocs/fleet-round
 // to be independent of the node count.
 type BudgetEntry struct {
 	Targets            int     `json:"targets,omitempty"`
-	Shards             int     `json:"shards,omitempty"`
 	Nodes              int     `json:"nodes,omitempty"`
 	TargetsPerNode     int     `json:"targetsPerNode,omitempty"`
 	Subscribers        int     `json:"subscribers,omitempty"`
@@ -79,11 +77,10 @@ type BudgetEntry struct {
 func main() {
 	var (
 		scalesFlag = flag.String("scales", "1000,10000,100000", "comma-separated monitored-target counts")
-		shardsFlag = flag.String("shards", "1,4,8", "comma-separated shard-pool sizes")
 		rounds     = flag.Int("rounds", 50, "steady-state rounds metered per cell")
 		warmup     = flag.Int("warmup", 20, "warm-up rounds per cell (excluded from the figures)")
 		out        = flag.String("out", "", "write the JSON report to this file (default: stdout)")
-		budgetPath = flag.String("budget", "", "enforce the allocs/round budget file (JSON array of {targets,shards,maxAllocsPerRound})")
+		budgetPath = flag.String("budget", "", "enforce the allocs/round budget file (JSON array of {targets,maxAllocsPerRound})")
 		pr         = flag.String("pr", "PR6", "label recorded in the report")
 
 		fleet        = flag.Bool("fleet", false, "meter the fleet collector (nodes × targets-per-node ingest + rollup) instead of the daemon pipeline")
@@ -98,10 +95,6 @@ func main() {
 	scales, err := parseInts(*scalesFlag)
 	if err != nil {
 		fatalf("parse -scales: %v", err)
-	}
-	shardCounts, err := parseInts(*shardsFlag)
-	if err != nil {
-		fatalf("parse -shards: %v", err)
 	}
 	var budget []BudgetEntry
 	if *budgetPath != "" {
@@ -146,15 +139,13 @@ func main() {
 		failed = checkFleetBudget(report.FleetCells, budget)
 	} else {
 		for _, targets := range scales {
-			for _, shards := range shardCounts {
-				cell, err := measure(targets, shards, *warmup, *rounds)
-				if err != nil {
-					fatalf("measure targets=%d shards=%d: %v", targets, shards, err)
-				}
-				fmt.Fprintf(os.Stderr, "targets=%-7d shards=%d  %8.1f rounds/s  %8.1f ns/target  %10.1f allocs/round  %12.0f B/round  %8.1f ms p99\n",
-					cell.Targets, cell.Shards, cell.RoundsPerSec, cell.NsPerTarget, cell.AllocsPerRound, cell.BytesPerRound, cell.RoundP99Seconds*1e3)
-				report.Cells = append(report.Cells, cell)
+			cell, err := measure(targets, *warmup, *rounds)
+			if err != nil {
+				fatalf("measure targets=%d: %v", targets, err)
 			}
+			fmt.Fprintf(os.Stderr, "targets=%-7d  %8.1f rounds/s  %8.1f ns/target  %10.1f allocs/round  %12.0f B/round  %8.1f ms p99\n",
+				cell.Targets, cell.RoundsPerSec, cell.NsPerTarget, cell.AllocsPerRound, cell.BytesPerRound, cell.RoundP99Seconds*1e3)
+			report.Cells = append(report.Cells, cell)
 		}
 		failed = checkBudget(report.Cells, budget)
 	}
@@ -176,9 +167,9 @@ func main() {
 }
 
 // measure builds one simulated machine with the given number of monitored
-// processes, attaches them to a monitor with the given shard-pool size, warms
-// the pipeline up and meters steady-state rounds.
-func measure(targets, shards, warmup, rounds int) (Cell, error) {
+// processes, attaches them to a monitor, warms the pipeline up and meters
+// steady-state rounds.
+func measure(targets, warmup, rounds int) (Cell, error) {
 	cfg := powerapi.DefaultMachineConfig()
 	cfg.Governor = powerapi.GovernorPerformance
 	m, err := powerapi.NewMachine(cfg)
@@ -187,8 +178,8 @@ func measure(targets, shards, warmup, rounds int) (Cell, error) {
 	}
 	pids := make([]int, 0, targets)
 	for i := 0; i < targets; i++ {
-		// Vary the demand so shards don't all carry identical work (the same
-		// population BenchmarkMonitorShards uses).
+		// Vary the demand across processes (the same population
+		// BenchmarkMonitor uses).
 		gen, err := powerapi.CPUStress(0.1+0.8*float64(i%9)/8, 0)
 		if err != nil {
 			return Cell{}, err
@@ -199,7 +190,7 @@ func measure(targets, shards, warmup, rounds int) (Cell, error) {
 		}
 		pids = append(pids, p.PID())
 	}
-	monitor, err := powerapi.NewMonitor(m, powerapi.PaperReferenceModel(), powerapi.WithShards(shards))
+	monitor, err := powerapi.NewMonitor(m, powerapi.PaperReferenceModel())
 	if err != nil {
 		return Cell{}, err
 	}
@@ -246,7 +237,6 @@ func measure(targets, shards, warmup, rounds int) (Cell, error) {
 	perRound := elapsed.Seconds() / float64(rounds)
 	return Cell{
 		Targets:         targets,
-		Shards:          shards,
 		Rounds:          rounds,
 		RoundsPerSec:    1 / perRound,
 		NsPerTarget:     perRound * 1e9 / float64(targets),
@@ -282,27 +272,27 @@ func checkBudget(cells []Cell, budget []BudgetEntry) bool {
 			continue
 		}
 		for _, c := range cells {
-			if c.Targets != b.Targets || c.Shards != b.Shards {
+			if c.Targets != b.Targets {
 				continue
 			}
 			if c.AllocsPerRound > b.MaxAllocsPerRound {
-				fmt.Fprintf(os.Stderr, "BUDGET EXCEEDED: targets=%d shards=%d allocs/round %.1f > budget %.1f\n",
-					c.Targets, c.Shards, c.AllocsPerRound, b.MaxAllocsPerRound)
+				fmt.Fprintf(os.Stderr, "BUDGET EXCEEDED: targets=%d allocs/round %.1f > budget %.1f\n",
+					c.Targets, c.AllocsPerRound, b.MaxAllocsPerRound)
 				failed = true
 			} else {
-				fmt.Fprintf(os.Stderr, "budget ok: targets=%d shards=%d allocs/round %.1f <= %.1f\n",
-					c.Targets, c.Shards, c.AllocsPerRound, b.MaxAllocsPerRound)
+				fmt.Fprintf(os.Stderr, "budget ok: targets=%d allocs/round %.1f <= %.1f\n",
+					c.Targets, c.AllocsPerRound, b.MaxAllocsPerRound)
 			}
 			if b.MaxRoundP99Seconds <= 0 {
 				continue
 			}
 			if c.RoundP99Seconds > b.MaxRoundP99Seconds {
-				fmt.Fprintf(os.Stderr, "BUDGET EXCEEDED: targets=%d shards=%d round p99 %.3fs > budget %.3fs\n",
-					c.Targets, c.Shards, c.RoundP99Seconds, b.MaxRoundP99Seconds)
+				fmt.Fprintf(os.Stderr, "BUDGET EXCEEDED: targets=%d round p99 %.3fs > budget %.3fs\n",
+					c.Targets, c.RoundP99Seconds, b.MaxRoundP99Seconds)
 				failed = true
 			} else {
-				fmt.Fprintf(os.Stderr, "budget ok: targets=%d shards=%d round p99 %.3fs <= %.3fs\n",
-					c.Targets, c.Shards, c.RoundP99Seconds, b.MaxRoundP99Seconds)
+				fmt.Fprintf(os.Stderr, "budget ok: targets=%d round p99 %.3fs <= %.3fs\n",
+					c.Targets, c.RoundP99Seconds, b.MaxRoundP99Seconds)
 			}
 		}
 	}

@@ -12,7 +12,7 @@
 //
 //	powerapi-daemon -duration 60s -interval 1s
 //	powerapi-daemon -model model.json -spec i3-2120
-//	powerapi-daemon -shards 8 -csv power.csv -jsonl power.jsonl
+//	powerapi-daemon -csv power.csv -jsonl power.jsonl
 //	powerapi-daemon -source blended          # RAPL total, counter-keyed split
 //	powerapi-daemon -source procfs           # no-counters fallback
 //	powerapi-daemon -cgroups "web=1,4;db=2"  # container-level rollup over the
@@ -111,7 +111,6 @@ func run(args []string) error {
 		modelPath = fs.String("model", "", "learned power model (JSON); empty runs a quick calibration first")
 		duration  = fs.Duration("duration", 30*time.Second, "simulated monitoring duration")
 		interval  = fs.Duration("interval", time.Second, "sampling interval")
-		shards    = fs.Int("shards", 1, "number of Sensor/Formula shards in the pipeline")
 		srcName   = fs.String("source", "hpc", "sensing backend: hpc|procfs|rapl|blended")
 		timeout   = fs.Duration("collect-timeout", core.DefaultCollectTimeout, "wall-clock budget of one sampling round")
 		csvPath   = fs.String("csv", "", "write per-process rounds to this CSV file")
@@ -350,7 +349,6 @@ func run(args []string) error {
 		return err
 	}
 	opts := []core.Option{
-		core.WithShards(*shards),
 		core.WithSources(mode),
 		core.WithCollectTimeout(*timeout),
 		core.WithReportRetention(*retention),
@@ -525,8 +523,8 @@ func run(args []string) error {
 		fmt.Printf("Serving http://%s/metrics and http://%s/api/v1 endpoints\n", listener.Addr(), listener.Addr())
 	}
 
-	fmt.Printf("Monitoring %d processes on %s for %v (sampling every %v, %d shard(s), %s source)\n\n",
-		len(names), spec.String(), *duration, *interval, *shards, mode)
+	fmt.Printf("Monitoring %d processes on %s for %v (sampling every %v, %s source)\n\n",
+		len(names), spec.String(), *duration, *interval, mode)
 	fmt.Printf("%-10s %-14s %10s %12s\n", "TIME", "PROCESS", "PID", "POWER (W)")
 	_, err = api.RunMonitoredContext(ctx, *duration, *interval, func(r core.AggregatedReport) {
 		pids := make([]int, 0, len(r.PerPID))
@@ -595,7 +593,7 @@ func run(args []string) error {
 	// Drain the pipeline before flushing: Shutdown waits for every reporter
 	// subscriber to finish the rounds already buffered in its channel.
 	api.Shutdown()
-	// Subscriber and stage failures (a failing advisor observation, a shard
+	// Subscriber and stage failures (a failing advisor observation, a stage
 	// panic) accumulate in the pipeline's error counter; a clean-looking run
 	// must not hide them.
 	if count := api.ErrorCount(); count > 0 {

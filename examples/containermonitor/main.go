@@ -4,10 +4,10 @@
 // deployments (Kepler, Scaphandre) want the same figure per container or
 // slice. This demo builds a control-group hierarchy over a simulated tenant
 // mix — two web replicas, an API sidecar nested under the web slice and a
-// database — and monitors it with the Kepler-style blended pipeline over four
-// Sensor shards: the simulated RAPL package energy is split across processes
-// by counter activity, and the Aggregator rolls the per-process estimates up
-// the hierarchy. Each group's power is the exact sum of its members,
+// database — and monitors it with the Kepler-style blended pipeline: the
+// simulated RAPL package energy is split across processes by counter
+// activity, and the Aggregator rolls the per-process estimates up the
+// hierarchy. Each group's power is the exact sum of its members,
 // descendants included, and everything together sums back to the measured
 // machine total — power is conserved, nothing is double-counted.
 //
@@ -86,7 +86,6 @@ func run() error {
 
 	monitor, err := powerapi.NewMonitor(host, powerModel,
 		powerapi.WithSources(powerapi.SourceBlended),
-		powerapi.WithShards(4),
 		powerapi.WithCgroups(hierarchy),
 	)
 	if err != nil {
@@ -97,7 +96,7 @@ func run() error {
 		return err
 	}
 
-	fmt.Println("\nStep 2: monitoring 10 simulated seconds (blended mode, 4 shards)...")
+	fmt.Println("\nStep 2: monitoring 10 simulated seconds (blended mode)...")
 	fmt.Printf("%-8s %-18s %-10s %12s\n", "TIME", "TARGET", "KIND", "POWER (W)")
 	_, err = monitor.RunMonitored(10*time.Second, 2*time.Second, func(r powerapi.MonitorReport) {
 		pids := make([]int, 0, len(r.PerPID))

@@ -1,11 +1,10 @@
 // Host↔guest power delegation: the paper's headline middleware capability —
 // process-level power estimation *inside* virtual machines — end to end in
-// one process. A host-side PowerAPI instance runs the 4-shard blended
-// pipeline over four workloads designated as two VMs, a VMPublisher streams
-// each VM's per-round power over the in-process loopback bridge (the
-// virtio-serial stand-in), and two nested guest-side instances treat the
-// delegated figure as their machine power, re-attributing it across their own
-// processes. Every guest's per-process estimates sum exactly to the watts the
+// one process. A host-side PowerAPI instance runs the blended pipeline over
+// four workloads designated as two VMs, a VMPublisher streams each VM's
+// per-round power over the in-process loopback bridge (the virtio-serial
+// stand-in), and two nested guest-side instances treat the delegated figure
+// as their machine power, re-attributing it across their own processes. Every guest's per-process estimates sum exactly to the watts the
 // host delegated; when the link drops, each guest applies its staleness
 // policy (zero vs hold) instead of reporting frozen watts.
 //
@@ -59,7 +58,7 @@ func newGuest(bridge *powerapi.LoopbackBridge, vm string, model *powerapi.PowerM
 	if err != nil {
 		return nil, err
 	}
-	monitor, err := powerapi.NewMonitor(m, model, powerapi.WithShards(2), powerapi.WithVMBridge(src))
+	monitor, err := powerapi.NewMonitor(m, model, powerapi.WithVMBridge(src))
 	if err != nil {
 		return nil, err
 	}
@@ -124,7 +123,6 @@ func run() error {
 		pids = append(pids, p.PID())
 	}
 	hostMon, err := powerapi.NewMonitor(host, model,
-		powerapi.WithShards(4),
 		powerapi.WithSources(powerapi.SourceBlended),
 		powerapi.WithVMs(
 			powerapi.VMDef{Name: "vm-a", PIDs: pids[:2]},
@@ -159,7 +157,7 @@ func run() error {
 	defer guestB.monitor.Shutdown()
 	guests := []*guest{guestA, guestB}
 
-	fmt.Println("Host: 4-shard blended pipeline, 4 workloads designated as vm-a and vm-b.")
+	fmt.Println("Host: blended pipeline, 4 workloads designated as vm-a and vm-b.")
 	fmt.Println("Guests: two nested PowerAPI instances fed over the loopback bridge.")
 
 	// --- Monitor: one host round per second of simulated time, each guest --

@@ -2,8 +2,8 @@
 //
 // The paper's Reporter is the terminal stage of the pipeline; this demo shows
 // the redesigned consumption API that turns it into a serving surface. One
-// blended 4-shard monitor fans its rounds out to three concurrent
-// subscribers with different backpressure policies — a lossless auditor
+// blended monitor fans its rounds out to three concurrent subscribers with
+// different backpressure policies — a lossless auditor
 // (Block), a live dashboard that only ever wants the latest round (Conflate)
 // and a deliberately slow logger that sheds load (DropOldest) — while a
 // retained-history store answers windowed avg/max/p95 queries and the HTTP
@@ -63,7 +63,6 @@ func run() error {
 
 	monitor, err := powerapi.NewMonitor(host, powerModel,
 		powerapi.WithSources(powerapi.SourceBlended),
-		powerapi.WithShards(4),
 		powerapi.WithCgroups(hierarchy),
 		powerapi.WithHistory(256),
 		powerapi.WithReportRetention(64),

@@ -55,9 +55,7 @@ func run() error {
 		vmNames[p.PID()] = tenant.name
 	}
 
-	// A fleet host monitors many tenants: shard the Sensor/Formula stages so
-	// per-VM sampling spreads over the pipeline's actor pools.
-	monitor, err := powerapi.NewMonitor(host, powerapi.PaperReferenceModel(), powerapi.WithShards(4))
+	monitor, err := powerapi.NewMonitor(host, powerapi.PaperReferenceModel())
 	if err != nil {
 		return err
 	}

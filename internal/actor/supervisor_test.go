@@ -143,6 +143,12 @@ func TestSpawnSupervisedValidation(t *testing.T) {
 	}
 }
 
+// askReq is the request the Ask tests send; the replying behaviour answers
+// on reply.
+type askReq struct {
+	reply chan<- Message
+}
+
 func TestAskReplies(t *testing.T) {
 	s := NewSystem("test")
 	defer s.Shutdown()

@@ -1,5 +1,5 @@
-// Package locklint checks the two locking invariants the pipeline's sharded
-// design depends on:
+// Package locklint checks the two locking invariants the pipeline's
+// concurrent design depends on:
 //
 //  1. Consistent acquisition order. Every function contributes "A was held
 //     while B was acquired" edges to a module-wide graph, with mutexes

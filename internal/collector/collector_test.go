@@ -159,7 +159,6 @@ func TestHostFrameFeedsGuestAndCollector(t *testing.T) {
 		t.Fatal(err)
 	}
 	hostMon, err := core.New(host, model.PaperReferenceModel(),
-		core.WithShards(2),
 		core.WithSources(source.ModeBlended),
 		core.WithCgroups(h),
 		core.WithVMs(

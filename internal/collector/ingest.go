@@ -227,7 +227,7 @@ func (c *Collector) ingest(n *nodeConn, payload []byte) {
 	n.ingestMu.Lock()
 	start := c.tracer.Now()
 	c.ingestBinary(n, payload)
-	c.tracer.Record(0, obs.StageIngest, 0, start, c.tracer.Now())
+	c.tracer.Record(0, obs.StageIngest, start, c.tracer.Now())
 	n.ingestMu.Unlock()
 }
 

@@ -169,13 +169,13 @@ func (c *Collector) Rollup() *FleetReport {
 	c.lastLive.Store(int64(rep.Nodes))
 	c.lastStale.Store(int64(rep.StaleNodes))
 	c.lastTotal.Store(math.Float64bits(rep.TotalWatts))
-	c.tracer.Record(ts, obs.StageRollup, 0, rollupStart, c.tracer.Now())
+	c.tracer.Record(ts, obs.StageRollup, rollupStart, c.tracer.Now())
 
 	c.recordHistory(rep)
 
 	fanoutStart := c.tracer.Now()
 	c.subs.Publish(rep)
-	c.tracer.Record(ts, obs.StageFanout, 0, fanoutStart, c.tracer.Now())
+	c.tracer.Record(ts, obs.StageFanout, fanoutStart, c.tracer.Now())
 	c.tracer.FinishRound(ts)
 	return rep
 }
@@ -198,7 +198,7 @@ func (c *Collector) recordHistory(rep *FleetReport) {
 	}
 	c.keys.mu.RUnlock()
 	c.hist.RecordBatch(rep.Timestamp, c.samples)
-	c.tracer.Record(rep.Timestamp, obs.StageHistory, 0, start, c.tracer.Now())
+	c.tracer.Record(rep.Timestamp, obs.StageHistory, start, c.tracer.Now())
 }
 
 func loadFloat(v *atomic.Uint64) float64 { return math.Float64frombits(v.Load()) }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -13,18 +14,14 @@ import (
 	"powerapi/internal/target"
 )
 
-// sensorShardBehavior monitors the targets routed to one shard of the Sensor
-// pool through a pluggable attribution source; shard 0 additionally owns the
-// machine-scope source of the sensing mode (RAPL, utilisation proxy) when
-// one exists. All state is owned by the actor goroutine; attach/detach flow
-// through the mailbox (via actor.Ask) and a tick makes the shard publish one
-// batched report for all its targets.
-type sensorShardBehavior struct {
-	attr          source.Source // per-target attribution source, owned by this shard
-	total         source.Source // machine-scope source (shard 0 only, may be nil)
-	shard         int
-	shards        int
-	topic         string // per-shard sensor topic feeding the paired formula shard
+// sensorBehavior monitors the attached targets through a pluggable
+// attribution source, and owns the machine-scope source of the sensing mode
+// (RAPL, utilisation proxy) when one exists. All state is owned by the actor
+// goroutine; attach/detach flow through the mailbox (via actor.Ask) and a
+// tick makes the sensor publish one batched report for all its targets.
+type sensorBehavior struct {
+	attr          source.Source // per-target attribution source
+	total         source.Source // machine-scope source (may be nil)
 	sampleTimeout time.Duration
 	tracer        *obs.Tracer
 
@@ -34,13 +31,10 @@ type sensorShardBehavior struct {
 	pidSlots map[int]int32
 }
 
-func newSensorShardBehavior(attr, total source.Source, shard, shards int, sampleTimeout time.Duration, tracer *obs.Tracer) *sensorShardBehavior {
-	return &sensorShardBehavior{
+func newSensorBehavior(attr, total source.Source, sampleTimeout time.Duration, tracer *obs.Tracer) *sensorBehavior {
+	return &sensorBehavior{
 		attr:          attr,
 		total:         total,
-		shard:         shard,
-		shards:        shards,
-		topic:         SensorShardTopic(shard),
 		sampleTimeout: sampleTimeout,
 		tracer:        tracer,
 		pidSlots:      make(map[int]int32),
@@ -48,7 +42,7 @@ func newSensorShardBehavior(attr, total source.Source, shard, shards int, sample
 }
 
 // Receive implements actor.Behavior.
-func (s *sensorShardBehavior) Receive(ctx *actor.Context, msg actor.Message) {
+func (s *sensorBehavior) Receive(ctx *actor.Context, msg actor.Message) {
 	switch m := msg.(type) {
 	case attachRequest:
 		m.Reply <- s.attach(m)
@@ -64,7 +58,7 @@ func (s *sensorShardBehavior) Receive(ctx *actor.Context, msg actor.Message) {
 	}
 }
 
-func (s *sensorShardBehavior) attach(req attachRequest) error {
+func (s *sensorBehavior) attach(req attachRequest) error {
 	dyn, ok := s.attr.(source.Dynamic)
 	if !ok {
 		return fmt.Errorf("core: %s source does not support attaching targets", s.attr.Name())
@@ -78,7 +72,7 @@ func (s *sensorShardBehavior) attach(req attachRequest) error {
 	return nil
 }
 
-func (s *sensorShardBehavior) detach(t target.Target) error {
+func (s *sensorBehavior) detach(t target.Target) error {
 	dyn, ok := s.attr.(source.Dynamic)
 	if !ok {
 		return fmt.Errorf("core: %s source does not support detaching targets", s.attr.Name())
@@ -90,21 +84,16 @@ func (s *sensorShardBehavior) detach(t target.Target) error {
 	return nil
 }
 
-// tick samples the shard's sources and publishes ONE batch. An idle shard
-// publishes an empty batch so the Aggregator can still complete the round.
-// The batch's sample slice is pooled: the paired formula shard (the topic's
-// sole consumer) hands it back through source.PutTargetSlice once estimated.
-func (s *sensorShardBehavior) tick(ctx *actor.Context, req tickRequest) {
+// tick samples the sources and publishes ONE batch. With nothing attached
+// the batch is empty, so the Aggregator still completes the round. The
+// batch's sample slice is pooled: the formula (the topic's sole consumer)
+// hands it back through source.PutTargetSlice once estimated.
+func (s *sensorBehavior) tick(ctx *actor.Context, req tickRequest) {
 	traceStart := s.tracer.Now()
-	batch := SensorReportBatch{
-		Timestamp: req.Timestamp,
-		Window:    req.Window,
-		Shard:     s.shard,
-		NumShards: s.shards,
-	}
+	batch := SensorReportBatch{Timestamp: req.Timestamp, Window: req.Window}
 	// The collect timeout bounds the whole round, so it also bounds each
 	// source sample: a hanging custom backend cancels instead of wedging
-	// the shard's mailbox forever.
+	// the sensor's mailbox forever.
 	sampleCtx, cancel := context.WithTimeout(context.Background(), s.sampleTimeout)
 	defer cancel()
 	sample, err := s.attr.Sample(sampleCtx)
@@ -117,9 +106,9 @@ func (s *sensorShardBehavior) tick(ctx *actor.Context, req tickRequest) {
 		})
 	}
 	batch.FrequencyMHz = sample.FrequencyMHz
-	// The source already sized its sample to the shard's attached-target
-	// count and hands the slice over (it never reuses it), so the batch can
-	// adopt it wholesale instead of reallocating and copying per tick.
+	// The source already sized its sample to the attached-target count and
+	// hands the slice over (it never reuses it), so the batch can adopt it
+	// wholesale instead of reallocating and copying per tick.
 	batch.Samples = sample.Targets
 	// Stamp each sample with its round slot. A process the facade never
 	// attached (a custom source emitting extra targets) has none: its sample
@@ -161,40 +150,39 @@ func (s *sensorShardBehavior) tick(ctx *actor.Context, req tickRequest) {
 	}
 	// Each stage records its span before handing the round on, so whoever
 	// the finished round wakes sees every span of it.
-	s.tracer.Record(req.Timestamp, obs.StageSensor, s.shard, traceStart, s.tracer.Now())
-	if delivered := ctx.Publish(s.topic, batch); delivered == 0 {
+	s.tracer.Record(req.Timestamp, obs.StageSensor, traceStart, s.tracer.Now())
+	if delivered := ctx.Publish(TopicSensorReports, batch); delivered == 0 {
 		ctx.Publish(TopicErrors, PipelineError{
 			Stage: "sensor",
-			Err:   fmt.Errorf("core: sensor shard %d has no formula subscriber", s.shard),
+			Err:   errors.New("core: the sensor has no formula subscriber"),
 		})
 	}
 }
 
-// formulaShardBehavior converts one shard's batched sensor reports into a
-// batched partial power estimation. In ModeHPC it applies the learned CPU
-// power model to the counter deltas (the paper's Formula); in ModeBlended it
-// evaluates the model too, but only as the *attribution key* the Aggregator
-// scales against the RAPL total (the Kepler-style ratio split); in the
-// share-based modes it forwards the source weights untouched. The behaviour
-// is stateless, so its supervisor restarts it from a fresh instance after a
-// panic.
+// formulaBehavior converts each batched sensor report into a batched power
+// estimation. In ModeHPC it applies the learned CPU power model to the
+// counter deltas (the paper's Formula); in ModeBlended it evaluates the model
+// too, but only as the *attribution key* the Aggregator scales against the
+// RAPL total (the Kepler-style ratio split); in the share-based modes it
+// forwards the source weights untouched. The behaviour is stateless, so its
+// supervisor restarts it from a fresh instance after a panic.
 //
-// New compiles the model once and every shard shares it: the per-batch
-// frequency resolves to a pre-parsed formula a single time, and each target
-// evaluates it on the dense counter vector — no string parsing or map
-// materialisation per sample.
-type formulaShardBehavior struct {
+// New compiles the model once: the per-batch frequency resolves to a
+// pre-parsed formula a single time, and each target evaluates it on the
+// dense counter vector — no string parsing or map materialisation per
+// sample.
+type formulaBehavior struct {
 	compiled *model.Compiled
 	mode     source.Mode
 	tracer   *obs.Tracer
 }
 
-func newFormulaShardBehavior(compiled *model.Compiled, mode source.Mode, tracer *obs.Tracer) *formulaShardBehavior {
-	return &formulaShardBehavior{compiled: compiled, mode: mode, tracer: tracer}
+func newFormulaBehavior(compiled *model.Compiled, mode source.Mode, tracer *obs.Tracer) *formulaBehavior {
+	return &formulaBehavior{compiled: compiled, mode: mode, tracer: tracer}
 }
 
 // Receive implements actor.Behavior.
-func (f *formulaShardBehavior) Receive(ctx *actor.Context, msg actor.Message) {
+func (f *formulaBehavior) Receive(ctx *actor.Context, msg actor.Message) {
 	switch m := msg.(type) {
 	case SensorReportBatch:
 		f.estimateBatch(ctx, m)
@@ -206,13 +194,11 @@ func (f *formulaShardBehavior) Receive(ctx *actor.Context, msg actor.Message) {
 	}
 }
 
-func (f *formulaShardBehavior) estimateBatch(ctx *actor.Context, batch SensorReportBatch) {
+func (f *formulaBehavior) estimateBatch(ctx *actor.Context, batch SensorReportBatch) {
 	traceStart := f.tracer.Now()
 	out := PowerEstimateBatch{
 		Timestamp:     batch.Timestamp,
 		FrequencyMHz:  batch.FrequencyMHz,
-		Shard:         batch.Shard,
-		NumShards:     batch.NumShards,
 		MeasuredWatts: batch.MeasuredWatts,
 		HasMeasured:   batch.HasMeasured,
 	}
@@ -265,28 +251,25 @@ func (f *formulaShardBehavior) estimateBatch(ctx *actor.Context, batch SensorRep
 	// The sample batch is fully consumed: hand its slice back to the source
 	// pool so the next tick reuses the backing array.
 	source.PutTargetSlice(batch.Samples)
-	f.tracer.Record(batch.Timestamp, obs.StageFormula, batch.Shard, traceStart, f.tracer.Now())
+	f.tracer.Record(batch.Timestamp, obs.StageFormula, traceStart, f.tracer.Now())
 	ctx.Publish(TopicPowerEstimates, out)
 }
 
-// aggregatorBehavior merges the per-shard partial estimates of each sampling
-// round into one AggregatedReport and emits it once every shard has
-// reported. In attributed sensing modes it additionally normalizes the
-// per-target weights of the whole round against the measured machine total —
-// attribution must be global, a single shard only ever sees its own targets.
-// When a cgroup hierarchy is configured it performs the hierarchical rollup:
-// every group's power is the sum of its member processes' estimates
-// (descendants included), so nested groups roll up to their parents and the
-// per-PID and per-cgroup views are two projections of the same conserved
-// attribution. When a group resolver is configured it also aggregates along
-// that dimension (for example the application name), as the paper's
-// Aggregator description allows.
+// aggregatorBehavior turns each round's estimates into one AggregatedReport.
+// In attributed sensing modes it normalizes the per-target weights of the
+// round against the measured machine total. When a cgroup hierarchy is
+// configured it performs the hierarchical rollup: every group's power is the
+// sum of its member processes' estimates (descendants included), so nested
+// groups roll up to their parents and the per-PID and per-cgroup views are
+// two projections of the same conserved attribution. When a group resolver
+// is configured it also aggregates along that dimension (for example the
+// application name), as the paper's Aggregator description allows.
 //
 // The per-round hot path is allocation-free in steady state: estimates
 // accumulate by round slot into an epoch-stamped sparse set (no per-round map
-// rebuild), round scratch is recycled through an aggregator-local freelist,
-// and published reports live in pooled buffers whose maps keep their buckets
-// across rounds (see round.go).
+// rebuild), the round scratch is reused from round to round, and published
+// reports live in pooled buffers whose maps keep their buckets across rounds
+// (see round.go).
 type aggregatorBehavior struct {
 	idleWatts float64
 	mode      source.Mode
@@ -299,35 +282,26 @@ type aggregatorBehavior struct {
 	tracer *obs.Tracer
 	// self attributes the monitoring process's own power into each report
 	// (WithSelfPower); nil when disabled.
-	self    *obs.SelfMeter
-	pending map[time.Duration]*roundState
-	// spare recycles roundState scratch; the aggregator is a single goroutine
-	// so no locking is needed.
-	spare []*roundState
+	self *obs.SelfMeter
+	// round is the scratch of the round being built. Each PowerEstimateBatch
+	// is a whole round, so one Receive begins, finishes and publishes it.
+	round roundState
 	// prev* remember the previous round's breakdown cardinalities, presizing
 	// the maps a pool miss has to allocate.
 	prevPIDs, prevCgroups, prevVMs, prevGroups int
 }
 
-// roundState tracks one in-flight sampling round. Estimates accumulate in
+// roundState is the scratch of one sampling round. Estimates accumulate in
 // set by round slot; finish scales them (in attributed modes) into the
 // report's maps.
 type roundState struct {
+	// buf is the round's pooled report; nil once published.
 	buf *pooledReport
 	set SparseSet
-	// claimed is the vmRollup's per-round duplicate-PID guard, recycled with
-	// the round.
+	// claimed is the vmRollup's per-round duplicate-PID guard.
 	claimed map[int]string
-	// batches counts PowerEstimateBatch arrivals; the round completes when
-	// all NumShards have reported.
-	batches int
-	// measuredWatts accumulates the machine-scope measurement of the round
-	// (at most one batch carries it).
-	measuredWatts float64
-	hasMeasured   bool
-	// sumWeight accumulates the raw attribution weights of every shard
-	// (attributed modes); activeSum accumulates the estimated watts
-	// (formula-driven mode).
+	// sumWeight accumulates the raw attribution weights (attributed modes);
+	// activeSum accumulates the estimated watts (formula-driven mode).
 	sumWeight float64
 	activeSum float64
 }
@@ -345,7 +319,6 @@ func newAggregatorBehavior(idleWatts float64, mode source.Mode, resolve func(pid
 		index:     index,
 		tracer:    tracer,
 		self:      self,
-		pending:   make(map[time.Duration]*roundState),
 	}
 }
 
@@ -354,25 +327,16 @@ func (a *aggregatorBehavior) Receive(ctx *actor.Context, msg actor.Message) {
 	switch m := msg.(type) {
 	case PowerEstimateBatch:
 		traceStart := a.tracer.Now()
-		round := a.round(m.Timestamp)
-		if m.HasMeasured {
-			round.measuredWatts += m.MeasuredWatts
-			round.hasMeasured = true
-		}
+		round := a.begin(m.Timestamp)
 		for i := range m.Estimates {
 			a.merge(round, &m.Estimates[i])
 		}
 		putEstimateSlice(m.Estimates)
-		round.batches++
-		done := round.batches >= m.NumShards
-		if done {
-			a.finish(ctx, m.Timestamp, round)
-		}
-		a.tracer.Record(m.Timestamp, obs.StageAggregate, m.Shard, traceStart, a.tracer.Now())
-		a.tracer.SetPendingRounds(len(a.pending))
-		if done {
-			a.publish(ctx, round)
-		}
+		a.finish(ctx, round, m.MeasuredWatts, m.HasMeasured)
+		// Each stage records its span before handing the round on, so whoever
+		// the finished round wakes sees every span of it.
+		a.tracer.Record(m.Timestamp, obs.StageAggregate, traceStart, a.tracer.Now())
+		a.publish(ctx, round)
 	default:
 		ctx.Publish(TopicErrors, PipelineError{
 			Stage: "aggregator",
@@ -381,80 +345,29 @@ func (a *aggregatorBehavior) Receive(ctx *actor.Context, msg actor.Message) {
 	}
 }
 
-// maxPendingRounds bounds the aggregator's in-flight round map. A round can
-// be stranded forever when a shard's batch is lost (e.g. consumed by a
-// panicking behaviour before its restart); without a bound every such
-// incident would leak a roundState in a long-running daemon.
-const maxPendingRounds = 64
-
-func (a *aggregatorBehavior) round(ts time.Duration) *roundState {
-	round, exists := a.pending[ts]
-	if !exists {
-		if len(a.pending) >= maxPendingRounds {
-			a.evictOldest()
-		}
-		round = a.getRoundState()
-		round.buf = getPooledReport(a.prevPIDs)
-		report := &round.buf.report
-		report.Timestamp = ts
-		report.IdleWatts = a.idleWatts
-		report.SourceMode = a.mode.String()
-		a.pending[ts] = round
-	}
-	return round
-}
-
-// getRoundState pops recycled round scratch (or makes fresh) ready for a new
-// round: counters zeroed, sparse set reset, scratch maps cleared.
-func (a *aggregatorBehavior) getRoundState() *roundState {
-	var round *roundState
-	if n := len(a.spare); n > 0 {
-		round = a.spare[n-1]
-		a.spare = a.spare[:n-1]
-	} else {
-		round = &roundState{}
+// begin resets the round scratch and leases the report the round publishes.
+// A report still leased here belongs to a round whose Receive panicked (a
+// group resolver is caller-supplied code); it is released, so the lost round
+// strands nothing in the pool.
+func (a *aggregatorBehavior) begin(ts time.Duration) *roundState {
+	round := &a.round
+	if round.buf != nil {
+		round.buf.report.Release()
 	}
 	round.set.Reset()
+	clear(round.claimed)
+	round.sumWeight, round.activeSum = 0, 0
+	round.buf = getPooledReport(a.prevPIDs)
+	report := &round.buf.report
+	report.Timestamp = ts
+	report.IdleWatts = a.idleWatts
+	report.SourceMode = a.mode.String()
 	return round
 }
 
-// putRoundState recycles a finished (or evicted) round's scratch. The report
-// buffer is NOT touched: ownership has moved to the published report's
-// holders (or was released by the caller).
-func (a *aggregatorBehavior) putRoundState(round *roundState) {
-	round.buf = nil
-	clear(round.claimed)
-	round.batches = 0
-	round.measuredWatts, round.sumWeight, round.activeSum = 0, 0, 0
-	round.hasMeasured = false
-	if len(a.spare) < maxPendingRounds {
-		a.spare = append(a.spare, round)
-	}
-}
-
-// evictOldest drops the stalest incomplete round. Its partial estimates are
-// lost, which matches the behaviour a consumer already observes for a
-// stranded round: Collect times out on it either way.
-func (a *aggregatorBehavior) evictOldest() {
-	var oldest time.Duration
-	first := true
-	for ts := range a.pending {
-		if first || ts < oldest {
-			oldest = ts
-			first = false
-		}
-	}
-	if !first {
-		round := a.pending[oldest]
-		delete(a.pending, oldest)
-		round.buf.report.Release()
-		a.putRoundState(round)
-	}
-}
-
-// merge accumulates one estimate into its round slot (the sensor shard
-// stamped every sample with one); kinds resolve at materialisation time from
-// the slot index.
+// merge accumulates one estimate into its round slot (the sensor stamped
+// every sample with one); kinds resolve at materialisation time from the
+// slot index.
 func (a *aggregatorBehavior) merge(round *roundState, est *TargetEstimate) {
 	value := est.Watts
 	if a.mode.Attributed() {
@@ -468,20 +381,20 @@ func (a *aggregatorBehavior) merge(round *roundState, est *TargetEstimate) {
 	}
 }
 
-func (a *aggregatorBehavior) finish(ctx *actor.Context, ts time.Duration, round *roundState) {
+func (a *aggregatorBehavior) finish(ctx *actor.Context, round *roundState, measuredWatts float64, hasMeasured bool) {
 	report := &round.buf.report
 	// The raw measurement is surfaced in every mode: a custom machine-scope
 	// source plugged into the formula-driven pipeline still reports what it
 	// measured, it just does not drive the attribution there.
-	if round.hasMeasured {
-		report.MeasuredWatts = round.measuredWatts
+	if hasMeasured {
+		report.MeasuredWatts = measuredWatts
 	}
 	// scale/even turn the dense raw values into published watts during
 	// materialisation.
 	scale, even := 1.0, false
 	if a.mode.Attributed() {
-		total := round.measuredWatts
-		if !round.hasMeasured {
+		total := measuredWatts
+		if !hasMeasured {
 			total = 0
 		}
 		report.ActiveWatts = total
@@ -550,22 +463,21 @@ func (a *aggregatorBehavior) finish(ctx *actor.Context, ts time.Duration, round 
 	// kept out of TotalWatts (the simulated machine's figure).
 	report.SelfWatts = a.self.Sample()
 	a.prevPIDs = len(report.PerPID)
-	delete(a.pending, ts)
 }
 
 // publish hands a finished round to the reports topic. Receive calls it only
-// after the round's last aggregate span and the pending-rounds gauge are
-// recorded, so a reader woken by the report sees both settled.
+// after the round's aggregate span is recorded, so a reader woken by the
+// report sees it settled.
 func (a *aggregatorBehavior) publish(ctx *actor.Context, round *roundState) {
-	report := &round.buf.report
+	report := round.buf.report
+	round.buf = nil
 	// The published copy carries the round's lease with one reference, owned
 	// by the reports topic's consumer (the facade's fanout releases it after
-	// delivering to every subscription). With no consumer the round strands
-	// to the garbage collector, which is merely the pre-pooling behaviour.
-	if delivered := ctx.Publish(TopicAggregatedReports, *report); delivered == 0 {
+	// delivering to every subscription). Without a consumer the lease is
+	// released here.
+	if delivered := ctx.Publish(TopicAggregatedReports, report); delivered == 0 {
 		report.Release()
 	}
-	a.putRoundState(round)
 }
 
 // rollup fills report.PerCgroup: every hierarchy group's power is the sum of

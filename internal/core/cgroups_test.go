@@ -32,7 +32,7 @@ func spawnLevels(t *testing.T, m *machine.Machine, levels ...float64) []int {
 }
 
 // TestCgroupRollupConservationBlendedSharded is the attribution-conservation
-// acceptance case: nested cgroups under four shards in blended mode, with
+// acceptance case: nested cgroups in blended mode, with
 // every member PID also monitored standalone. The per-target estimates must
 // sum to the measured machine total within 1e-6, every group must be the
 // exact sum of its recursive members, and a PID reported both standalone and
@@ -40,7 +40,7 @@ func spawnLevels(t *testing.T, m *machine.Machine, levels ...float64) []int {
 func TestCgroupRollupConservationBlendedSharded(t *testing.T) {
 	m := newTestMachine(t)
 	h := cgroup.NewHierarchy()
-	api, err := New(m, testModel(), WithShards(4), WithSources(source.ModeBlended), WithCgroups(h))
+	api, err := New(m, testModel(), WithSources(source.ModeBlended), WithCgroups(h))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestCgroupRollupConservationBlendedSharded(t *testing.T) {
 func TestAttachCgroupTargetMonitorsMembers(t *testing.T) {
 	m := newTestMachine(t)
 	h := cgroup.NewHierarchy()
-	api, err := New(m, testModel(), WithShards(4), WithCgroups(h))
+	api, err := New(m, testModel(), WithCgroups(h))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,14 +177,14 @@ func TestAttachTargetValidation(t *testing.T) {
 	}
 }
 
-// TestCgroupMemberExitRepartitionsMidRun is the router re-partitioning case:
+// TestCgroupMemberExitRepartitionsMidRun is the membership re-sync case:
 // when a member of a monitored cgroup exits mid-run, the next Collect prunes
-// it from the hierarchy and detaches it from its Sensor shard before the
-// round's tick; members that join mid-run are attached the same way.
+// it from the hierarchy and detaches it from the Sensor before the round's
+// tick; members that join mid-run are attached the same way.
 func TestCgroupMemberExitRepartitionsMidRun(t *testing.T) {
 	m := newTestMachine(t)
 	h := cgroup.NewHierarchy()
-	api, err := New(m, testModel(), WithShards(4), WithCgroups(h))
+	api, err := New(m, testModel(), WithCgroups(h))
 	if err != nil {
 		t.Fatal(err)
 	}

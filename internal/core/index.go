@@ -8,9 +8,9 @@ import (
 
 // slotIndex assigns every attached process a small dense integer — its round
 // slot — at attach time. The hot path is keyed by these slots instead of by
-// target identity: sensor shards stamp each sample with its slot, and the
-// aggregator accumulates per-round watts into slice-backed sparse sets indexed
-// by slot, so a steady-state round rebuilds no per-target maps at all.
+// target identity: the sensor stamps each sample with its slot, and the
+// aggregator accumulates per-round watts into a slice-backed sparse set
+// indexed by slot, so a steady-state round rebuilds no per-target maps at all.
 //
 // Slots are recycled through a LIFO freelist when targets detach, keeping the
 // index dense under churn, and the backing arrays shrink when a trailing run
@@ -18,11 +18,11 @@ import (
 // not pin 100k slots forever.
 //
 // The facade mutates the index under its own lock ordering (assign before the
-// shard attach, release after the shard detach); the aggregator only reads.
+// sensor attach, release after the sensor detach); the aggregator only reads.
 type slotIndex struct {
 	mu sync.RWMutex
-	// pidSlots indexes the attached processes by raw PID: sensor shards
-	// sample processes only, so the PID is the whole key.
+	// pidSlots indexes the attached processes by raw PID: the sensor samples
+	// processes only, so the PID is the whole key.
 	pidSlots map[int]int32
 	// targets[slot] is the owner of a slot. Entries of freed slots keep their
 	// last owner until reuse, so an in-flight round can still materialise a

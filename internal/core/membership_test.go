@@ -125,7 +125,7 @@ func (o *membershipOracle) check(step string, api *PowerAPI, r AggregatedReport)
 func TestMembershipChurnResyncs(t *testing.T) {
 	m := newTestMachine(t)
 	h := cgroup.NewHierarchy()
-	api, err := New(m, testModel(), WithShards(2), WithCgroups(h),
+	api, err := New(m, testModel(), WithCgroups(h),
 		WithVMs(VMDef{Name: "vm-db", CgroupPath: "db"}))
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +218,7 @@ func TestMembershipChurnResyncs(t *testing.T) {
 func TestMembershipMutatedDuringRounds(t *testing.T) {
 	m := newTestMachine(t)
 	h := cgroup.NewHierarchy()
-	api, err := New(m, testModel(), WithShards(2), WithCgroups(h))
+	api, err := New(m, testModel(), WithCgroups(h))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestMembershipMutatedDuringRounds(t *testing.T) {
 }
 
 // addHookSource is a procfs attribution source that runs onAdd inside the
-// shard's attach of a target, i.e. in the middle of a sync; an error from
+// sensor's attach of a target, i.e. in the middle of a sync; an error from
 // onAdd fails the attach.
 type addHookSource struct {
 	*source.Procfs
@@ -315,7 +315,7 @@ func TestMembershipSyncRetries(t *testing.T) {
 	}
 	api, err := New(m, testModel(), WithSources(source.ModeProcfs), WithCgroups(h),
 		WithSourceFactories(SourceFactories{
-			Attribution: func(int) (source.Source, error) {
+			Attribution: func() (source.Source, error) {
 				inner, err := source.NewProcfs(m)
 				return addHookSource{Procfs: inner, onAdd: onAdd}, err
 			},

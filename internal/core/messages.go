@@ -10,21 +10,18 @@
 //	Reporter   converts aggregated estimations into a consumable format
 //	           (callback, channel, io.Writer).
 //
-// The Sensor and Formula stages are N-way sharded (WithShards): the monitored
-// PIDs are partitioned across a pool of Sensor shards by a consistent-hash
-// router, a sampling tick fans out to every shard, and each shard emits one
-// batched report to its paired Formula shard. The Aggregator merges the
-// per-shard partial estimates back into a single AggregatedReport per round,
-// so Reporters are oblivious to the sharding. The default of one shard
-// degenerates to the paper's original single-actor-per-stage pipeline.
+// Each stage is one actor, as in the paper: a sampling tick reaches the
+// Sensor, which publishes one batched report for every monitored process to
+// the Formula, which hands one batch of estimates to the Aggregator, which
+// publishes one AggregatedReport per round.
 //
-// What the Sensor shards sample is pluggable (WithSources): each shard owns a
-// process-scope source from internal/source (hardware counters, procfs
-// CPU-time shares) and shard 0 additionally owns the machine-scope source of
-// the sensing mode (the simulated RAPL meter or a utilisation proxy). In the
-// attributed modes the Aggregator normalizes the per-PID weights of the whole
-// round against the measured machine total, so the per-PID estimates sum
-// exactly to the measurement (Kepler-style blended attribution).
+// What the Sensor samples is pluggable (WithSources): it owns a process-scope
+// source from internal/source (hardware counters, procfs CPU-time shares)
+// and, when the sensing mode has one, the machine-scope source (the simulated
+// RAPL meter or a utilisation proxy). In the attributed modes the Aggregator
+// normalizes the per-PID weights of the round against the measured machine
+// total, so the per-PID estimates sum exactly to the measurement
+// (Kepler-style blended attribution).
 //
 // The pipeline is keyed by monitoring targets (internal/target), not raw
 // PIDs: a target is a process, a control group or the machine itself. Cgroup
@@ -39,7 +36,6 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"powerapi/internal/actor"
@@ -50,12 +46,11 @@ import (
 
 // Topic names of the PowerAPI event bus.
 const (
-	// TopicSensorReports is the prefix of the per-shard topics carrying
-	// SensorReportBatch messages from each Sensor shard to its paired Formula
-	// shard (see SensorShardTopic).
+	// TopicSensorReports carries SensorReportBatch messages from the Sensor
+	// to the Formula.
 	TopicSensorReports = "powerapi.sensor"
 	// TopicPowerEstimates carries PowerEstimateBatch messages from the
-	// Formula shards to the Aggregator.
+	// Formula to the Aggregator.
 	TopicPowerEstimates = "powerapi.formula"
 	// TopicAggregatedReports carries AggregatedReport messages from the
 	// Aggregator to Reporters.
@@ -63,13 +58,6 @@ const (
 	// TopicErrors carries pipeline errors.
 	TopicErrors = "powerapi.errors"
 )
-
-// SensorShardTopic returns the event-bus topic shard i of the Sensor pool
-// publishes its batches on. Partitioning the sensor topic keeps every batch
-// on a single Formula shard instead of fanning it out to the whole pool.
-func SensorShardTopic(shard int) string {
-	return fmt.Sprintf("%s.%d", TopicSensorReports, shard)
-}
 
 // tickRequest asks the Sensor to perform one sampling round.
 type tickRequest struct {
@@ -79,31 +67,30 @@ type tickRequest struct {
 	Window time.Duration
 }
 
-// attachRequest asks a Sensor shard to start monitoring a target. It is sent
+// attachRequest asks the Sensor to start monitoring a target. It is sent
 // through actor.Ask; Reply receives nil on success or the error encountered.
 // Slot is the dense round slot the facade's slot index assigned to the target;
-// the shard remembers it and stamps every sample of the target with it.
+// the Sensor remembers it and stamps every sample of the target with it.
 type attachRequest struct {
 	Target target.Target
 	Slot   int32
 	Reply  chan<- actor.Message
 }
 
-// detachRequest asks a Sensor shard to stop monitoring a target.
+// detachRequest asks the Sensor to stop monitoring a target.
 type detachRequest struct {
 	Target target.Target
 	Reply  chan<- actor.Message
 }
 
 // SensorSample is one monitored target within a SensorReportBatch. It is the
-// source's sample entry verbatim: the Sensor shard hands the slice produced
-// by its source straight to the batch, so the hot path copies nothing.
+// source's sample entry verbatim: the Sensor hands the slice produced by its
+// source straight to the batch, so the hot path copies nothing.
 type SensorSample = source.TargetSample
 
-// SensorReportBatch is the single message one Sensor shard publishes per
-// sampling round: every target the shard owns, batched. Batching amortizes
-// the per-target channel sends and message allocations of the unsharded
-// pipeline.
+// SensorReportBatch is the single message the Sensor publishes per sampling
+// round: every monitored target, batched, so a round costs one channel send
+// and one message instead of one per target.
 type SensorReportBatch struct {
 	// Timestamp is the simulated instant of the round.
 	Timestamp time.Duration `json:"timestamp"`
@@ -111,19 +98,13 @@ type SensorReportBatch struct {
 	Window time.Duration `json:"window"`
 	// FrequencyMHz is the dominant core frequency during the round.
 	FrequencyMHz int `json:"frequencyMHz"`
-	// Shard is the index of the emitting Sensor shard.
-	Shard int `json:"shard"`
-	// NumShards is the size of the Sensor pool; the Aggregator uses it to
-	// know when a round is complete.
-	NumShards int `json:"numShards"`
 	// MeasuredWatts is the machine-level power a machine-scope source
-	// measured for the round. Only shard 0 owns such a source, so at most
-	// one batch per round carries a measurement (HasMeasured).
+	// measured for the round (HasMeasured).
 	MeasuredWatts float64 `json:"measuredWatts,omitempty"`
 	// HasMeasured reports whether MeasuredWatts is a real measurement.
 	HasMeasured bool `json:"hasMeasured,omitempty"`
-	// Samples holds one entry per monitored target of this shard (possibly
-	// empty: an idle shard still reports so the round can complete).
+	// Samples holds one entry per monitored target (possibly empty: a round
+	// with nothing monitored still completes).
 	Samples []SensorSample `json:"samples"`
 }
 
@@ -131,9 +112,9 @@ type SensorReportBatch struct {
 // In the formula-driven mode Watts is the final per-target power; in
 // attributed modes Weight is the raw attribution key the Aggregator
 // normalizes against the round's measured total. Slot carries the sample's
-// dense round slot through the formula stage, encoded as slot+1 (the sensor
-// shard drops samples without one); the Aggregator subtracts one and
-// accumulates into its slot-indexed sparse sets.
+// dense round slot through the formula stage, encoded as slot+1 (the Sensor
+// drops samples without one); the Aggregator subtracts one and accumulates
+// into its slot-indexed sparse set.
 type TargetEstimate struct {
 	Target target.Target `json:"target"`
 	Slot   int32         `json:"-"`
@@ -141,13 +122,11 @@ type TargetEstimate struct {
 	Weight float64       `json:"weight,omitempty"`
 }
 
-// PowerEstimateBatch is one Formula shard's partial result for a round. The
-// Aggregator merges the partials of all shards into one AggregatedReport.
+// PowerEstimateBatch is the Formula's result for a round. The Aggregator
+// turns it into one AggregatedReport.
 type PowerEstimateBatch struct {
 	Timestamp    time.Duration `json:"timestamp"`
 	FrequencyMHz int           `json:"frequencyMHz"`
-	Shard        int           `json:"shard"`
-	NumShards    int           `json:"numShards"`
 	// MeasuredWatts/HasMeasured forward the machine-scope measurement of the
 	// round (see SensorReportBatch).
 	MeasuredWatts float64          `json:"measuredWatts,omitempty"`

@@ -34,13 +34,12 @@ const DefaultCollectTimeout = 5 * time.Second
 // Option customises a PowerAPI instance.
 type Option func(*options)
 
-// SourceFactories builds the sensing backends of a pipeline: one
-// process-scope attribution source per Sensor shard, plus at most one
-// machine-scope total source for the whole pipeline (owned by shard 0). A
-// nil factory means the mode's default.
+// SourceFactories builds the sensing backends the Sensor owns: one
+// process-scope attribution source, plus at most one machine-scope total
+// source. A nil factory means the mode's default.
 type SourceFactories struct {
-	// Attribution builds the per-shard process-scope source.
-	Attribution func(shard int) (source.Source, error)
+	// Attribution builds the process-scope source.
+	Attribution func() (source.Source, error)
 	// Total builds the machine-scope source; it may return (nil, nil) for
 	// modes without one.
 	Total func() (source.Source, error)
@@ -108,18 +107,16 @@ func WithHistory(capacity int) Option {
 	}
 }
 
-// WithShards splits the Sensor and Formula stages into n PID-partitioned
-// shards each. Monitored PIDs are spread over the Sensor pool by a
-// consistent-hash router, every sampling tick fans out to all shards in
-// parallel, and each shard contributes one batched partial result that the
-// Aggregator merges back into a single report. The default of 1 preserves the
-// paper's one-actor-per-stage pipeline.
+// WithShards sets the number of Sensor/Formula actors, which is always one.
+//
+// Deprecated: the pipeline runs one Sensor and one Formula actor, as in the
+// paper's Figure 2; New accepts 1 and rejects any other value.
 func WithShards(n int) Option {
 	return func(o *options) { o.shards = n }
 }
 
 // WithSources selects the sensing mode of the pipeline — which backends the
-// Sensor shards sample and how their outputs combine into per-PID power:
+// Sensor samples and how their outputs combine into per-PID power:
 //
 //	hpc      counter deltas through the learned formula (the default);
 //	procfs   utilisation-proxy total attributed by CPU-time share;
@@ -218,7 +215,7 @@ func WithLogger(l *slog.Logger) Option {
 // standalone and inside a group is never double-counted. Membership is
 // re-synchronised on the first Collect after a membership change or a process
 // exit: members that exit are pruned from the hierarchy and detached from
-// their Sensor shard, members that join are attached.
+// the Sensor, members that join are attached.
 func WithCgroups(h *cgroup.Hierarchy) Option {
 	return func(o *options) { o.hierarchy = h }
 }
@@ -288,9 +285,8 @@ type PowerAPI struct {
 	machine        *machine.Machine
 	model          *model.CPUPowerModel
 	system         *actor.System
-	sensors        *actor.Router
+	sensor         *actor.Ref
 	slots          *slotIndex
-	shards         int
 	mode           source.Mode
 	collectTimeout time.Duration
 	sources        []source.Source
@@ -316,7 +312,7 @@ type PowerAPI struct {
 	drainWG sync.WaitGroup
 
 	// collectMu guards the per-round waiters Collect registers before
-	// broadcasting a tick; the fanout completes them once the round is
+	// sending the sensor a tick; the fanout completes them once the round is
 	// published and its trace finished.
 	collectMu      sync.Mutex
 	collectWaiters map[time.Duration]chan AggregatedReport
@@ -326,7 +322,7 @@ type PowerAPI struct {
 	mu          sync.Mutex
 	lastCollect time.Duration
 	// monitored holds the explicitly attached targets (processes and cgroups);
-	// members holds the PIDs attached to shards because a monitored cgroup
+	// members holds the PIDs attached to the sensor because a monitored cgroup
 	// contains them. A PID present in both stays attached until it leaves both.
 	monitored map[target.Target]bool
 	members   map[int]bool
@@ -348,7 +344,7 @@ func New(m *machine.Machine, powerModel *model.CPUPowerModel, opts ...Option) (a
 	if m == nil {
 		return nil, errors.New("core: nil machine")
 	}
-	// Every formula shard runs the one compiled model; compiling validates it.
+	// The formula runs the compiled model; compiling validates it.
 	compiled, cerr := powerModel.Compile()
 	if cerr != nil {
 		return nil, fmt.Errorf("core: %w", cerr)
@@ -367,8 +363,8 @@ func New(m *machine.Machine, powerModel *model.CPUPowerModel, opts ...Option) (a
 			cfg.bridgeCleanup()
 		}
 	}()
-	if cfg.shards < 1 {
-		return nil, fmt.Errorf("core: shard count must be at least 1, got %d", cfg.shards)
+	if cfg.shards != 1 {
+		return nil, fmt.Errorf("core: the pipeline runs one sensor and one formula actor; WithShards accepts only 1, got %d", cfg.shards)
 	}
 	if !cfg.mode.Valid() {
 		return nil, fmt.Errorf("core: invalid source mode %v", cfg.mode)
@@ -405,7 +401,6 @@ func New(m *machine.Machine, powerModel *model.CPUPowerModel, opts ...Option) (a
 		model:          powerModel,
 		system:         actor.NewSystem("powerapi"),
 		slots:          newSlotIndex(),
-		shards:         cfg.shards,
 		mode:           cfg.mode,
 		collectTimeout: cfg.collectTimeout,
 		hierarchy:      cfg.hierarchy,
@@ -453,7 +448,7 @@ func New(m *machine.Machine, powerModel *model.CPUPowerModel, opts ...Option) (a
 		}
 	}()
 
-	// Pipeline stage failures are supervised: a panicking shard is restarted
+	// Pipeline stage failures are supervised: a panicking stage is restarted
 	// and the failure lands on the error topic instead of killing the system.
 	supervised := func(stage string) actor.RestartPolicy {
 		return actor.RestartPolicy{
@@ -467,9 +462,9 @@ func New(m *machine.Machine, powerModel *model.CPUPowerModel, opts ...Option) (a
 		}
 	}
 
-	// The machine-scope source of the mode (RAPL meter, utilisation proxy)
-	// exists once per pipeline and is owned by Sensor shard 0; attribution
-	// sources are per shard, each owning the sampling state of its PIDs.
+	// The sensor owns both sources of the mode: the machine-scope one (RAPL
+	// meter, utilisation proxy), when the mode has one, and the process-scope
+	// attribution source that holds the sampling state of every attached PID.
 	var totalSrc source.Source
 	if cfg.factories.Total != nil {
 		src, err := cfg.factories.Total()
@@ -484,51 +479,39 @@ func New(m *machine.Machine, powerModel *model.CPUPowerModel, opts ...Option) (a
 			api.sources = append(api.sources, src)
 		}
 	}
+	attrSrc, err := cfg.factories.Attribution()
+	if err != nil {
+		return nil, fmt.Errorf("core: build attribution source: %w", err)
+	}
+	if attrSrc == nil {
+		return nil, errors.New("core: attribution source factory returned nil")
+	}
+	if err := attrSrc.Open(nil); err != nil {
+		return nil, fmt.Errorf("core: open %s source: %w", attrSrc.Name(), err)
+	}
+	api.sources = append(api.sources, attrSrc)
 
 	bus := api.system.Bus()
-	sensorRefs := make([]*actor.Ref, cfg.shards)
-	for i := 0; i < cfg.shards; i++ {
-		// The formula shard is stateless: restart from a fresh instance.
-		formula, err := api.system.SpawnSupervised(fmt.Sprintf("formula-%d", i),
-			func() actor.Behavior { return newFormulaShardBehavior(compiled, cfg.mode, api.tracer) }, 0, supervised("formula"))
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		if err := bus.Subscribe(SensorShardTopic(i), formula); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		attrSrc, err := cfg.factories.Attribution(i)
-		if err != nil {
-			return nil, fmt.Errorf("core: build attribution source for shard %d: %w", i, err)
-		}
-		if attrSrc == nil {
-			return nil, fmt.Errorf("core: attribution source factory returned nil for shard %d", i)
-		}
-		if err := attrSrc.Open(nil); err != nil {
-			return nil, fmt.Errorf("core: open %s source for shard %d: %w", attrSrc.Name(), i, err)
-		}
-		api.sources = append(api.sources, attrSrc)
-		var shardTotal source.Source
-		if i == 0 {
-			shardTotal = totalSrc
-		}
-		// The sensor shard owns the sampling state of its PIDs, so a restart
-		// keeps the same behaviour instance (state preserved).
-		sensorShard := newSensorShardBehavior(attrSrc, shardTotal, i, cfg.shards, cfg.collectTimeout, api.tracer)
-		sensor, err := api.system.SpawnSupervised(fmt.Sprintf("sensor-%d", i),
-			func() actor.Behavior { return sensorShard }, 0, supervised("sensor"))
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		sensorRefs[i] = sensor
-	}
-	sensors, err := actor.NewRouter(sensorRefs...)
+	// The formula is stateless: restart from a fresh instance.
+	formula, err := api.system.SpawnSupervised("formula",
+		func() actor.Behavior { return newFormulaBehavior(compiled, cfg.mode, api.tracer) }, 0, supervised("formula"))
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	// The aggregator keeps in-flight round state across restarts; reporters
-	// wrap externally supplied delivery functions. Both keep their instance
-	// on restart but still record the panic like the shard pools do.
+	if err := bus.Subscribe(TopicSensorReports, formula); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	// The sensor owns the sampling state of its PIDs, so a restart keeps the
+	// same behaviour instance (state preserved).
+	sensorBhv := newSensorBehavior(attrSrc, totalSrc, cfg.collectTimeout, api.tracer)
+	api.sensor, err = api.system.SpawnSupervised("sensor",
+		func() actor.Behavior { return sensorBhv }, 0, supervised("sensor"))
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	// The aggregator keeps its round scratch across restarts; reporters wrap
+	// externally supplied delivery functions. Both keep their instance on
+	// restart but still record the panic like the other stages do.
 	//
 	// The RAPL-measured modes attribute the full package power — idle floor
 	// included — so stacking the model's idle constant on top would double
@@ -594,7 +577,6 @@ func New(m *machine.Machine, powerModel *model.CPUPowerModel, opts ...Option) (a
 		return nil, fmt.Errorf("core: %w", err)
 	}
 
-	api.sensors = sensors
 	built = true
 	return api, nil
 }
@@ -609,11 +591,11 @@ func fillDefaultFactories(cfg *options, m *machine.Machine) {
 		switch cfg.mode {
 		case source.ModeHPC, source.ModeBlended, source.ModeDelegated:
 			events := cfg.events
-			cfg.factories.Attribution = func(int) (source.Source, error) {
+			cfg.factories.Attribution = func() (source.Source, error) {
 				return source.NewHPC(m, events)
 			}
 		default:
-			cfg.factories.Attribution = func(int) (source.Source, error) {
+			cfg.factories.Attribution = func() (source.Source, error) {
 				return source.NewProcfs(m)
 			}
 		}
@@ -713,7 +695,7 @@ func (p *PowerAPI) fanout(report AggregatedReport) {
 	traceStart := p.tracer.Now()
 	ts := report.Timestamp
 	p.subs.Publish(report) // each delivered channel send holds its own reference
-	p.tracer.Record(ts, obs.StageFanout, 0, traceStart, p.tracer.Now())
+	p.tracer.Record(ts, obs.StageFanout, traceStart, p.tracer.Now())
 	// The fanout is the last synchronous stage: every consumer holds the
 	// round now, so this stamp is the round's end-to-end duration.
 	p.tracer.FinishRound(ts)
@@ -764,7 +746,7 @@ func (p *PowerAPI) spawnReporterSubscriber(name string, deliver func(AggregatedR
 			// The round is pooled: a callback that wants to keep it past its
 			// return must Clone (the retention contract on AggregatedReport).
 			report.Release()
-			p.tracer.Record(ts, obs.StageReporter, 0, traceStart, p.tracer.Now())
+			p.tracer.Record(ts, obs.StageReporter, traceStart, p.tracer.Now())
 		}
 	}()
 	return nil
@@ -800,7 +782,7 @@ func (p *PowerAPI) spawnHistorySubscriber() error {
 			}
 			p.history.RecordBatch(report.Timestamp, batch)
 			report.Release()
-			p.tracer.Record(ts, obs.StageHistory, 0, traceStart, p.tracer.Now())
+			p.tracer.Record(ts, obs.StageHistory, traceStart, p.tracer.Now())
 		}
 	}()
 	return nil
@@ -815,26 +797,11 @@ func (p *PowerAPI) Model() *model.CPUPowerModel { return p.model }
 // ActorNames lists the pipeline's actors (diagnostics and tests).
 func (p *PowerAPI) ActorNames() []string { return p.system.ActorNames() }
 
-// Shards returns the size of the Sensor/Formula shard pools.
-func (p *PowerAPI) Shards() int { return p.shards }
-
 // SourceMode returns the sensing mode of the pipeline.
 func (p *PowerAPI) SourceMode() source.Mode { return p.mode }
 
 // CollectTimeout returns the wall-clock budget of synchronous operations.
 func (p *PowerAPI) CollectTimeout() time.Duration { return p.collectTimeout }
-
-// ShardOf returns the index of the Sensor shard a PID is routed to.
-func (p *PowerAPI) ShardOf(pid int) int {
-	return p.ShardOfTarget(target.Process(pid))
-}
-
-// ShardOfTarget returns the index of the Sensor shard a target is routed to.
-// Process targets keep their raw PID as the routing key, so a pipeline
-// without cgroup targets partitions exactly as the per-PID pipeline did.
-func (p *PowerAPI) ShardOfTarget(t target.Target) int {
-	return p.sensors.IndexFor(t.RouteKey())
-}
 
 // Cgroups returns the control-group hierarchy of the pipeline (nil unless
 // WithCgroups was used).
@@ -896,7 +863,7 @@ func (p *PowerAPI) Attach(pids ...int) error {
 }
 
 // AttachTargets starts monitoring the given targets. Process targets are
-// routed to their Sensor shard directly. Attaching a cgroup target (which
+// attached to the Sensor directly. Attaching a cgroup target (which
 // requires WithCgroups) monitors the group's member processes, descendants
 // included; membership is re-synchronised on the first Collect after a
 // membership change or a process exit. The machine is always monitored
@@ -957,13 +924,13 @@ func cgroupPathsOverlap(a, b string) bool {
 	return strings.HasPrefix(a, b+cgroup.Separator) || strings.HasPrefix(b, a+cgroup.Separator)
 }
 
-// askAttach is the single choke point for attaching a target to its sensor
-// shard: it assigns the target's dense round slot first, so the shard can
-// stamp every sample with it, and gives a newly-assigned slot back if the
-// shard rejects the attach.
+// askAttach is the single choke point for attaching a target to the sensor:
+// it assigns the target's dense round slot first, so the sensor can stamp
+// every sample with it, and gives a newly-assigned slot back if the sensor
+// rejects the attach.
 func (p *PowerAPI) askAttach(t target.Target) error {
 	slot, existed := p.slots.assign(t)
-	res, err := p.sensors.Ask(t.RouteKey(), func(reply chan<- actor.Message) actor.Message {
+	res, err := actor.Ask(p.sensor, func(reply chan<- actor.Message) actor.Message {
 		return attachRequest{Target: t, Slot: slot, Reply: reply}
 	}, p.collectTimeout)
 	if err != nil {
@@ -982,7 +949,7 @@ func (p *PowerAPI) askAttach(t target.Target) error {
 }
 
 func (p *PowerAPI) askDetach(t target.Target) error {
-	res, err := p.sensors.Ask(t.RouteKey(), func(reply chan<- actor.Message) actor.Message {
+	res, err := actor.Ask(p.sensor, func(reply chan<- actor.Message) actor.Message {
 		return detachRequest{Target: t, Reply: reply}
 	}, p.collectTimeout)
 	if err != nil {
@@ -1013,7 +980,7 @@ func (p *PowerAPI) Detach(pid int) error {
 }
 
 // DetachTargets stops monitoring the given targets. A process that is also a
-// member of a monitored cgroup stays attached to its shard until it leaves
+// member of a monitored cgroup stays attached to the sensor until it leaves
 // both roles; detaching a cgroup target detaches its members unless they are
 // monitored standalone.
 func (p *PowerAPI) DetachTargets(targets ...target.Target) error {
@@ -1026,7 +993,7 @@ func (p *PowerAPI) DetachTargets(targets ...target.Target) error {
 		if !p.monitored[t] {
 			return fmt.Errorf("core: %v is not attached", t)
 		}
-		// The bookkeeping entry is removed only once the shard acknowledged
+		// The bookkeeping entry is removed only once the sensor acknowledged
 		// (or the membership sync succeeded), so a failed detach stays
 		// retryable instead of leaving the target attached but untracked.
 		switch {
@@ -1083,9 +1050,9 @@ func (p *PowerAPI) membershipStampLocked() membershipStamp {
 	return st
 }
 
-// syncCgroupsLocked re-synchronises shard attachments with the cgroup
+// syncCgroupsLocked re-synchronises the sensor's attachments with the cgroup
 // hierarchy and the VM definitions: members that exited are pruned from the
-// hierarchy and detached from their Sensor shard (unless also monitored
+// hierarchy and detached from the Sensor (unless also monitored
 // standalone), members that joined a monitored group or VM are attached.
 // The membership stamp is read before the sync and recorded only if it
 // succeeds, so a mutation racing the sync, or a failed attach or detach, is
@@ -1133,7 +1100,7 @@ func (p *PowerAPI) syncCgroupsLocked() (err error) {
 		if desired[pid] {
 			continue
 		}
-		// The members entry is dropped only once the shard acknowledged the
+		// The members entry is dropped only once the sensor acknowledged the
 		// detach (mirroring the attach loop below), so a failed detach is
 		// retried by the next sync instead of leaking the PID in its source.
 		if !p.monitored[target.Process(pid)] {
@@ -1161,8 +1128,8 @@ func (p *PowerAPI) AttachAllRunnable() error {
 	return p.Attach(p.machine.Processes().PIDs()...)
 }
 
-// Monitored returns the PIDs currently attached to the Sensor shards, both
-// the explicitly attached ones and the members of monitored cgroups, sorted.
+// Monitored returns the PIDs currently attached to the Sensor, both the
+// explicitly attached ones and the members of monitored cgroups, sorted.
 func (p *PowerAPI) Monitored() []int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -1213,9 +1180,9 @@ func (p *PowerAPI) Collect() (AggregatedReport, error) {
 		p.mu.Unlock()
 		return AggregatedReport{}, fmt.Errorf("core: no simulated time elapsed since the previous collection (now %v)", now)
 	}
-	// Re-partition before the round if memberships changed since the last
-	// sync: cgroup members that exited leave their shard, members that
-	// joined are attached.
+	// Re-sync before the round if memberships changed since the last sync:
+	// cgroup members that exited are detached, members that joined are
+	// attached.
 	if !p.hasSynced || p.membershipStampLocked() != p.synced {
 		if err := p.syncCgroupsLocked(); err != nil {
 			p.mu.Unlock()
@@ -1225,7 +1192,7 @@ func (p *PowerAPI) Collect() (AggregatedReport, error) {
 	p.lastCollect = now
 	p.mu.Unlock()
 
-	// Register the round's waiter before broadcasting the tick so the fanout
+	// Register the round's waiter before sending the tick so the fanout
 	// cannot race past it; the waiter is buffered one deep, so a timed-out
 	// round's late report never blocks the fanout either.
 	waiter := make(chan AggregatedReport, 1)
@@ -1238,11 +1205,11 @@ func (p *PowerAPI) Collect() (AggregatedReport, error) {
 		p.collectMu.Unlock()
 	}()
 
-	// Claim the round's trace slot before the tick broadcast: Begin is the
+	// Claim the round's trace slot before the tick is sent: Begin is the
 	// single round-origination point, so every stage's stamp finds the slot.
 	p.tracer.Begin(now)
-	if delivered := p.sensors.Broadcast(tickRequest{Timestamp: now, Window: window}); delivered < p.shards {
-		return AggregatedReport{}, fmt.Errorf("core: tick reached %d of %d sensor shards: %w", delivered, p.shards, actor.ErrStopped)
+	if err := p.sensor.Tell(tickRequest{Timestamp: now, Window: window}); err != nil {
+		return AggregatedReport{}, fmt.Errorf("core: %w", err)
 	}
 	select {
 	case report := <-waiter:

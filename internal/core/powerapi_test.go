@@ -65,7 +65,7 @@ func TestNewValidation(t *testing.T) {
 	}
 	defer api.Shutdown()
 	names := api.ActorNames()
-	want := map[string]bool{"sensor-0": true, "formula-0": true, "aggregator": true, "reporter": true, "error-sink": true}
+	want := map[string]bool{"sensor": true, "formula": true, "aggregator": true, "reporter": true, "error-sink": true}
 	if len(names) != len(want) {
 		t.Fatalf("ActorNames = %v", names)
 	}
@@ -73,12 +73,6 @@ func TestNewValidation(t *testing.T) {
 		if !want[n] {
 			t.Fatalf("unexpected actor %q", n)
 		}
-	}
-	if api.Shards() != 1 {
-		t.Fatalf("default Shards() = %d, want 1", api.Shards())
-	}
-	if _, err := New(m, testModel(), WithShards(0)); err == nil {
-		t.Fatal("zero shards should fail")
 	}
 }
 
@@ -266,115 +260,9 @@ func TestRunMonitored(t *testing.T) {
 	}
 }
 
-// newShardedWorkload builds a machine with several distinct workloads and an
-// API with the given shard count, returning the PIDs monitored.
-func newShardedWorkload(t *testing.T, shards int) (*machine.Machine, *PowerAPI, []int) {
-	t.Helper()
-	m := newTestMachine(t)
-	api, err := New(m, testModel(), WithShards(shards))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(api.Shutdown)
-	levels := []float64{1.0, 0.8, 0.6, 0.4, 0.2, 0.9, 0.7, 0.5, 0.3, 0.1}
-	pids := make([]int, 0, len(levels))
-	for _, level := range levels {
-		gen, err := workload.CPUStress(level, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := m.Spawn(gen)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pids = append(pids, p.PID())
-	}
-	if err := api.Attach(pids...); err != nil {
-		t.Fatal(err)
-	}
-	return m, api, pids
-}
-
-func TestShardedCollectMatchesSingleShard(t *testing.T) {
-	// The simulation is deterministic (no power noise in the test config), so
-	// two identical machines monitored with different shard counts must
-	// attribute identical watts to every PID.
-	m1, api1, pids := newShardedWorkload(t, 1)
-	m8, api8, pids8 := newShardedWorkload(t, 8)
-	if len(pids) != len(pids8) {
-		t.Fatal("test machines diverged")
-	}
-	if api8.Shards() != 8 {
-		t.Fatalf("Shards() = %d, want 8", api8.Shards())
-	}
-	for round := 0; round < 3; round++ {
-		if _, err := m1.Run(time.Second); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m8.Run(time.Second); err != nil {
-			t.Fatal(err)
-		}
-		r1, err := api1.Collect()
-		if err != nil {
-			t.Fatal(err)
-		}
-		r8, err := api8.Collect()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(r1.PerPID) != len(pids) || len(r8.PerPID) != len(pids) {
-			t.Fatalf("round %d: PerPID sizes %d/%d, want %d", round, len(r1.PerPID), len(r8.PerPID), len(pids))
-		}
-		for pid, watts := range r1.PerPID {
-			if r8.PerPID[pid] != watts {
-				t.Fatalf("round %d: pid %d estimated at %v W with 8 shards, %v W with 1", round, pid, r8.PerPID[pid], watts)
-			}
-		}
-		if math.Abs(r1.ActiveWatts-r8.ActiveWatts) > 1e-9 {
-			t.Fatalf("round %d: active watts %v vs %v", round, r1.ActiveWatts, r8.ActiveWatts)
-		}
-		if math.Abs(r8.TotalWatts-(r8.IdleWatts+r8.ActiveWatts)) > 1e-9 {
-			t.Fatal("sharded TotalWatts must equal IdleWatts + ActiveWatts")
-		}
-	}
-	if api8.ErrorCount() != 0 {
-		t.Fatalf("sharded pipeline reported %d errors: %v", api8.ErrorCount(), api8.LastError())
-	}
-}
-
-func TestShardedAttachDetach(t *testing.T) {
-	_, api, pids := newShardedWorkload(t, 4)
-	// PIDs must be spread deterministically over the pool.
-	for _, pid := range pids {
-		shard := api.ShardOf(pid)
-		if shard < 0 || shard >= 4 {
-			t.Fatalf("pid %d routed to shard %d", pid, shard)
-		}
-		if again := api.ShardOf(pid); again != shard {
-			t.Fatalf("pid %d moved from shard %d to %d", pid, shard, again)
-		}
-	}
-	// Detach must reach the same shard that attached the PID.
-	for _, pid := range pids {
-		if err := api.Detach(pid); err != nil {
-			t.Fatalf("detach pid %d: %v", pid, err)
-		}
-	}
-	if len(api.Monitored()) != 0 {
-		t.Fatal("Monitored should be empty after detaching everything")
-	}
-	if err := api.Detach(pids[0]); err == nil {
-		t.Fatal("detaching twice should fail")
-	}
-}
-
 func TestShardedCollectWithNothingMonitored(t *testing.T) {
 	m := newTestMachine(t)
-	api, err := New(m, testModel(), WithShards(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(api.Shutdown)
+	api := newTestAPI(t, m)
 	if _, err := m.Run(time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +271,7 @@ func TestShardedCollectWithNothingMonitored(t *testing.T) {
 		t.Fatal(err)
 	}
 	if report.ActiveWatts != 0 || report.TotalWatts != report.IdleWatts {
-		t.Fatalf("idle sharded round reported %+v", report)
+		t.Fatalf("idle round reported %+v", report)
 	}
 }
 

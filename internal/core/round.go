@@ -7,16 +7,16 @@ import (
 )
 
 // This file holds the allocation machinery of the per-round hot path: the
-// slot-indexed sparse accumulator the aggregator merges shard batches into,
-// the pooled report buffers aggregated rounds are published from (recycled by
-// reference counting once the last holder releases a round), and the pooled
-// estimate slices the formula shards hand to the aggregator.
+// slot-indexed sparse accumulator the aggregator merges each round's
+// estimates into, the pooled report buffers aggregated rounds are published
+// from (recycled by reference counting once the last holder releases a
+// round), and the pooled estimate slices the formula hands to the aggregator.
 
 // SparseSet accumulates one float64 per slot for a single round without
 // clearing its backing arrays between rounds: an epoch stamp per slot tells
 // stale values from live ones, so reset is O(1) and only the slots actually
-// touched by a round are ever visited again. The aggregator merges shard
-// batches into one; the fleet collector reuses it (keyed by its route-key
+// touched by a round are ever visited again. The aggregator merges each
+// round's estimates into one; the fleet collector reuses it (keyed by its route-key
 // slots) to roll nodes up without per-round map churn.
 type SparseSet struct {
 	epoch   uint32
@@ -196,7 +196,7 @@ func cloneMap[K comparable](m map[K]float64) map[K]float64 {
 }
 
 // estimatePool recycles the per-round estimate slices flowing from the
-// formula shards to the aggregator. The aggregator is the sole consumer of
+// formula to the aggregator. The aggregator is the sole consumer of
 // TopicPowerEstimates, so it hands each batch's slice back once merged.
 var estimatePool = sync.Pool{New: func() any { return new([]TargetEstimate) }}
 

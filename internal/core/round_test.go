@@ -148,9 +148,9 @@ func TestCollectReportExpiresAtNextCollect(t *testing.T) {
 	}
 }
 
-// TestSlotIndexChurn drives the dense route-key index through sustained
+// TestSlotIndexChurn drives the dense round-slot index through sustained
 // attach/detach churn — 10 000 distinct process targets cycled through a
-// 4-shard pipeline in waves while rounds keep ticking — and checks the three
+// pipeline in waves while rounds keep ticking — and checks the three
 // invariants the slot machinery must hold: detached targets never leak watts
 // into later rounds, the per-round attribution stays conserved against the
 // report's own total, and the index compacts back to nothing once the churn
@@ -161,7 +161,7 @@ func TestSlotIndexChurn(t *testing.T) {
 		waveSize     = 500
 	)
 	m := newTestMachine(t)
-	api, err := New(m, testModel(), WithShards(4))
+	api, err := New(m, testModel())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -74,78 +75,76 @@ func TestWithCollectTimeoutValidation(t *testing.T) {
 // contract: one full pipeline round trip must attribute exactly the RAPL
 // package power across the monitored PIDs (Kepler-style ratio split).
 func TestBlendedRoundTripSumsToRAPLPackagePower(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		m := newTestMachine(t)
-		// An independent RAPL counter opened at the same simulated instant as
-		// the pipeline's source reads identical registers: it is the test's
-		// ground-truth view of what the pipeline should have attributed.
-		meter, err := rapl.NewMachineMeter(m)
+	m := newTestMachine(t)
+	// An independent RAPL counter opened at the same simulated instant as
+	// the pipeline's source reads identical registers: it is the test's
+	// ground-truth view of what the pipeline should have attributed.
+	meter, err := rapl.NewMachineMeter(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := meter.OpenCounter(0, rapl.DomainPackage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	api, err := New(m, testModel(), WithSources(source.ModeBlended))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(api.Shutdown)
+	pids := spawnMix(t, m, 1.0, 0.7, 0.4, 0.2, 0.9)
+	if err := api.Attach(pids...); err != nil {
+		t.Fatal(err)
+	}
+	lastTS := m.Now()
+	for round := 0; round < 3; round++ {
+		if _, err := m.Run(time.Second); err != nil {
+			t.Fatal(err)
+		}
+		report, err := api.Collect()
 		if err != nil {
 			t.Fatal(err)
 		}
-		pkg, err := meter.OpenCounter(0, rapl.DomainPackage)
+		window := (report.Timestamp - lastTS).Seconds()
+		lastTS = report.Timestamp
+		joules, err := pkg.DeltaJoules()
 		if err != nil {
 			t.Fatal(err)
 		}
-		api, err := New(m, testModel(), WithShards(shards), WithSources(source.ModeBlended))
-		if err != nil {
-			t.Fatal(err)
-		}
-		pids := spawnMix(t, m, 1.0, 0.7, 0.4, 0.2, 0.9)
-		if err := api.Attach(pids...); err != nil {
-			t.Fatal(err)
-		}
-		lastTS := m.Now()
-		for round := 0; round < 3; round++ {
-			if _, err := m.Run(time.Second); err != nil {
-				t.Fatal(err)
-			}
-			report, err := api.Collect()
-			if err != nil {
-				t.Fatal(err)
-			}
-			window := (report.Timestamp - lastTS).Seconds()
-			lastTS = report.Timestamp
-			joules, err := pkg.DeltaJoules()
-			if err != nil {
-				t.Fatal(err)
-			}
-			raplWatts := joules / window
+		raplWatts := joules / window
 
-			var sum float64
-			for _, watts := range report.PerPID {
-				sum += watts
-			}
-			if len(report.PerPID) != len(pids) {
-				t.Fatalf("shards=%d round %d: PerPID has %d entries, want %d", shards, round, len(report.PerPID), len(pids))
-			}
-			if math.Abs(sum-raplWatts) > 1e-6 {
-				t.Fatalf("shards=%d round %d: per-PID sum %.9f W != RAPL package power %.9f W", shards, round, sum, raplWatts)
-			}
-			if math.Abs(sum-report.ActiveWatts) > 1e-6 || math.Abs(report.MeasuredWatts-raplWatts) > 1e-6 {
-				t.Fatalf("shards=%d round %d: active %.9f measured %.9f rapl %.9f", shards, round, report.ActiveWatts, report.MeasuredWatts, raplWatts)
-			}
-			// RAPL measures the idle floor too, so the model's idle constant
-			// must not be stacked on top.
-			if report.IdleWatts != 0 {
-				t.Fatalf("blended IdleWatts = %v, want 0", report.IdleWatts)
-			}
-			if report.TotalWatts != report.ActiveWatts {
-				t.Fatal("blended TotalWatts must equal ActiveWatts")
-			}
-			if report.SourceMode != "blended" {
-				t.Fatalf("SourceMode = %q", report.SourceMode)
-			}
-			// The attribution key is counter activity: the flat-out process
-			// must get more of the budget than the barely-loaded one.
-			if report.PerPID[pids[0]] <= report.PerPID[pids[3]] {
-				t.Fatalf("shards=%d round %d: 100%% load got %.3f W, 20%% load %.3f W", shards, round, report.PerPID[pids[0]], report.PerPID[pids[3]])
-			}
+		var sum float64
+		for _, watts := range report.PerPID {
+			sum += watts
 		}
-		if api.ErrorCount() != 0 {
-			t.Fatalf("pipeline reported %d errors: %v", api.ErrorCount(), api.LastError())
+		if len(report.PerPID) != len(pids) {
+			t.Fatalf("round %d: PerPID has %d entries, want %d", round, len(report.PerPID), len(pids))
 		}
-		api.Shutdown()
+		if math.Abs(sum-raplWatts) > 1e-6 {
+			t.Fatalf("round %d: per-PID sum %.9f W != RAPL package power %.9f W", round, sum, raplWatts)
+		}
+		if math.Abs(sum-report.ActiveWatts) > 1e-6 || math.Abs(report.MeasuredWatts-raplWatts) > 1e-6 {
+			t.Fatalf("round %d: active %.9f measured %.9f rapl %.9f", round, report.ActiveWatts, report.MeasuredWatts, raplWatts)
+		}
+		// RAPL measures the idle floor too, so the model's idle constant
+		// must not be stacked on top.
+		if report.IdleWatts != 0 {
+			t.Fatalf("blended IdleWatts = %v, want 0", report.IdleWatts)
+		}
+		if report.TotalWatts != report.ActiveWatts {
+			t.Fatal("blended TotalWatts must equal ActiveWatts")
+		}
+		if report.SourceMode != "blended" {
+			t.Fatalf("SourceMode = %q", report.SourceMode)
+		}
+		// The attribution key is counter activity: the flat-out process
+		// must get more of the budget than the barely-loaded one.
+		if report.PerPID[pids[0]] <= report.PerPID[pids[3]] {
+			t.Fatalf("round %d: 100%% load got %.3f W, 20%% load %.3f W", round, report.PerPID[pids[0]], report.PerPID[pids[3]])
+		}
+	}
+	if api.ErrorCount() != 0 {
+		t.Fatalf("pipeline reported %d errors: %v", api.ErrorCount(), api.LastError())
 	}
 }
 
@@ -229,63 +228,57 @@ func TestProcfsModeFallsBackToUtilization(t *testing.T) {
 	}
 }
 
-// TestGroupResolverAggregatesAcrossShards pins the satellite requirement:
-// WithGroupResolver must produce identical group totals no matter how many
-// shards the PIDs are spread over, in the formula mode and in an attributed
-// mode.
+// TestGroupResolverAggregatesAcrossShards pins that WithGroupResolver's group
+// totals tie out to the per-PID attribution, in the formula mode and in an
+// attributed mode.
 func TestGroupResolverAggregatesAcrossShards(t *testing.T) {
+	groups := func(pid int) string {
+		if pid%2 == 0 {
+			return "even"
+		}
+		return "odd"
+	}
 	for _, mode := range []source.Mode{source.ModeHPC, source.ModeBlended} {
-		groups := func(pid int) string {
-			if pid%2 == 0 {
-				return "even"
-			}
-			return "odd"
+		m := newTestMachine(t)
+		api, err := New(m, testModel(), WithSources(mode), WithGroupResolver(groups))
+		if err != nil {
+			t.Fatal(err)
 		}
-		run := func(shards int) (map[string]float64, map[int]float64) {
-			m := newTestMachine(t)
-			api, err := New(m, testModel(), WithShards(shards), WithSources(mode), WithGroupResolver(groups))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer api.Shutdown()
-			pids := spawnMix(t, m, 1.0, 0.8, 0.6, 0.4, 0.2, 0.9, 0.7, 0.5)
-			if err := api.Attach(pids...); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := m.Run(2 * time.Second); err != nil {
-				t.Fatal(err)
-			}
-			report, err := api.Collect()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if api.ErrorCount() != 0 {
-				t.Fatalf("mode %v shards %d: %d errors: %v", mode, shards, api.ErrorCount(), api.LastError())
-			}
-			return report.PerGroup, report.PerPID
+		t.Cleanup(api.Shutdown)
+		pids := spawnMix(t, m, 1.0, 0.8, 0.6, 0.4, 0.2, 0.9, 0.7, 0.5)
+		if err := api.Attach(pids...); err != nil {
+			t.Fatal(err)
 		}
-		g1, p1 := run(1)
-		g4, p4 := run(4)
-		if len(g1) != 2 || len(g4) != 2 {
-			t.Fatalf("mode %v: groups %v vs %v, want even+odd in both", mode, g1, g4)
+		if _, err := m.Run(2 * time.Second); err != nil {
+			t.Fatal(err)
 		}
-		for name, watts := range g1 {
-			if math.Abs(g4[name]-watts) > 1e-9 {
-				t.Fatalf("mode %v: group %q diverges across shard counts: %.9f vs %.9f", mode, name, watts, g4[name])
-			}
+		report, err := api.Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if api.ErrorCount() != 0 {
+			t.Fatalf("mode %v: %d errors: %v", mode, api.ErrorCount(), api.LastError())
+		}
+		if len(report.PerGroup) != 2 {
+			t.Fatalf("mode %v: groups %v, want even+odd", mode, report.PerGroup)
 		}
 		// Group totals must tie out to the per-PID attribution.
-		var groupSum, pidSum float64
-		for _, watts := range g4 {
-			groupSum += watts
-		}
-		for _, watts := range p4 {
+		want := make(map[string]float64, 2)
+		var pidSum float64
+		for pid, watts := range report.PerPID {
+			want[groups(pid)] += watts
 			pidSum += watts
+		}
+		var groupSum float64
+		for name, watts := range report.PerGroup {
+			if math.Abs(watts-want[name]) > 1e-9 {
+				t.Fatalf("mode %v: group %q = %.9f W, its members sum to %.9f W", mode, name, watts, want[name])
+			}
+			groupSum += watts
 		}
 		if math.Abs(groupSum-pidSum) > 1e-9 {
 			t.Fatalf("mode %v: group sum %.9f != pid sum %.9f", mode, groupSum, pidSum)
 		}
-		_ = p1
 	}
 }
 
@@ -423,29 +416,29 @@ func (c closeTrackingSource) Close() error {
 }
 
 // TestNewCleansUpOnConstructorFailure pins that a half-built pipeline does
-// not leak: sources opened before a later factory fails are closed again and
+// not leak: a source opened before a later factory fails is closed again and
 // the already-spawned actors are shut down.
 func TestNewCleansUpOnConstructorFailure(t *testing.T) {
 	m := newTestMachine(t)
 	closed := false
-	_, err := New(m, testModel(), WithShards(2), WithSources(source.ModeProcfs),
+	_, err := New(m, testModel(), WithSources(source.ModeProcfs),
 		WithSourceFactories(SourceFactories{
-			Attribution: func(shard int) (source.Source, error) {
-				if shard == 1 {
-					return nil, errors.New("boom")
-				}
-				inner, err := source.NewProcfs(m)
+			Total: func() (source.Source, error) {
+				inner, err := source.NewUtilizationTotal(m)
 				if err != nil {
 					return nil, err
 				}
 				return closeTrackingSource{Source: inner, closed: &closed}, nil
+			},
+			Attribution: func() (source.Source, error) {
+				return nil, errors.New("boom")
 			},
 		}))
 	if err == nil {
 		t.Fatal("failing attribution factory must fail New")
 	}
 	if !closed {
-		t.Fatal("shard 0's already-opened source was not closed on constructor failure")
+		t.Fatal("the already-opened total source was not closed on constructor failure")
 	}
 }
 
@@ -455,10 +448,9 @@ func TestSourceFactoriesOverride(t *testing.T) {
 	m := newTestMachine(t)
 	built := 0
 	api, err := New(m, testModel(),
-		WithShards(2),
 		WithSources(source.ModeProcfs),
 		WithSourceFactories(SourceFactories{
-			Attribution: func(shard int) (source.Source, error) {
+			Attribution: func() (source.Source, error) {
 				built++
 				return source.NewProcfs(m)
 			},
@@ -467,8 +459,8 @@ func TestSourceFactoriesOverride(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(api.Shutdown)
-	if built != 2 {
-		t.Fatalf("attribution factory invoked %d times, want once per shard", built)
+	if built != 1 {
+		t.Fatalf("attribution factory invoked %d times, want once", built)
 	}
 	pids := spawnMix(t, m, 0.8)
 	if err := api.Attach(pids...); err != nil {
@@ -479,6 +471,106 @@ func TestSourceFactoriesOverride(t *testing.T) {
 	}
 	if _, err := api.Collect(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// panicSource is a procfs source whose next Sample panics while armed.
+type panicSource struct {
+	*source.Procfs
+	armed *atomic.Bool
+}
+
+func (s panicSource) Sample(ctx context.Context) (source.Sample, error) {
+	if s.armed.CompareAndSwap(true, false) {
+		panic("sample exploded")
+	}
+	return s.Procfs.Sample(ctx)
+}
+
+// TestStagePanicStrandsNoReport loses one round to a panicking stage — the
+// sensor's source, or a group resolver the aggregator calls — and checks
+// what that leaves behind: the round's Collect fails within the collect
+// timeout and counts the error, the next round reports every attached PID
+// with a consistent total, and after Shutdown no pooled report is left
+// leased.
+func TestStagePanicStrandsNoReport(t *testing.T) {
+	const timeout = 500 * time.Millisecond
+	for _, stage := range []string{"sensor", "aggregator"} {
+		t.Run(stage, func(t *testing.T) {
+			m := newTestMachine(t)
+			pids := spawnMix(t, m, 0.9, 0.5, 0.2)
+			gets, _, puts := reportPool.Counters()
+			outstanding := gets - puts
+
+			var armed atomic.Bool
+			opts := []Option{WithSources(source.ModeProcfs), WithCollectTimeout(timeout)}
+			if stage == "sensor" {
+				opts = append(opts, WithSourceFactories(SourceFactories{
+					Attribution: func() (source.Source, error) {
+						p, err := source.NewProcfs(m)
+						return panicSource{Procfs: p, armed: &armed}, err
+					},
+				}))
+			} else {
+				opts = append(opts, WithGroupResolver(func(int) string {
+					if armed.CompareAndSwap(true, false) {
+						panic("resolver exploded")
+					}
+					return "all"
+				}))
+			}
+			api, err := New(m, testModel(), opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(api.Shutdown)
+			if err := api.Attach(pids...); err != nil {
+				t.Fatal(err)
+			}
+			collect := func() (AggregatedReport, error) {
+				t.Helper()
+				if _, err := m.Run(time.Second); err != nil {
+					t.Fatal(err)
+				}
+				return api.Collect()
+			}
+			if _, err := collect(); err != nil {
+				t.Fatal(err)
+			}
+
+			armed.Store(true)
+			start := time.Now()
+			if _, err := collect(); err == nil {
+				t.Fatal("the round whose stage panicked returned a report")
+			}
+			if elapsed := time.Since(start); elapsed > 2*timeout {
+				t.Fatalf("the lost round's Collect took %v, collect timeout %v", elapsed, timeout)
+			}
+			if api.ErrorCount() == 0 {
+				t.Fatal("the panic was not counted")
+			}
+
+			report, err := collect()
+			if err != nil {
+				t.Fatalf("the round after the panic: %v", err)
+			}
+			if len(report.PerPID) != len(pids) {
+				t.Fatalf("PerPID = %v, want all %d attached pids", report.PerPID, len(pids))
+			}
+			for _, pid := range pids {
+				if _, ok := report.PerPID[pid]; !ok {
+					t.Fatalf("pid %d missing from %v", pid, report.PerPID)
+				}
+			}
+			if math.Abs(report.TotalWatts-(report.IdleWatts+report.ActiveWatts)) > 1e-9 {
+				t.Fatalf("TotalWatts %.9f != IdleWatts %.9f + ActiveWatts %.9f", report.TotalWatts, report.IdleWatts, report.ActiveWatts)
+			}
+
+			api.Shutdown()
+			if got := api.Stats().ReportPool.Outstanding; got != outstanding {
+				t.Fatalf("%d pooled reports outstanding after Shutdown, %d before New", got, outstanding)
+			}
+		})
 	}
 }
 
@@ -505,7 +597,7 @@ func TestUnattachedSampleDropped(t *testing.T) {
 	api, err := New(m, testModel(),
 		WithSources(source.ModeProcfs),
 		WithSourceFactories(SourceFactories{
-			Attribution: func(int) (source.Source, error) {
+			Attribution: func() (source.Source, error) {
 				p, err := source.NewProcfs(m)
 				return &extraSampleSource{Procfs: p, extra: pids[2]}, err
 			},

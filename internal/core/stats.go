@@ -43,17 +43,14 @@ type SelfStats struct {
 	CPUSeconds float64 `json:"cpuSeconds"`
 }
 
-// MonitorStats is the one-call observability snapshot of a monitor: pipeline
-// shape, error and subscription counters, slot-index and history occupancy,
+// MonitorStats is the one-call observability snapshot of a monitor: sensing
+// mode, error and subscription counters, slot-index and history occupancy,
 // report-pool traffic, per-stage latency distributions and the end-to-end
 // round distribution, plus the self-power figures.
 type MonitorStats struct {
-	Shards     int    `json:"shards"`
 	SourceMode string `json:"sourceMode"`
 	// Errors is the pipeline error count (ErrorCount).
 	Errors int64 `json:"errors"`
-	// PendingRounds is the aggregator's in-flight round count.
-	PendingRounds int `json:"pendingRounds"`
 	// SlotsLive/SlotsCapacity are the round-slot index occupancy: live
 	// attached targets and the backing-array length (live plus
 	// not-yet-compacted free slots).
@@ -81,10 +78,8 @@ func (p *PowerAPI) Stats() MonitorStats {
 		outstanding = gets - puts
 	}
 	stats := MonitorStats{
-		Shards:        p.shards,
 		SourceMode:    p.mode.String(),
 		Errors:        p.errCount.Load(),
-		PendingRounds: p.tracer.PendingRounds(),
 		SlotsLive:     p.slots.size(),
 		SlotsCapacity: p.slots.capacity(),
 		TraceCapacity: p.tracer.Capacity(),

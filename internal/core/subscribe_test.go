@@ -33,91 +33,91 @@ func drainAll(sub *Subscription, perReport time.Duration, out *[]AggregatedRepor
 }
 
 // TestSubscribeBackpressureMatrix exercises the three policies against fast
-// and slow consumers on the unsharded and 4-way-sharded pipelines: no combo
-// may deadlock, Block subscribers see every round exactly once, Conflate and
-// DropOldest subscribers see a strictly increasing subsequence ending on the
-// final round, and the Delivered/Dropped counters reconcile with what each
-// consumer actually received.
+// and slow consumers: no combo may deadlock, Block subscribers see every
+// round exactly once, Conflate and DropOldest subscribers see a strictly
+// increasing subsequence ending on the final round, and the
+// Delivered/Dropped counters reconcile with what each consumer actually
+// received.
 func TestSubscribeBackpressureMatrix(t *testing.T) {
 	const rounds = 25
-	for _, shards := range []int{1, 4} {
-		for _, policy := range []BackpressurePolicy{Conflate, DropOldest, Block} {
-			for _, slow := range []bool{false, true} {
-				name := fmt.Sprintf("shards=%d/%v/slow=%v", shards, policy, slow)
-				t.Run(name, func(t *testing.T) {
-					m := newTestMachine(t)
-					api, err := New(m, testModel(), WithShards(shards))
-					if err != nil {
-						t.Fatal(err)
-					}
-					pids := spawnMix(t, m, 0.9, 0.5, 0.3, 0.7)
-					if err := api.Attach(pids...); err != nil {
-						t.Fatal(err)
-					}
-					sub, err := api.Subscribe(SubscribeOptions{Name: name, Policy: policy, Buffer: 4})
-					if err != nil {
-						t.Fatal(err)
-					}
-					delay := time.Duration(0)
-					if slow {
-						delay = 2 * time.Millisecond
-					}
-					var received []AggregatedReport
-					var wg sync.WaitGroup
-					drainAll(sub, delay, &received, &wg)
+	for _, policy := range []BackpressurePolicy{Conflate, DropOldest, Block} {
+		for _, slow := range []bool{false, true} {
+			// The shards=1 level keeps the subtest IDs that earlier
+			// results are filed under.
+			name := fmt.Sprintf("shards=1/%v/slow=%v", policy, slow)
+			t.Run(name, func(t *testing.T) {
+				m := newTestMachine(t)
+				api, err := New(m, testModel())
+				if err != nil {
+					t.Fatal(err)
+				}
+				pids := spawnMix(t, m, 0.9, 0.5, 0.3, 0.7)
+				if err := api.Attach(pids...); err != nil {
+					t.Fatal(err)
+				}
+				sub, err := api.Subscribe(SubscribeOptions{Name: name, Policy: policy, Buffer: 4})
+				if err != nil {
+					t.Fatal(err)
+				}
+				delay := time.Duration(0)
+				if slow {
+					delay = 2 * time.Millisecond
+				}
+				var received []AggregatedReport
+				var wg sync.WaitGroup
+				drainAll(sub, delay, &received, &wg)
 
-					reports, err := api.RunMonitored(rounds*time.Second, time.Second, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(reports) != rounds {
-						t.Fatalf("run produced %d rounds, want %d", len(reports), rounds)
-					}
-					api.Shutdown() // closes the subscription; the drain goroutine exits
-					wg.Wait()
+				reports, err := api.RunMonitored(rounds*time.Second, time.Second, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(reports) != rounds {
+					t.Fatalf("run produced %d rounds, want %d", len(reports), rounds)
+				}
+				api.Shutdown() // closes the subscription; the drain goroutine exits
+				wg.Wait()
 
-					last := reports[len(reports)-1].Timestamp
-					for i := 1; i < len(received); i++ {
-						if received[i].Timestamp <= received[i-1].Timestamp {
-							t.Fatalf("non-monotonic delivery: %v after %v", received[i].Timestamp, received[i-1].Timestamp)
-						}
+				last := reports[len(reports)-1].Timestamp
+				for i := 1; i < len(received); i++ {
+					if received[i].Timestamp <= received[i-1].Timestamp {
+						t.Fatalf("non-monotonic delivery: %v after %v", received[i].Timestamp, received[i-1].Timestamp)
 					}
-					if len(received) == 0 {
-						t.Fatal("no reports delivered")
+				}
+				if len(received) == 0 {
+					t.Fatal("no reports delivered")
+				}
+				if got := received[len(received)-1].Timestamp; got != last {
+					t.Fatalf("last delivered round %v, want the final round %v", got, last)
+				}
+				// Every delivered report conserves its own attribution.
+				for _, r := range received {
+					sum := 0.0
+					for _, watts := range r.PerPID {
+						sum += watts
 					}
-					if got := received[len(received)-1].Timestamp; got != last {
-						t.Fatalf("last delivered round %v, want the final round %v", got, last)
+					if math.Abs(sum-r.ActiveWatts) > 1e-6 {
+						t.Fatalf("delivered report not conserved: sum %.9f active %.9f", sum, r.ActiveWatts)
 					}
-					// Every delivered report conserves its own attribution.
-					for _, r := range received {
-						sum := 0.0
-						for _, watts := range r.PerPID {
-							sum += watts
-						}
-						if math.Abs(sum-r.ActiveWatts) > 1e-6 {
-							t.Fatalf("delivered report not conserved: sum %.9f active %.9f", sum, r.ActiveWatts)
-						}
+				}
+				delivered, dropped := sub.Delivered(), sub.Dropped()
+				if uint64(len(received)) != delivered-dropped {
+					t.Fatalf("received %d reports, counters say delivered %d - dropped %d", len(received), delivered, dropped)
+				}
+				if policy == Block {
+					if delivered != rounds || dropped != 0 {
+						t.Fatalf("Block subscriber: delivered %d dropped %d, want %d/0", delivered, dropped, rounds)
 					}
-					delivered, dropped := sub.Delivered(), sub.Dropped()
-					if uint64(len(received)) != delivered-dropped {
-						t.Fatalf("received %d reports, counters say delivered %d - dropped %d", len(received), delivered, dropped)
+					if len(received) != rounds {
+						t.Fatalf("Block subscriber received %d of %d rounds", len(received), rounds)
 					}
-					if policy == Block {
-						if delivered != rounds || dropped != 0 {
-							t.Fatalf("Block subscriber: delivered %d dropped %d, want %d/0", delivered, dropped, rounds)
-						}
-						if len(received) != rounds {
-							t.Fatalf("Block subscriber received %d of %d rounds", len(received), rounds)
-						}
-					}
-				})
-			}
+				}
+			})
 		}
 	}
 }
 
 // TestManySubscribersMixedPoliciesConservation is the acceptance scenario: a
-// 4-way-sharded blended-attribution monitor with 128 concurrent subscribers
+// blended-attribution monitor with 128 concurrent subscribers
 // of mixed policies completes a 100-round run; Block subscribers miss zero
 // ticks, Conflate subscribers end on the exact latest round, and every
 // delivered report conserves the measured RAPL watts across its PIDs.
@@ -130,7 +130,7 @@ func TestManySubscribersMixedPoliciesConservation(t *testing.T) {
 		rounds      = 100
 	)
 	m := newTestMachine(t)
-	api, err := New(m, testModel(), WithShards(4), WithSources(source.ModeBlended))
+	api, err := New(m, testModel(), WithSources(source.ModeBlended))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,11 +346,11 @@ func TestSubscribeValidation(t *testing.T) {
 }
 
 // TestSubscribeCloseDuringActiveTicks churns subscriptions while rounds are
-// in flight on a sharded pipeline: Subscribe and Close must be safe at any
+// in flight: Subscribe and Close must be safe at any
 // instant (run under -race in CI).
 func TestSubscribeCloseDuringActiveTicks(t *testing.T) {
 	m := newTestMachine(t)
-	api, err := New(m, testModel(), WithShards(4))
+	api, err := New(m, testModel())
 	if err != nil {
 		t.Fatal(err)
 	}

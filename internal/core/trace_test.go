@@ -9,8 +9,8 @@ import (
 	"powerapi/internal/workload"
 )
 
-// TestTraceRingChurn runs a 4-shard pipeline over 10 000 targets with tracing
-// at its defaults and checks the observability layer holds its bargain: every
+// TestTraceRingChurn runs the pipeline over 10 000 targets with tracing at
+// its defaults and checks the observability layer holds its bargain: every
 // retained round trace is complete (all synchronous stages present, spans
 // ordered inside the round), the ring never exceeds its capacity, and the
 // steady-state allocation budget of the hot path is unchanged — the tracer's
@@ -18,17 +18,12 @@ import (
 func TestTraceRingChurn(t *testing.T) {
 	const (
 		targets     = 10_000
-		shards      = 4
 		warmup      = 8
 		measured    = 10
-		allocBudget = 350.0 // BENCH_BUDGET.json's 10k×4 cap; PR 6 measured ~61
+		allocBudget = 200.0 // BENCH_BUDGET.json's 10k-target cap
 	)
 	m := newTestMachine(t)
-	api, err := New(m, testModel(), WithShards(shards))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(api.Shutdown)
+	api := newTestAPI(t, m)
 	pids := make([]int, 0, targets)
 	for i := 0; i < targets; i++ {
 		gen, err := workload.CPUStress(0.1+0.8*float64(i%9)/8, 0)
@@ -91,19 +86,16 @@ func TestTraceRingChurn(t *testing.T) {
 				t.Fatalf("round %d stage %s misordered span [%g, %g]",
 					round.Seq, span.Stage, span.StartSeconds, span.EndSeconds)
 			}
-			if span.SlowestShard < 0 || span.SlowestShard >= shards {
-				t.Fatalf("round %d stage %s slowest shard %d out of range", round.Seq, span.Stage, span.SlowestShard)
-			}
 		}
-		// The sharded stages must carry one span per shard; the single-actor
-		// stages exactly one.
-		for stage, want := range map[string]int64{"sensor": shards, "formula": shards, "aggregate": shards, "fanout": 1} {
+		// Each synchronous stage is one actor, so it stamps exactly one span
+		// per round.
+		for _, stage := range []string{"sensor", "formula", "aggregate", "fanout"} {
 			span, ok := byStage[stage]
 			if !ok {
 				t.Fatalf("round %d missing stage %s", round.Seq, stage)
 			}
-			if span.Count != want {
-				t.Fatalf("round %d stage %s count %d, want %d", round.Seq, stage, span.Count, want)
+			if span.Count != 1 {
+				t.Fatalf("round %d stage %s count %d, want 1", round.Seq, stage, span.Count)
 			}
 		}
 	}

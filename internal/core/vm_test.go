@@ -48,14 +48,13 @@ func TestWithVMsValidation(t *testing.T) {
 }
 
 // TestVMRollupPIDSetConservation checks the host side of the bridge on
-// pid-set VMs under the sharded blended pipeline: every VM's row is the
+// pid-set VMs under the blended pipeline: every VM's row is the
 // exact sum of its members' estimates, the per-VM view never double-counts a
 // PID into the machine total, and unclaimed PIDs stay outside every VM.
 func TestVMRollupPIDSetConservation(t *testing.T) {
 	m := newTestMachine(t)
 	pids := spawnLevels(t, m, 1.0, 0.8, 0.5, 0.3, 0.7)
 	api, err := New(m, testModel(),
-		WithShards(4),
 		WithSources(source.ModeBlended),
 		WithVMs(
 			VMDef{Name: "vm-a", PIDs: pids[:2]},

@@ -80,8 +80,8 @@ func TestTombstonesArePrunedByNewerRounds(t *testing.T) {
 	}
 	// The next round's batch outdates the tombstone: rounds arrive in FIFO
 	// order, so no later sample can carry a timestamp at or below the cutoff.
-	// RecordBatch prunes every shard's tombstones, not only the shards the
-	// round's samples land in.
+	// RecordBatch prunes every tombstone, not only those of the targets the
+	// round's samples name.
 	s.RecordBatch(seconds(2), []TargetSample{{Target: target.Machine(), Watts: 30}})
 	if got := s.tombstoneCount(); got != 0 {
 		t.Fatalf("tombstones not pruned: %d left", got)

@@ -18,8 +18,8 @@ import (
 
 // handleDebugRounds serves the per-round stage timeline of the last rounds
 // retained by the trace ring, oldest first: per stage the first/last span
-// instants relative to round begin, busy time, span count and the slowest
-// shard's attribution.
+// instants relative to round begin, busy time, span count and the longest
+// single span.
 func (s *Server) handleDebugRounds(w http.ResponseWriter, r *http.Request) {
 	writeRounds(w, s.mon.Tracer())
 }
@@ -78,13 +78,10 @@ func writeQuantileSeries(b *strings.Builder, name, labels string, st obs.StageSt
 }
 
 // writeObsMetrics appends the pipeline self-observability families to the
-// /metrics exposition: pending/slot/pool gauges, the end-to-end round
-// duration histogram, per-stage latency histograms and quantiles, and the
-// self-power meter readings.
+// /metrics exposition: slot/pool gauges, the end-to-end round duration
+// histogram, per-stage latency histograms and quantiles, and the self-power
+// meter readings.
 func writeObsMetrics(b *strings.Builder, stats core.MonitorStats) {
-	b.WriteString("# HELP powerapi_pending_rounds Sampling rounds in flight inside the aggregator.\n")
-	b.WriteString("# TYPE powerapi_pending_rounds gauge\n")
-	fmt.Fprintf(b, "powerapi_pending_rounds %d\n", stats.PendingRounds)
 	b.WriteString("# HELP powerapi_slot_index_live Targets attached to the dense round-slot index.\n")
 	b.WriteString("# TYPE powerapi_slot_index_live gauge\n")
 	fmt.Fprintf(b, "powerapi_slot_index_live %d\n", stats.SlotsLive)

@@ -32,7 +32,7 @@ func newObservedMonitor(t *testing.T) (*core.PowerAPI, *Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon, err := core.New(m, testModel(), core.WithHistory(32), core.WithSelfPower(), core.WithShards(2))
+	mon, err := core.New(m, testModel(), core.WithHistory(32), core.WithSelfPower())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,6 @@ type debugRoundsResponse struct {
 			StartSeconds   float64 `json:"startSeconds"`
 			EndSeconds     float64 `json:"endSeconds"`
 			BusySeconds    float64 `json:"busySeconds"`
-			SlowestShard   int     `json:"slowestShard"`
 			SlowestSeconds float64 `json:"slowestSeconds"`
 		} `json:"stages"`
 	} `json:"rounds"`
@@ -179,7 +178,6 @@ func TestMetricsObservabilityFamilies(t *testing.T) {
 		`powerapi_stage_duration_seconds_bucket{stage="sensor",le="+Inf"} `,
 		`powerapi_stage_duration_seconds_sum{stage="aggregate"} `,
 		`powerapi_stage_duration_quantile_seconds{stage="fanout",quantile="0.5"} `,
-		"powerapi_pending_rounds 0",
 		"powerapi_slot_index_live 1",
 		"powerapi_trace_ring_capacity ",
 		"powerapi_report_pool_gets_total ",

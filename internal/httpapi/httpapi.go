@@ -8,7 +8,7 @@
 //
 //	GET    /metrics                 per-target watts, totals, pipeline and
 //	                                subscription counters, history occupancy
-//	GET    /api/v1/targets          monitored targets and shard placement
+//	GET    /api/v1/targets          monitored targets and PIDs
 //	GET    /api/v1/query            windowed avg/max/p95 per target (WithHistory)
 //	POST   /api/v1/targets          attach one target by spec ("pid:12",
 //	                                "cgroup:web/api", "vm:vma")
@@ -244,7 +244,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 type targetRow struct {
 	Target target.Target `json:"target"`
 	Name   string        `json:"name"`
-	Shard  int           `json:"shard"`
 }
 
 // handleTargets lists the explicitly attached targets and the full monitored
@@ -253,12 +252,11 @@ func (s *Server) handleTargets(w http.ResponseWriter, r *http.Request) {
 	monitored := s.mon.MonitoredTargets()
 	rows := make([]targetRow, 0, len(monitored))
 	for _, t := range monitored {
-		rows = append(rows, targetRow{Target: t, Name: t.String(), Shard: s.mon.ShardOfTarget(t)})
+		rows = append(rows, targetRow{Target: t, Name: t.String()})
 	}
 	writeJSON(w, map[string]any{
 		"targets":       rows,
 		"monitoredPids": s.mon.Monitored(),
-		"shards":        s.mon.Shards(),
 		"sourceMode":    s.mon.SourceMode().String(),
 	})
 }
@@ -429,7 +427,7 @@ func (s *Server) handleAttach(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusConflict, err)
 		return
 	}
-	writeJSON(w, map[string]any{"attached": pid, "shard": s.mon.ShardOf(pid)})
+	writeJSON(w, map[string]any{"attached": pid})
 }
 
 // handleDetach stops monitoring one process.

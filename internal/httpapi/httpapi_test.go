@@ -150,7 +150,6 @@ func TestTargetsEndpointAndDynamicAttachDetach(t *testing.T) {
 	var listing struct {
 		Targets       []json.RawMessage `json:"targets"`
 		MonitoredPids []int             `json:"monitoredPids"`
-		Shards        int               `json:"shards"`
 		SourceMode    string            `json:"sourceMode"`
 	}
 	if err := json.Unmarshal([]byte(body), &listing); err != nil {
@@ -159,7 +158,7 @@ func TestTargetsEndpointAndDynamicAttachDetach(t *testing.T) {
 	if len(listing.Targets) != len(pids) || len(listing.MonitoredPids) != len(pids) {
 		t.Fatalf("targets listing %s", body)
 	}
-	if listing.Shards != 1 || listing.SourceMode != "hpc" {
+	if listing.SourceMode != "hpc" {
 		t.Fatalf("targets listing metadata %s", body)
 	}
 

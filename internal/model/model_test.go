@@ -284,8 +284,8 @@ func TestSaveAndLoadFile(t *testing.T) {
 	}
 }
 
-// TestCompiledMatchesModel evaluates the compiled formula the formula shards
-// run against the CPUPowerModel it was compiled from: at every ladder
+// TestCompiledMatchesModel evaluates the compiled formula the formula actor
+// runs against the CPUPowerModel it was compiled from: at every ladder
 // frequency, at exact midpoints between neighbours, and beyond both ends of
 // the ladder, over counts that give a positive estimate and counts that clamp
 // to 0. A non-positive window is an error on both.

@@ -20,14 +20,14 @@ import (
 type Stage uint8
 
 const (
-	// StageSensor covers a sensor shard sampling its partition and publishing
-	// the batch.
+	// StageSensor covers the sensor sampling every attached process and
+	// publishing the batch.
 	StageSensor Stage = iota
-	// StageFormula covers a formula shard turning a sensor batch into power
+	// StageFormula covers the formula turning the sensor batch into power
 	// estimates.
 	StageFormula
-	// StageAggregate covers the aggregator merging one shard's estimates
-	// (and, on the final batch, materialising the round's report).
+	// StageAggregate covers the aggregator merging the round's estimates and
+	// materialising its report.
 	StageAggregate
 	// StageFanout covers completing Collect waiters and publishing the report
 	// to every subscription.
@@ -44,8 +44,8 @@ const (
 	// between fleet rounds, so it feeds the stage histogram only (recorded
 	// with a zero timestamp) and never appears in a round trace.
 	StageIngest
-	// StageRollup covers the fleet collector's sharded rollup of every live
-	// node's contribution into one fleet report.
+	// StageRollup covers the fleet collector's sweep of every live node's
+	// contribution into one fleet report.
 	StageRollup
 	// NumStages is the number of stages; it is not itself a stage.
 	NumStages
@@ -71,16 +71,16 @@ func (s Stage) String() string {
 // the set with SetRequiredStages.
 var coreStages = []Stage{StageSensor, StageFormula, StageAggregate, StageFanout}
 
-// span accumulates the stamps of one stage within one round. Shards stamp
-// concurrently, so every field is atomic: first/last converge by CAS min/max,
-// slowest packs duration<<8|shard so one CAS race decides both fields
-// together.
+// span accumulates the stamps of one stage within one round. Several
+// goroutines can stamp one stage of a round (each reporter subscriber drains
+// on its own), so every field is atomic: first/last/slowest converge by CAS
+// min/max.
 type span struct {
-	firstNs atomic.Int64 // earliest start stamp (0 = never stamped)
-	lastNs  atomic.Int64 // latest end stamp
-	busyNs  atomic.Int64 // summed per-shard durations
-	count   atomic.Int64
-	slowest atomic.Uint64 // durationNs<<8 | shard
+	firstNs   atomic.Int64 // earliest start stamp (0 = never stamped)
+	lastNs    atomic.Int64 // latest end stamp
+	busyNs    atomic.Int64 // summed stamp durations
+	count     atomic.Int64
+	slowestNs atomic.Int64 // longest single stamp
 }
 
 func (sp *span) reset() {
@@ -88,11 +88,11 @@ func (sp *span) reset() {
 	sp.lastNs.Store(0)
 	sp.busyNs.Store(0)
 	sp.count.Store(0)
-	sp.slowest.Store(0)
+	sp.slowestNs.Store(0)
 }
 
 //powerapi:hotpath
-func (sp *span) record(shard int, startNs, endNs int64) {
+func (sp *span) record(startNs, endNs int64) {
 	if endNs < startNs {
 		endNs = startNs
 	}
@@ -114,18 +114,15 @@ func (sp *span) record(shard int, startNs, endNs int64) {
 			break
 		}
 	}
-	sp.busyNs.Add(endNs - startNs)
+	dur := endNs - startNs
+	sp.busyNs.Add(dur)
 	sp.count.Add(1)
-	if shard < 0 {
-		shard = 0
-	}
-	packed := uint64(endNs-startNs)<<8 | uint64(shard&0xff)
 	for {
-		cur := sp.slowest.Load()
-		if cur>>8 >= packed>>8 {
+		cur := sp.slowestNs.Load()
+		if cur >= dur {
 			break
 		}
-		if sp.slowest.CompareAndSwap(cur, packed) {
+		if sp.slowestNs.CompareAndSwap(cur, dur) {
 			break
 		}
 	}
@@ -137,7 +134,7 @@ func (sp *span) record(shard int, startNs, endNs int64) {
 type traceSlot struct {
 	ts      atomic.Int64 // round timestamp in simulated ns; 0 = empty
 	seq     atomic.Uint64
-	beginNs atomic.Int64 // monotonic stamp of the round broadcast
+	beginNs atomic.Int64 // monotonic stamp of the round's Begin
 	endNs   atomic.Int64 // monotonic stamp of fanout completion; 0 in flight
 	spans   [NumStages]span
 }
@@ -150,12 +147,11 @@ const DefaultTraceRing = 64
 // methods are lock-free, allocation-free and safe on a nil receiver (no-ops),
 // so pipeline code can stamp unconditionally.
 type Tracer struct {
-	epoch         time.Time
-	seq           atomic.Uint64
-	ring          []traceSlot
-	stageHists    [NumStages]Histogram
-	roundHist     Histogram
-	pendingRounds atomic.Int64
+	epoch      time.Time
+	seq        atomic.Uint64
+	ring       []traceSlot
+	stageHists [NumStages]Histogram
+	roundHist  Histogram
 	// required is the stage set a round must have stamped to count as
 	// complete (coreStages unless overridden by SetRequiredStages).
 	required []Stage
@@ -209,8 +205,8 @@ func (t *Tracer) Now() int64 {
 }
 
 // Begin claims a ring slot for the round with the given simulated timestamp.
-// It must be called from the single round-origination point (Collect's tick
-// broadcast) before any stage can stamp; the slot it recycles belongs to the
+// It must be called from the single round-origination point (Collect, before
+// it sends the tick) before any stage can stamp; the slot it recycles belongs to the
 // round capacity rounds ago, whose late stamps are dropped by the ts reset.
 func (t *Tracer) Begin(ts time.Duration) {
 	if t == nil || ts <= 0 {
@@ -249,7 +245,7 @@ func (t *Tracer) findSlot(ts time.Duration) *traceSlot {
 // either way, so aggregate latencies never lose samples.
 //
 //powerapi:hotpath
-func (t *Tracer) Record(ts time.Duration, stage Stage, shard int, startNs, endNs int64) {
+func (t *Tracer) Record(ts time.Duration, stage Stage, startNs, endNs int64) {
 	if t == nil || stage >= NumStages {
 		return
 	}
@@ -258,7 +254,7 @@ func (t *Tracer) Record(ts time.Duration, stage Stage, shard int, startNs, endNs
 	}
 	t.stageHists[stage].Observe(endNs - startNs)
 	if slot := t.findSlot(ts); slot != nil {
-		slot.spans[stage].record(shard, startNs, endNs)
+		slot.spans[stage].record(startNs, endNs)
 		checkSpanOrder(slot, stage, startNs, endNs)
 	}
 }
@@ -279,23 +275,9 @@ func (t *Tracer) FinishRound(ts time.Duration) int64 {
 	return dur
 }
 
-// SetPendingRounds publishes the aggregator's in-flight round count.
-func (t *Tracer) SetPendingRounds(n int) {
-	if t != nil {
-		t.pendingRounds.Store(int64(n))
-	}
-}
-
-// PendingRounds returns the last published in-flight round count.
-func (t *Tracer) PendingRounds() int {
-	if t == nil {
-		return 0
-	}
-	return int(t.pendingRounds.Load())
-}
-
 // SpanView is the per-stage slice of a RoundView. Start/End are offsets from
-// the round's begin stamp, so a timeline renders directly.
+// the round's begin stamp, so a timeline renders directly. SlowestSeconds is
+// the longest single stamp of the stage in the round.
 type SpanView struct {
 	Stage          string  `json:"stage"`
 	Count          int64   `json:"count"`
@@ -303,7 +285,6 @@ type SpanView struct {
 	EndSeconds     float64 `json:"endSeconds"`
 	SpanSeconds    float64 `json:"spanSeconds"`
 	BusySeconds    float64 `json:"busySeconds"`
-	SlowestShard   int     `json:"slowestShard"`
 	SlowestSeconds float64 `json:"slowestSeconds"`
 }
 
@@ -347,7 +328,6 @@ func (t *Tracer) Rounds() []RoundView {
 				continue
 			}
 			first, last := sp.firstNs.Load(), sp.lastNs.Load()
-			packed := sp.slowest.Load()
 			view.Stages = append(view.Stages, SpanView{
 				Stage:          st.String(),
 				Count:          count,
@@ -355,8 +335,7 @@ func (t *Tracer) Rounds() []RoundView {
 				EndSeconds:     float64(last-begin) / 1e9,
 				SpanSeconds:    float64(last-first) / 1e9,
 				BusySeconds:    float64(sp.busyNs.Load()) / 1e9,
-				SlowestShard:   int(packed & 0xff),
-				SlowestSeconds: float64(packed>>8) / 1e9,
+				SlowestSeconds: float64(sp.slowestNs.Load()) / 1e9,
 			})
 		}
 		for _, st := range t.required {

@@ -59,11 +59,11 @@ func TestTracerRoundLifecycle(t *testing.T) {
 	ts := time.Second
 	tr.Begin(ts)
 	s0 := tr.Now()
-	tr.Record(ts, StageSensor, 2, s0, s0+1000)
-	tr.Record(ts, StageSensor, 1, s0+100, s0+5000) // slowest shard
-	tr.Record(ts, StageFormula, 0, s0+5000, s0+6000)
-	tr.Record(ts, StageAggregate, 0, s0+6000, s0+7000)
-	tr.Record(ts, StageFanout, 0, s0+7000, s0+8000)
+	tr.Record(ts, StageSensor, s0, s0+1000)
+	tr.Record(ts, StageSensor, s0+100, s0+5000) // the slowest stamp
+	tr.Record(ts, StageFormula, s0+5000, s0+6000)
+	tr.Record(ts, StageAggregate, s0+6000, s0+7000)
+	tr.Record(ts, StageFanout, s0+7000, s0+8000)
 	if d := tr.FinishRound(ts); d <= 0 {
 		t.Fatalf("round duration = %d", d)
 	}
@@ -90,11 +90,8 @@ func TestTracerRoundLifecycle(t *testing.T) {
 	if sensor.Count != 2 {
 		t.Fatalf("sensor count = %d", sensor.Count)
 	}
-	if sensor.SlowestShard != 1 {
-		t.Fatalf("slowest shard = %d, want 1", sensor.SlowestShard)
-	}
-	if sensor.SlowestSeconds < 4e-6 {
-		t.Fatalf("slowest duration = %v", sensor.SlowestSeconds)
+	if sensor.SlowestSeconds != 4.9e-6 {
+		t.Fatalf("slowest duration = %v, want 4.9e-6", sensor.SlowestSeconds)
 	}
 	if sensor.EndSeconds < sensor.StartSeconds {
 		t.Fatalf("span inverted: %+v", sensor)
@@ -102,12 +99,15 @@ func TestTracerRoundLifecycle(t *testing.T) {
 }
 
 func TestTracerRingEviction(t *testing.T) {
+	if c := NewTracer(0).Capacity(); c != DefaultTraceRing {
+		t.Fatalf("default capacity = %d, want %d", c, DefaultTraceRing)
+	}
 	tr := NewTracer(4)
 	for i := 1; i <= 10; i++ {
 		ts := time.Duration(i) * time.Second
 		tr.Begin(ts)
 		s := tr.Now()
-		tr.Record(ts, StageSensor, 0, s, s+100)
+		tr.Record(ts, StageSensor, s, s+100)
 		tr.FinishRound(ts)
 	}
 	rounds := tr.Rounds()
@@ -120,7 +120,7 @@ func TestTracerRingEviction(t *testing.T) {
 		}
 	}
 	// A stamp for an evicted round must drop silently.
-	tr.Record(time.Second, StageSensor, 0, 0, 100)
+	tr.Record(time.Second, StageSensor, 0, 100)
 	if got := len(tr.Rounds()); got != 4 {
 		t.Fatalf("late stamp changed ring to %d rounds", got)
 	}
@@ -131,7 +131,7 @@ func TestTracerIncompleteRound(t *testing.T) {
 	ts := 2 * time.Second
 	tr.Begin(ts)
 	s := tr.Now()
-	tr.Record(ts, StageSensor, 0, s, s+100)
+	tr.Record(ts, StageSensor, s, s+100)
 	rounds := tr.Rounds()
 	if len(rounds) != 1 || rounds[0].Complete {
 		t.Fatalf("in-flight round should be present and incomplete: %+v", rounds)
@@ -144,18 +144,18 @@ func TestTracerConcurrentStamping(t *testing.T) {
 	for round := 1; round <= 50; round++ {
 		ts := time.Duration(round) * time.Millisecond
 		tr.Begin(ts)
-		for shard := 0; shard < 4; shard++ {
+		for g := 0; g < 4; g++ {
 			wg.Add(1)
-			go func(shard int) {
+			go func() {
 				defer wg.Done()
 				s := tr.Now()
-				tr.Record(ts, StageSensor, shard, s, tr.Now())
-				tr.Record(ts, StageFormula, shard, s, tr.Now())
-			}(shard)
+				tr.Record(ts, StageSensor, s, tr.Now())
+				tr.Record(ts, StageFormula, s, tr.Now())
+			}()
 		}
 		wg.Wait()
-		tr.Record(ts, StageAggregate, 0, tr.Now(), tr.Now())
-		tr.Record(ts, StageFanout, 0, tr.Now(), tr.Now())
+		tr.Record(ts, StageAggregate, tr.Now(), tr.Now())
+		tr.Record(ts, StageFanout, tr.Now(), tr.Now())
 		tr.FinishRound(ts)
 	}
 	rounds := tr.Rounds()
@@ -191,25 +191,13 @@ func TestTracerConcurrentStamping(t *testing.T) {
 func TestTracerNilSafety(t *testing.T) {
 	var tr *Tracer
 	tr.Begin(time.Second)
-	tr.Record(time.Second, StageSensor, 0, 0, 1)
+	tr.Record(time.Second, StageSensor, 0, 1)
 	tr.FinishRound(time.Second)
-	tr.SetPendingRounds(3)
-	if tr.PendingRounds() != 0 || tr.Capacity() != 0 || tr.Now() != 0 {
+	if tr.Capacity() != 0 || tr.Now() != 0 {
 		t.Fatal("nil tracer must be inert")
 	}
 	if tr.Rounds() != nil || tr.StageStats() != nil {
 		t.Fatal("nil tracer snapshots must be empty")
-	}
-}
-
-func TestPendingRoundsGauge(t *testing.T) {
-	tr := NewTracer(0)
-	if tr.Capacity() != DefaultTraceRing {
-		t.Fatalf("default capacity = %d", tr.Capacity())
-	}
-	tr.SetPendingRounds(5)
-	if tr.PendingRounds() != 5 {
-		t.Fatal("pending gauge lost")
 	}
 }
 

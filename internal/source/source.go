@@ -1,7 +1,7 @@
 // Package source defines the pluggable sensing backends of the monitoring
 // pipeline — the paper's swappable Sensor modules. A Source produces one
-// Sample per round; the pipeline's Sensor shards are oblivious to what kind
-// of backend they sample:
+// Sample per round; the pipeline's Sensor is oblivious to what kind of
+// backend it samples:
 //
 //	hpc     per-PID hardware-counter deltas (the original Sensor path);
 //	rapl    machine-level package/DRAM energy from the simulated RAPL MSRs;
@@ -34,7 +34,7 @@ type TargetSample struct {
 	Target target.Target `json:"target"`
 	// Slot is the dense round-slot index the pipeline assigned to the process
 	// at attach time, encoded as slot+1 so the zero value means "no slot"
-	// (the sensor shard stamps it, and drops a sample of a process it never
+	// (the sensor stamps it, and drops a sample of a process it never
 	// attached). It lets the aggregator accumulate into slice-backed sparse
 	// sets instead of rebuilding maps every round. Sources leave it alone.
 	Slot int32 `json:"-"`

@@ -156,41 +156,3 @@ func Parse(s string) (Target, error) {
 		return Target{}, fmt.Errorf("target: cannot parse %q (want \"pid:N\", \"cgroup:PATH\", \"vm:NAME\", \"node:NAME\" or \"machine\")", s)
 	}
 }
-
-// RouteKey returns the partitioning key the pipeline's consistent-hash router
-// uses to pin a target to a shard. Process targets keep their raw PID as the
-// key, so a pipeline without cgroup targets partitions exactly as the
-// original per-PID pipeline did.
-//
-//powerapi:hotpath
-func (t Target) RouteKey() uint64 {
-	switch t.Kind {
-	case KindProcess:
-		return uint64(t.PID)
-	case KindCgroup:
-		return fnv1a("cgroup:", t.Path)
-	case KindVM:
-		return fnv1a("vm:", t.Name)
-	case KindNode:
-		return fnv1a("node:", t.Name)
-	default:
-		return 0
-	}
-}
-
-// fnv1a hashes prefix+s with FNV-1a inline — same digest as hash/fnv over
-// the concatenated bytes, but with no hash-object or []byte conversion
-// allocations: RouteKey runs once per sample on the history write path.
-func fnv1a(prefix, s string) uint64 {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	for i := 0; i < len(prefix); i++ {
-		h ^= uint64(prefix[i])
-		h *= prime64
-	}
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
-	}
-	return h
-}

@@ -57,24 +57,6 @@ func TestTargetsAreMapKeys(t *testing.T) {
 	}
 }
 
-func TestRouteKeyPreservesPIDPartitioning(t *testing.T) {
-	// Process targets must keep the raw PID as the routing key so a pipeline
-	// without cgroup targets partitions exactly as the per-PID pipeline did.
-	for _, pid := range []int{1, 1000, 99999} {
-		if Process(pid).RouteKey() != uint64(pid) {
-			t.Fatalf("Process(%d).RouteKey() = %d", pid, Process(pid).RouteKey())
-		}
-	}
-	// Cgroup keys are stable and distinct per path.
-	a, b := Cgroup("web").RouteKey(), Cgroup("db").RouteKey()
-	if a == b {
-		t.Fatal("distinct cgroup paths should hash differently")
-	}
-	if a != Cgroup("web").RouteKey() {
-		t.Fatal("cgroup route keys must be deterministic")
-	}
-}
-
 func TestJSONMarshal(t *testing.T) {
 	out, err := json.Marshal(Cgroup("web/api"))
 	if err != nil {

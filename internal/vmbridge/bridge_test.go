@@ -324,7 +324,7 @@ func newGuest(t *testing.T, lb *Loopback, vm string, levels []float64, opts ...D
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon, err := core.New(m, testModel(), core.WithShards(2), core.WithVMBridge(src))
+	mon, err := core.New(m, testModel(), core.WithVMBridge(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func perPIDSum(r core.AggregatedReport) float64 {
 }
 
 // TestHostGuestConservationOverLoopback is the bridge's acceptance case: a
-// host running the 4-shard blended pipeline delegates two pid-set VMs to two
+// host running the blended pipeline delegates two pid-set VMs to two
 // loopback guests. Every round, each guest's per-process estimates must sum
 // to the watts the host delegated for its VM within 1e-6, and the host's VM
 // rows must sum into its machine total exactly once. Then the link drops and
@@ -370,7 +370,6 @@ func TestHostGuestConservationOverLoopback(t *testing.T) {
 	host := newTestMachine(t)
 	pids := spawnLevels(t, host, 1.0, 0.7, 0.5, 0.3)
 	hostMon, err := core.New(host, testModel(),
-		core.WithShards(4),
 		core.WithSources(source.ModeBlended),
 		core.WithVMs(
 			core.VMDef{Name: "vm-a", PIDs: pids[:2]},

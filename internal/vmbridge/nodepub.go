@@ -135,7 +135,7 @@ func (p *NodePublisher) run() {
 		} else {
 			p.published.Add(1)
 		}
-		p.tracer.Record(ts, obs.StagePublish, 0, traceStart, p.tracer.Now())
+		p.tracer.Record(ts, obs.StagePublish, traceStart, p.tracer.Now())
 	}
 }
 

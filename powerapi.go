@@ -17,11 +17,9 @@
 //     against measured power (the paper's Figure 1);
 //   - the actor-based monitoring middleware (NewMonitor) — Sensor, Formula,
 //     Aggregator, Reporter — that attributes watts to PIDs at run time (the
-//     paper's Figure 2). The Sensor and Formula stages scale out to N
-//     PID-partitioned shards (WithShards): a consistent-hash router spreads
-//     the monitored PIDs over the Sensor pool, every sampling tick fans out
-//     to all shards, and each shard emits one batched report whose partial
-//     estimates the Aggregator merges back into a single round report;
+//     paper's Figure 2). Each stage is one actor: every sampling tick the
+//     Sensor emits one batched report for all monitored processes, the
+//     Formula one batch of estimates, and the Aggregator one round report;
 //   - workload generators (CPUStress, MemoryStress, SPECjbb) used both for
 //     calibration and for the paper's evaluation;
 //   - the experiment drivers (Experiments*) that regenerate every table and
@@ -188,7 +186,7 @@ type (
 	// (Monitor.Tracer().Rounds(), also served at /api/v1/debug/rounds).
 	RoundTrace = obs.RoundView
 	// StageSpan is one stage's span within a RoundTrace: first/last instants
-	// relative to round begin, busy time and slowest-shard attribution.
+	// relative to round begin, busy time and the longest single span.
 	StageSpan = obs.SpanView
 )
 
@@ -369,18 +367,18 @@ func PaperReferenceModel() *PowerModel { return model.PaperReferenceModel() }
 func LoadModel(path string) (*PowerModel, error) { return model.LoadFile(path) }
 
 // NewMonitor wires the PowerAPI pipeline (Sensor, Formula, Aggregator,
-// Reporter) onto a machine with the given power model. Options shard the
-// pipeline (WithShards), add an aggregation dimension
+// Reporter) onto a machine with the given power model, one actor per stage.
+// Options select the sensing mode (WithSources), add an aggregation dimension
 // (WithProcessNameGrouping) or extra Reporter components (WithCSVReporter,
 // WithJSONReporter, WithEnergyAccounting).
 func NewMonitor(m *Machine, powerModel *PowerModel, opts ...MonitorOption) (*Monitor, error) {
 	return core.New(m, powerModel, opts...)
 }
 
-// WithShards splits the Sensor and Formula stages into n PID-partitioned
-// shards each, letting the pipeline exploit multiple cores and amortize
-// per-PID message overhead when monitoring large process counts. The default
-// of 1 preserves the paper's one-actor-per-stage pipeline.
+// WithShards sets the number of Sensor/Formula actors, which is always one.
+//
+// Deprecated: the pipeline runs one Sensor and one Formula actor, as in the
+// paper's Figure 2; NewMonitor accepts 1 and rejects any other value.
 func WithShards(n int) MonitorOption { return core.WithShards(n) }
 
 // WithSources selects the sensing backends of the pipeline: SourceHPC

@@ -163,3 +163,69 @@ func TestExperimentScales(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWithShardsShim pins the deprecated option: WithShards(1) builds the
+// same pipeline as the default and collects the same round, and any other
+// count fails NewMonitor.
+func TestWithShardsShim(t *testing.T) {
+	collect := func(opts ...MonitorOption) MonitorReport {
+		t.Helper()
+		cfg := DefaultMachineConfig()
+		cfg.Governor = GovernorPerformance
+		m, err := NewMachine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pids := make([]int, 0, 3)
+		for _, level := range []float64{0.9, 0.5, 0.2} {
+			gen, err := CPUStress(level, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := m.Spawn(gen)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pids = append(pids, p.PID())
+		}
+		monitor, err := NewMonitor(m, PaperReferenceModel(), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer monitor.Shutdown()
+		if err := monitor.Attach(pids...); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Run(time.Second); err != nil {
+			t.Fatal(err)
+		}
+		report, err := monitor.Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return report.Clone()
+	}
+	want := collect()
+	if len(want.PerPID) != 3 || want.TotalWatts <= want.IdleWatts {
+		t.Fatalf("default round %+v, want 3 busy pids", want)
+	}
+	got := collect(WithShards(1))
+	if got.TotalWatts != want.TotalWatts || len(got.PerPID) != len(want.PerPID) {
+		t.Fatalf("WithShards(1) round %+v, default round %+v", got, want)
+	}
+	for pid, watts := range want.PerPID {
+		if got.PerPID[pid] != watts {
+			t.Fatalf("pid %d: %v W with WithShards(1), %v W by default", pid, got.PerPID[pid], watts)
+		}
+	}
+	m, err := NewMachine(DefaultMachineConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, 4} {
+		if monitor, err := NewMonitor(m, PaperReferenceModel(), WithShards(n)); err == nil {
+			monitor.Shutdown()
+			t.Fatalf("WithShards(%d) built a monitor", n)
+		}
+	}
+}

@@ -50,7 +50,6 @@ func TestVMBridgeFacadeEndToEnd(t *testing.T) {
 	}
 	pids := spawnStress(t, host, 1.0, 0.6, 0.4, 0.2)
 	hostMon, err := powerapi.NewMonitor(host, model,
-		powerapi.WithShards(4),
 		powerapi.WithSources(powerapi.SourceBlended),
 		powerapi.WithVMs(
 			powerapi.VMDef{Name: "vm-a", PIDs: pids[:2]},
