@@ -143,7 +143,7 @@ type BertranModel struct {
 
 // EstimateTotalWatts evaluates the model on system-wide counter deltas
 // observed over window.
-func (b *BertranModel) EstimateTotalWatts(deltas hpc.Counts, window time.Duration) (float64, error) {
+func (b *BertranModel) EstimateTotalWatts(deltas *hpc.CountsVec, window time.Duration) (float64, error) {
 	if window <= 0 {
 		return 0, errors.New("baseline: non-positive window")
 	}
@@ -226,20 +226,17 @@ func CalibrateBertranModel(template machine.Config, opts BertranCalibrationOptio
 			if _, err := m.Run(opts.SettleDuration); err != nil {
 				return nil, err
 			}
-			set, err := hpc.OpenCounterSet(m.Registry(), opts.Events, hpc.AllPIDs, hpc.AllCPUs)
+			set, err := hpc.OpenCounterSet(m.Registry(), opts.Events, hpc.AllPIDs)
 			if err != nil {
 				return nil, err
 			}
-			if err := set.Enable(); err != nil {
-				return nil, err
-			}
+			var deltas hpc.CountsVec
 			steps := int(opts.StepDuration / opts.SampleInterval)
 			for s := 0; s < steps; s++ {
 				if _, err := m.Run(opts.SampleInterval); err != nil {
 					return nil, err
 				}
-				deltas, err := set.ReadDelta()
-				if err != nil {
+				if err := set.ReadDeltaVec(&deltas); err != nil {
 					return nil, err
 				}
 				row := make([]float64, len(opts.Events))
@@ -249,9 +246,7 @@ func CalibrateBertranModel(template machine.Config, opts BertranCalibrationOptio
 				x = append(x, row)
 				y = append(y, spy.Sample().Watts)
 			}
-			if err := set.Close(); err != nil {
-				return nil, err
-			}
+			set.Close()
 			for _, pid := range pids {
 				if err := m.Kill(pid); err != nil {
 					return nil, err

@@ -112,10 +112,10 @@ func TestBertranModelEstimateValidation(t *testing.T) {
 		Intercept:    30,
 		Coefficients: []float64{1e-9},
 	}
-	if _, err := b.EstimateTotalWatts(hpc.Counts{}, 0); err == nil {
+	if _, err := b.EstimateTotalWatts(&hpc.CountsVec{}, 0); err == nil {
 		t.Fatal("zero window should fail")
 	}
-	got, err := b.EstimateTotalWatts(hpc.Counts{hpc.Instructions: 2e9}, time.Second)
+	got, err := b.EstimateTotalWatts(&hpc.CountsVec{hpc.Instructions: 2e9}, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestBertranModelEstimateValidation(t *testing.T) {
 		t.Fatalf("EstimateTotalWatts = %v, want 32", got)
 	}
 	broken := &BertranModel{Events: []hpc.Event{hpc.Instructions}, Coefficients: nil}
-	if _, err := broken.EstimateTotalWatts(hpc.Counts{}, time.Second); err == nil {
+	if _, err := broken.EstimateTotalWatts(&hpc.CountsVec{}, time.Second); err == nil {
 		t.Fatal("mismatched model should fail")
 	}
 }
@@ -159,21 +159,18 @@ func TestCalibrateBertranModelOnSimpleArchitecture(t *testing.T) {
 	if _, err := m.Spawn(gen); err != nil {
 		t.Fatal(err)
 	}
-	set, err := hpc.OpenCounterSet(m.Registry(), b.Events, hpc.AllPIDs, hpc.AllCPUs)
+	set, err := hpc.OpenCounterSet(m.Registry(), b.Events, hpc.AllPIDs)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := set.Enable(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.Run(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	deltas, err := set.ReadDelta()
-	if err != nil {
+	var deltas hpc.CountsVec
+	if err := set.ReadDeltaVec(&deltas); err != nil {
 		t.Fatal(err)
 	}
-	est, err := b.EstimateTotalWatts(deltas, 2*time.Second)
+	est, err := b.EstimateTotalWatts(&deltas, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -257,20 +257,17 @@ func (c *Calibrator) collectSamples(freqMHz int, rep int, idleWatts float64, eve
 			if _, err := m.Run(c.opts.SettleDuration); err != nil {
 				return nil, 0, err
 			}
-			set, err := hpc.OpenCounterSet(m.Registry(), events, hpc.AllPIDs, hpc.AllCPUs)
+			set, err := hpc.OpenCounterSet(m.Registry(), events, hpc.AllPIDs)
 			if err != nil {
 				return nil, 0, err
 			}
-			if err := set.Enable(); err != nil {
-				return nil, 0, err
-			}
+			var deltas hpc.CountsVec
 			steps := int(c.opts.StepDuration / c.opts.SampleInterval)
 			for s := 0; s < steps; s++ {
 				if _, err := m.Run(c.opts.SampleInterval); err != nil {
 					return nil, 0, err
 				}
-				deltas, err := set.ReadDelta()
-				if err != nil {
+				if err := set.ReadDeltaVec(&deltas); err != nil {
 					return nil, 0, err
 				}
 				watts := spy.Sample().Watts
@@ -287,9 +284,7 @@ func (c *Calibrator) collectSamples(freqMHz int, rep int, idleWatts float64, eve
 					Rates:        rates,
 				})
 			}
-			if err := set.Close(); err != nil {
-				return nil, 0, err
-			}
+			set.Close()
 			for _, pid := range pids {
 				if err := m.Kill(pid); err != nil {
 					return nil, 0, err

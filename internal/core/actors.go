@@ -25,18 +25,26 @@ type sensorBehavior struct {
 	sampleTimeout time.Duration
 	tracer        *obs.Tracer
 
+	// lastSample is the timestamp of the last round whose attribution
+	// sample returned: the start of the next round's window. A round lost
+	// to a panicking source leaves its counts to the next round, so the
+	// window must stretch over both. The supervisor restarts the sensor
+	// with this same instance, so the stamp survives the panic.
+	lastSample time.Duration
+
 	// pidSlots remembers the round slot (+1; 0 means none) the facade
 	// assigned to each attached process, so every tick can stamp the
 	// source's samples without the facade on the hot path.
 	pidSlots map[int]int32
 }
 
-func newSensorBehavior(attr, total source.Source, sampleTimeout time.Duration, tracer *obs.Tracer) *sensorBehavior {
+func newSensorBehavior(attr, total source.Source, sampleTimeout time.Duration, tracer *obs.Tracer, start time.Duration) *sensorBehavior {
 	return &sensorBehavior{
 		attr:          attr,
 		total:         total,
 		sampleTimeout: sampleTimeout,
 		tracer:        tracer,
+		lastSample:    start,
 		pidSlots:      make(map[int]int32),
 	}
 }
@@ -90,13 +98,14 @@ func (s *sensorBehavior) detach(t target.Target) error {
 // hands it back through source.PutTargetSlice once estimated.
 func (s *sensorBehavior) tick(ctx *actor.Context, req tickRequest) {
 	traceStart := s.tracer.Now()
-	batch := SensorReportBatch{Timestamp: req.Timestamp, Window: req.Window}
 	// The collect timeout bounds the whole round, so it also bounds each
 	// source sample: a hanging custom backend cancels instead of wedging
 	// the sensor's mailbox forever.
 	sampleCtx, cancel := context.WithTimeout(context.Background(), s.sampleTimeout)
 	defer cancel()
 	sample, err := s.attr.Sample(sampleCtx)
+	batch := SensorReportBatch{Timestamp: req.Timestamp, Window: req.Timestamp - s.lastSample}
+	s.lastSample = req.Timestamp
 	if err != nil {
 		// The sample stays usable on partial failures; surface the error
 		// either way.

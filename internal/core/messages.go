@@ -59,12 +59,11 @@ const (
 	TopicErrors = "powerapi.errors"
 )
 
-// tickRequest asks the Sensor to perform one sampling round.
+// tickRequest asks the Sensor to perform one sampling round. The Sensor
+// computes the round's window itself, from its last sample that returned.
 type tickRequest struct {
 	// Timestamp is the simulated instant of the round.
 	Timestamp time.Duration
-	// Window is the simulated duration covered since the previous round.
-	Window time.Duration
 }
 
 // attachRequest asks the Sensor to start monitoring a target. It is sent

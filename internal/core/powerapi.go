@@ -503,7 +503,7 @@ func New(m *machine.Machine, powerModel *model.CPUPowerModel, opts ...Option) (a
 	}
 	// The sensor owns the sampling state of its PIDs, so a restart keeps the
 	// same behaviour instance (state preserved).
-	sensorBhv := newSensorBehavior(attrSrc, totalSrc, cfg.collectTimeout, api.tracer)
+	sensorBhv := newSensorBehavior(attrSrc, totalSrc, cfg.collectTimeout, api.tracer, api.lastCollect)
 	api.sensor, err = api.system.SpawnSupervised("sensor",
 		func() actor.Behavior { return sensorBhv }, 0, supervised("sensor"))
 	if err != nil {
@@ -1175,8 +1175,7 @@ func (p *PowerAPI) Collect() (AggregatedReport, error) {
 		return AggregatedReport{}, errors.New("core: powerapi is shut down")
 	}
 	now := p.machine.Now()
-	window := now - p.lastCollect
-	if window <= 0 {
+	if now <= p.lastCollect {
 		p.mu.Unlock()
 		return AggregatedReport{}, fmt.Errorf("core: no simulated time elapsed since the previous collection (now %v)", now)
 	}
@@ -1208,7 +1207,7 @@ func (p *PowerAPI) Collect() (AggregatedReport, error) {
 	// Claim the round's trace slot before the tick is sent: Begin is the
 	// single round-origination point, so every stage's stamp finds the slot.
 	p.tracer.Begin(now)
-	if err := p.sensor.Tell(tickRequest{Timestamp: now, Window: window}); err != nil {
+	if err := p.sensor.Tell(tickRequest{Timestamp: now}); err != nil {
 		return AggregatedReport{}, fmt.Errorf("core: %w", err)
 	}
 	select {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"powerapi/internal/cpu"
+	"powerapi/internal/hpc"
 	"powerapi/internal/machine"
 	"powerapi/internal/rapl"
 	"powerapi/internal/source"
@@ -474,9 +475,9 @@ func TestSourceFactoriesOverride(t *testing.T) {
 	}
 }
 
-// panicSource is a procfs source whose next Sample panics while armed.
+// panicSource is a counter source whose next Sample panics while armed.
 type panicSource struct {
-	*source.Procfs
+	*source.HPC
 	armed *atomic.Bool
 }
 
@@ -484,15 +485,15 @@ func (s panicSource) Sample(ctx context.Context) (source.Sample, error) {
 	if s.armed.CompareAndSwap(true, false) {
 		panic("sample exploded")
 	}
-	return s.Procfs.Sample(ctx)
+	return s.HPC.Sample(ctx)
 }
 
 // TestStagePanicStrandsNoReport loses one round to a panicking stage — the
 // sensor's source, or a group resolver the aggregator calls — and checks
 // what that leaves behind: the round's Collect fails within the collect
 // timeout and counts the error, the next round reports every attached PID
-// with a consistent total, and after Shutdown no pooled report is left
-// leased.
+// with a consistent total and the power of the round before the loss, and
+// after Shutdown no pooled report is left leased.
 func TestStagePanicStrandsNoReport(t *testing.T) {
 	const timeout = 500 * time.Millisecond
 	for _, stage := range []string{"sensor", "aggregator"} {
@@ -503,12 +504,12 @@ func TestStagePanicStrandsNoReport(t *testing.T) {
 			outstanding := gets - puts
 
 			var armed atomic.Bool
-			opts := []Option{WithSources(source.ModeProcfs), WithCollectTimeout(timeout)}
+			opts := []Option{WithSources(source.ModeHPC), WithCollectTimeout(timeout)}
 			if stage == "sensor" {
 				opts = append(opts, WithSourceFactories(SourceFactories{
 					Attribution: func() (source.Source, error) {
-						p, err := source.NewProcfs(m)
-						return panicSource{Procfs: p, armed: &armed}, err
+						h, err := source.NewHPC(m, hpc.PaperEvents())
+						return panicSource{HPC: h, armed: &armed}, err
 					},
 				}))
 			} else {
@@ -534,9 +535,11 @@ func TestStagePanicStrandsNoReport(t *testing.T) {
 				}
 				return api.Collect()
 			}
-			if _, err := collect(); err != nil {
+			before, err := collect()
+			if err != nil {
 				t.Fatal(err)
 			}
+			beforeWatts := before.ActiveWatts
 
 			armed.Store(true)
 			start := time.Now()
@@ -564,6 +567,12 @@ func TestStagePanicStrandsNoReport(t *testing.T) {
 			}
 			if math.Abs(report.TotalWatts-(report.IdleWatts+report.ActiveWatts)) > 1e-9 {
 				t.Fatalf("TotalWatts %.9f != IdleWatts %.9f + ActiveWatts %.9f", report.TotalWatts, report.IdleWatts, report.ActiveWatts)
+			}
+			// A lost sample leaves its counts to this round, so this
+			// round's window spans both: it reads the power of the round
+			// before the loss, not double.
+			if math.Abs(report.ActiveWatts-beforeWatts) > 0.01*beforeWatts {
+				t.Fatalf("ActiveWatts %.4f after the lost round, %.4f before it", report.ActiveWatts, beforeWatts)
 			}
 
 			api.Shutdown()

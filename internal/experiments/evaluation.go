@@ -234,32 +234,27 @@ func evaluateBertran(scale Scale) (stats.ErrorReport, error) {
 		if err != nil {
 			return stats.ErrorReport{}, err
 		}
-		set, err := hpc.OpenCounterSet(m.Registry(), bModel.Events, hpc.AllPIDs, hpc.AllCPUs)
+		set, err := hpc.OpenCounterSet(m.Registry(), bModel.Events, hpc.AllPIDs)
 		if err != nil {
 			return stats.ErrorReport{}, err
 		}
-		if err := set.Enable(); err != nil {
-			return stats.ErrorReport{}, err
-		}
+		var deltas hpc.CountsVec
 		steps := int(perBench / scale.SampleInterval)
 		for s := 0; s < steps; s++ {
 			if _, err := m.Run(scale.SampleInterval); err != nil {
 				return stats.ErrorReport{}, err
 			}
-			deltas, err := set.ReadDelta()
-			if err != nil {
+			if err := set.ReadDeltaVec(&deltas); err != nil {
 				return stats.ErrorReport{}, err
 			}
-			est, err := bModel.EstimateTotalWatts(deltas, scale.SampleInterval)
+			est, err := bModel.EstimateTotalWatts(&deltas, scale.SampleInterval)
 			if err != nil {
 				return stats.ErrorReport{}, err
 			}
 			estimated = append(estimated, est)
 			measured = append(measured, spy.Sample().Watts)
 		}
-		if err := set.Close(); err != nil {
-			return stats.ErrorReport{}, err
-		}
+		set.Close()
 		if err := m.Kill(p.PID()); err != nil {
 			return stats.ErrorReport{}, err
 		}

@@ -3,261 +3,87 @@ package hpc
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 )
 
-// ErrClosed is returned when reading a counter that has been closed.
-var ErrClosed = errors.New("hpc: counter is closed")
+// ErrClosed is returned when reading a counter set that has been closed.
+var ErrClosed = errors.New("hpc: counter set is closed")
 
-// Counter is a user-space handle over one (event, pid, cpu) triple, mirroring
-// the perf_event_open file-descriptor model: the value reported is the number
-// of events observed since the counter was opened (or last reset), while the
-// counter is enabled.
-type Counter struct {
+// CounterSet is the analogue of a perf_event group read with
+// PERF_FORMAT_GROUP: the counters of several events over one scope, opened,
+// counting and read as a unit. The scope is one process summed across every
+// CPU, which is how the PowerAPI Sensor monitors a process, or the whole
+// machine (AllPIDs), which is what calibration reads.
+//
+// The set pins its scope's cumulative vector in the registry when it opens,
+// so a read copies that vector under one registry read lock.
+type CounterSet struct {
 	registry *Registry
-	event    Event
-	pid      int
-	cpu      int
+	scope    *CountsVec // the registry's cumulative counts of the scope
+	events   []Event
 
 	mu       sync.Mutex
-	enabled  bool
 	closed   bool
-	baseline uint64 // registry value at open/reset/enable boundary
-	value    uint64 // accumulated while enabled
+	baseline CountsVec // scope counts at open or at the last read
 }
 
-// OpenCounter opens a counter for event on the (pid, cpu) scope. Wildcards
-// AllPIDs / AllCPUs follow perf semantics. The counter starts disabled, as
-// perf_event_open does with the disabled attribute set.
-func OpenCounter(registry *Registry, event Event, pid, cpu int) (*Counter, error) {
+// OpenCounterSet opens a group over events for pid's all-CPU aggregate, or
+// for the machine when pid is AllPIDs. The set counts from the moment it is
+// opened, like perf_event_open without the disabled attribute. A process
+// that has not run yet gets its registry vector now, so its first tick
+// counts.
+func OpenCounterSet(registry *Registry, events []Event, pid int) (*CounterSet, error) {
 	if registry == nil {
 		return nil, errors.New("hpc: nil registry")
 	}
-	if !event.Valid() {
-		return nil, fmt.Errorf("hpc: cannot open invalid event %v", event)
-	}
-	return &Counter{registry: registry, event: event, pid: pid, cpu: cpu}, nil
-}
-
-// Event returns the event the counter observes.
-func (c *Counter) Event() Event { return c.event }
-
-// PID returns the pid scope of the counter.
-func (c *Counter) PID() int { return c.pid }
-
-// CPU returns the cpu scope of the counter.
-func (c *Counter) CPU() int { return c.cpu }
-
-func (c *Counter) registryValue() uint64 {
-	return c.registry.ReadEvent(c.pid, c.cpu, c.event)
-}
-
-// Enable starts counting from the current registry value.
-func (c *Counter) Enable() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return ErrClosed
-	}
-	if c.enabled {
-		return nil
-	}
-	c.baseline = c.registryValue()
-	c.enabled = true
-	return nil
-}
-
-// Disable stops counting, folding the observed delta into the stored value.
-func (c *Counter) Disable() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return ErrClosed
-	}
-	if !c.enabled {
-		return nil
-	}
-	current := c.registryValue()
-	if current > c.baseline {
-		c.value += current - c.baseline
-	}
-	c.enabled = false
-	return nil
-}
-
-// Read returns the number of events observed while enabled since open/reset.
-func (c *Counter) Read() (uint64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return 0, ErrClosed
-	}
-	value := c.value
-	if c.enabled {
-		current := c.registryValue()
-		if current > c.baseline {
-			value += current - c.baseline
-		}
-	}
-	return value, nil
-}
-
-// TakeDelta reads the events observed since the last take (or open/reset) and
-// zeroes the counter, with a single registry lookup — the equivalent of
-// Read followed by Reset, at half the cost.
-func (c *Counter) TakeDelta() (uint64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return 0, ErrClosed
-	}
-	value := c.value
-	current := c.registryValue()
-	if c.enabled && current > c.baseline {
-		value += current - c.baseline
-	}
-	c.value = 0
-	c.baseline = current
-	return value, nil
-}
-
-// Reset zeroes the counter, keeping its enabled state.
-func (c *Counter) Reset() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return ErrClosed
-	}
-	c.value = 0
-	c.baseline = c.registryValue()
-	return nil
-}
-
-// Close releases the counter. Further operations return ErrClosed.
-func (c *Counter) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.closed = true
-	return nil
-}
-
-// CounterSet groups counters for several events over the same (pid, cpu)
-// scope, which is how the PowerAPI Sensor monitors one process.
-type CounterSet struct {
-	mu       sync.Mutex
-	counters map[Event]*Counter
-	order    []Event
-}
-
-// OpenCounterSet opens one counter per event for the given scope. All
-// counters start disabled.
-func OpenCounterSet(registry *Registry, events []Event, pid, cpu int) (*CounterSet, error) {
 	if len(events) == 0 {
 		return nil, errors.New("hpc: counter set needs at least one event")
 	}
-	set := &CounterSet{counters: make(map[Event]*Counter, len(events))}
-	for _, e := range events {
-		if _, dup := set.counters[e]; dup {
+	for i, e := range events {
+		if !e.Valid() {
+			return nil, fmt.Errorf("hpc: cannot open invalid event %v", e)
+		}
+		if slices.Contains(events[:i], e) {
 			return nil, fmt.Errorf("hpc: duplicate event %v in counter set", e)
 		}
-		c, err := OpenCounter(registry, e, pid, cpu)
-		if err != nil {
-			return nil, fmt.Errorf("hpc: open %v: %w", e, err)
-		}
-		set.counters[e] = c
-		set.order = append(set.order, e)
 	}
-	return set, nil
+	s := &CounterSet{registry: registry, events: slices.Clone(events)}
+	registry.mu.Lock()
+	s.scope = registry.scopeLocked(pid)
+	s.baseline = *s.scope
+	registry.mu.Unlock()
+	return s, nil
 }
 
-// Events returns the events of the set in their opening order.
-func (s *CounterSet) Events() []Event {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Event(nil), s.order...)
-}
-
-// Enable enables every counter of the set.
-func (s *CounterSet) Enable() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, c := range s.counters {
-		if err := c.Enable(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Disable disables every counter of the set.
-func (s *CounterSet) Disable() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, c := range s.counters {
-		if err := c.Disable(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Read returns the current value of every counter.
-func (s *CounterSet) Read() (Counts, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(Counts, len(s.counters))
-	for e, c := range s.counters {
-		v, err := c.Read()
-		if err != nil {
-			return nil, fmt.Errorf("hpc: read %v: %w", e, err)
-		}
-		out[e] = v
-	}
-	return out, nil
-}
-
-// ReadDelta returns the counts accumulated since the previous ReadDelta (or
-// since enable for the first call) by resetting each counter after reading.
-func (s *CounterSet) ReadDelta() (Counts, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(Counts, len(s.counters))
-	for e, c := range s.counters {
-		v, err := c.TakeDelta()
-		if err != nil {
-			return nil, fmt.Errorf("hpc: read %v: %w", e, err)
-		}
-		out[e] = v
-	}
-	return out, nil
-}
-
-// ReadDeltaVec is the allocation-free form of ReadDelta: it zeroes dst and
-// fills one slot per counter with the delta accumulated since the previous
-// read. This is the Sensor's per-round read — a fresh Counts map per target
-// per round previously accounted for a fifth of the pipeline's allocations.
+// ReadDeltaVec zeroes dst and writes, for each event of the set, the count
+// accumulated since the set was opened or last read. This is the Sensor's
+// per-process read every round.
+//
+//powerapi:hotpath
 func (s *CounterSet) ReadDeltaVec(dst *CountsVec) error {
+	*dst = CountsVec{}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	dst.Zero()
-	for e, c := range s.counters {
-		v, err := c.TakeDelta()
-		if err != nil {
-			return fmt.Errorf("hpc: read %v: %w", e, err)
-		}
-		dst[e] = v
+	if s.closed {
+		return ErrClosed
 	}
+	s.registry.mu.RLock()
+	current := *s.scope
+	s.registry.mu.RUnlock()
+	for _, e := range s.events {
+		// Counts only move forward; clamp anyway, as perf does on a reset.
+		if current[e] > s.baseline[e] {
+			dst[e] = current[e] - s.baseline[e]
+		}
+	}
+	s.baseline = current
 	return nil
 }
 
-// Close closes every counter of the set.
-func (s *CounterSet) Close() error {
+// Close releases the set. Further reads return ErrClosed.
+func (s *CounterSet) Close() {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, c := range s.counters {
-		if err := c.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
+	s.closed = true
+	s.mu.Unlock()
 }

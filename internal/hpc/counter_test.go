@@ -5,277 +5,190 @@ import (
 	"testing"
 )
 
+// mustOpen opens a counter set or fails the test.
+func mustOpen(t testing.TB, r *Registry, events []Event, pid int) *CounterSet {
+	t.Helper()
+	set, err := OpenCounterSet(r, events, pid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set
+}
+
+// read returns the set's next deltas or fails the test.
+func read(t *testing.T, set *CounterSet) CountsVec {
+	t.Helper()
+	var dst CountsVec
+	if err := set.ReadDeltaVec(&dst); err != nil {
+		t.Fatal(err)
+	}
+	return dst
+}
+
 func TestOpenCounterValidation(t *testing.T) {
-	r := NewRegistry()
-	if _, err := OpenCounter(nil, Instructions, 1, 0); err == nil {
+	if _, err := OpenCounterSet(nil, PaperEvents(), 1); err == nil {
 		t.Fatal("nil registry should fail")
 	}
-	if _, err := OpenCounter(r, Event(999), 1, 0); err == nil {
-		t.Fatal("invalid event should fail")
-	}
-	c, err := OpenCounter(r, Instructions, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Event() != Instructions || c.PID() != 1 || c.CPU() != 0 {
-		t.Fatal("counter metadata mismatch")
-	}
-}
-
-func TestCounterStartsDisabled(t *testing.T) {
+	// The set keeps its own copy of the event list.
 	r := NewRegistry()
-	c, err := OpenCounter(r, Instructions, 1, AllCPUs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = r.Accumulate(1, 0, Counts{Instructions: 100})
-	v, err := c.Read()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 0 {
-		t.Fatalf("disabled counter observed %d events, want 0", v)
-	}
-}
-
-func TestCounterEnableReadDisable(t *testing.T) {
-	r := NewRegistry()
-	c, _ := OpenCounter(r, Instructions, 1, AllCPUs)
-
-	_ = r.Accumulate(1, 0, Counts{Instructions: 50}) // before enable: invisible
-	if err := c.Enable(); err != nil {
-		t.Fatal(err)
-	}
-	_ = r.Accumulate(1, 0, Counts{Instructions: 30})
-	v, err := c.Read()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 30 {
-		t.Fatalf("Read = %d, want 30", v)
-	}
-
-	if err := c.Disable(); err != nil {
-		t.Fatal(err)
-	}
-	_ = r.Accumulate(1, 0, Counts{Instructions: 1000}) // while disabled: invisible
-	v, _ = c.Read()
-	if v != 30 {
-		t.Fatalf("Read after disable = %d, want 30", v)
-	}
-
-	// Re-enable continues accumulating on top of the saved value.
-	_ = c.Enable()
-	_ = r.Accumulate(1, 0, Counts{Instructions: 5})
-	v, _ = c.Read()
-	if v != 35 {
-		t.Fatalf("Read after re-enable = %d, want 35", v)
-	}
-}
-
-func TestCounterDoubleEnableIsIdempotent(t *testing.T) {
-	r := NewRegistry()
-	c, _ := OpenCounter(r, Instructions, 1, AllCPUs)
-	_ = c.Enable()
-	_ = r.Accumulate(1, 0, Counts{Instructions: 10})
-	if err := c.Enable(); err != nil {
-		t.Fatal(err)
-	}
-	v, _ := c.Read()
-	if v != 10 {
-		t.Fatalf("double enable lost events: %d, want 10", v)
-	}
-	if err := c.Disable(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Disable(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCounterReset(t *testing.T) {
-	r := NewRegistry()
-	c, _ := OpenCounter(r, CacheMisses, 7, AllCPUs)
-	_ = c.Enable()
-	_ = r.Accumulate(7, 0, Counts{CacheMisses: 42})
-	if err := c.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	v, _ := c.Read()
-	if v != 0 {
-		t.Fatalf("Read after reset = %d, want 0", v)
-	}
-	_ = r.Accumulate(7, 0, Counts{CacheMisses: 8})
-	v, _ = c.Read()
-	if v != 8 {
-		t.Fatalf("Read after reset+accumulate = %d, want 8", v)
-	}
-}
-
-func TestCounterTakeDelta(t *testing.T) {
-	r := NewRegistry()
-	c, err := OpenCounter(r, Instructions, 1, AllCPUs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Enable(); err != nil {
-		t.Fatal(err)
-	}
-	_ = r.Accumulate(1, 0, Counts{Instructions: 40})
-	got, err := c.TakeDelta()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 40 {
-		t.Fatalf("first TakeDelta = %d, want 40", got)
-	}
-	// The take reset the counter: only new activity shows up next time.
-	_ = r.Accumulate(1, 0, Counts{Instructions: 2})
-	if got, _ := c.TakeDelta(); got != 2 {
-		t.Fatalf("second TakeDelta = %d, want 2", got)
-	}
-	if got, _ := c.TakeDelta(); got != 0 {
-		t.Fatalf("idle TakeDelta = %d, want 0", got)
-	}
-	// Disabled counters take their stored value and keep the baseline
-	// current, exactly like Read followed by Reset.
-	if err := c.Disable(); err != nil {
-		t.Fatal(err)
-	}
-	_ = r.Accumulate(1, 0, Counts{Instructions: 9})
-	if got, _ := c.TakeDelta(); got != 0 {
-		t.Fatalf("disabled TakeDelta = %d, want 0", got)
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.TakeDelta(); err == nil {
-		t.Fatal("TakeDelta on a closed counter should fail")
-	}
-}
-
-func TestCounterClosed(t *testing.T) {
-	r := NewRegistry()
-	c, _ := OpenCounter(r, Cycles, 1, 0)
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Read(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Read on closed counter: %v, want ErrClosed", err)
-	}
-	if err := c.Enable(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Enable on closed counter: %v, want ErrClosed", err)
-	}
-	if err := c.Disable(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Disable on closed counter: %v, want ErrClosed", err)
-	}
-	if err := c.Reset(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Reset on closed counter: %v, want ErrClosed", err)
-	}
-}
-
-func TestCounterSetLifecycle(t *testing.T) {
-	r := NewRegistry()
-	set, err := OpenCounterSet(r, PaperEvents(), 3, AllCPUs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := set.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}()
-
-	if got := set.Events(); len(got) != 3 || got[0] != Instructions {
-		t.Fatalf("Events() = %v", got)
-	}
-	if err := set.Enable(); err != nil {
-		t.Fatal(err)
-	}
-	_ = r.Accumulate(3, 0, Counts{Instructions: 100, CacheReferences: 10, CacheMisses: 2})
-	counts, err := set.Read()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if counts[Instructions] != 100 || counts[CacheReferences] != 10 || counts[CacheMisses] != 2 {
-		t.Fatalf("Read = %v", counts)
-	}
-	if err := set.Disable(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCounterSetReadDelta(t *testing.T) {
-	r := NewRegistry()
-	set, err := OpenCounterSet(r, []Event{Instructions}, 4, AllCPUs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = set.Enable()
-
-	_ = r.Accumulate(4, 0, Counts{Instructions: 10})
-	d1, err := set.ReadDelta()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d1[Instructions] != 10 {
-		t.Fatalf("first delta = %d, want 10", d1[Instructions])
-	}
-
-	_ = r.Accumulate(4, 0, Counts{Instructions: 7})
-	d2, err := set.ReadDelta()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d2[Instructions] != 7 {
-		t.Fatalf("second delta = %d, want 7", d2[Instructions])
-	}
-
-	d3, err := set.ReadDelta()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d3[Instructions] != 0 {
-		t.Fatalf("idle delta = %d, want 0", d3[Instructions])
+	events := []Event{Instructions}
+	set := mustOpen(t, r, events, 1)
+	events[0] = Cycles
+	r.AccumulateVec(1, &CountsVec{Instructions: 5, Cycles: 9})
+	if got := read(t, set); got != (CountsVec{Instructions: 5}) {
+		t.Fatalf("deltas = %v, want only the 5 instructions", got)
 	}
 }
 
 func TestCounterSetValidation(t *testing.T) {
 	r := NewRegistry()
-	if _, err := OpenCounterSet(r, nil, 1, 0); err == nil {
-		t.Fatal("empty event list should fail")
+	for _, tt := range []struct {
+		name   string
+		events []Event
+	}{
+		{"empty", nil},
+		{"duplicate", []Event{Instructions, CacheMisses, Instructions}},
+		{"invalid", []Event{Instructions, Event(999)}},
+		{"zero", []Event{Event(0)}},
+	} {
+		if _, err := OpenCounterSet(r, tt.events, 1); err == nil {
+			t.Errorf("%s event list %v should fail", tt.name, tt.events)
+		}
 	}
-	if _, err := OpenCounterSet(r, []Event{Instructions, Instructions}, 1, 0); err == nil {
-		t.Fatal("duplicate events should fail")
+}
+
+func TestCounterSetLifecycle(t *testing.T) {
+	r := NewRegistry()
+	set := mustOpen(t, r, PaperEvents(), 3)
+	r.AccumulateVec(3, &CountsVec{Instructions: 100, CacheReferences: 10, CacheMisses: 2})
+	want := CountsVec{Instructions: 100, CacheReferences: 10, CacheMisses: 2}
+	if got := read(t, set); got != want {
+		t.Fatalf("deltas = %v, want %v", got, want)
 	}
-	if _, err := OpenCounterSet(r, []Event{Event(999)}, 1, 0); err == nil {
-		t.Fatal("invalid event should fail")
+	set.Close()
+	var dst CountsVec
+	if err := set.ReadDeltaVec(&dst); !errors.Is(err, ErrClosed) {
+		t.Fatalf("read after Close: %v, want ErrClosed", err)
+	}
+}
+
+// TestCounterSetReadDelta pins what a read returns: the counts since the
+// set was opened, then since the previous read, for the set's events only.
+func TestCounterSetReadDelta(t *testing.T) {
+	r := NewRegistry()
+	r.AccumulateVec(4, &CountsVec{Instructions: 50, Cycles: 50}) // before open: not counted
+	set := mustOpen(t, r, []Event{Instructions}, 4)
+
+	r.AccumulateVec(4, &CountsVec{Instructions: 10, Cycles: 3})
+	if got := read(t, set); got != (CountsVec{Instructions: 10}) {
+		t.Fatalf("first delta = %v, want 10 instructions and nothing else", got)
+	}
+	r.AccumulateVec(4, &CountsVec{Instructions: 7})
+	if got := read(t, set); got != (CountsVec{Instructions: 7}) {
+		t.Fatalf("second delta = %v, want 7 instructions", got)
+	}
+	// An idle read is zero, and a read overwrites whatever dst held.
+	dst := CountsVec{Instructions: 99, Cycles: 99}
+	if err := set.ReadDeltaVec(&dst); err != nil {
+		t.Fatal(err)
+	}
+	if dst != (CountsVec{}) {
+		t.Fatalf("idle delta = %v, want zero", dst)
+	}
+}
+
+// TestCounterTakeDelta pins that a read takes its counts: the baseline moves
+// by exactly what the read returned, so successive reads of a process set
+// and of the machine set never count a tick twice or lose one, and a read
+// after Close fails.
+func TestCounterTakeDelta(t *testing.T) {
+	r := NewRegistry()
+	proc := mustOpen(t, r, []Event{Instructions}, 1)
+	machine := mustOpen(t, r, []Event{Instructions}, AllPIDs)
+
+	for i, tick := range []struct{ pid1, pid2 uint64 }{{40, 5}, {2, 0}, {0, 0}, {0, 11}, {9, 3}} {
+		r.AccumulateVec(1, &CountsVec{Instructions: tick.pid1})
+		r.AccumulateVec(2, &CountsVec{Instructions: tick.pid2})
+		if got := read(t, proc)[Instructions]; got != tick.pid1 {
+			t.Fatalf("tick %d: process take = %d, want only its own %d", i, got, tick.pid1)
+		}
+		if got := read(t, machine)[Instructions]; got != tick.pid1+tick.pid2 {
+			t.Fatalf("tick %d: machine take = %d, want %d", i, got, tick.pid1+tick.pid2)
+		}
+	}
+	proc.Close()
+	var dst CountsVec
+	if err := proc.ReadDeltaVec(&dst); !errors.Is(err, ErrClosed) {
+		t.Fatalf("take on a closed set: %v, want ErrClosed", err)
+	}
+}
+
+// TestCounterSetOpenedBeforeFirstRun opens a set on a process that has not
+// run yet: the set pins the process's registry vector, so it sees the
+// process's very first tick.
+func TestCounterSetOpenedBeforeFirstRun(t *testing.T) {
+	r := NewRegistry()
+	set := mustOpen(t, r, PaperEvents(), 42)
+	r.AccumulateVec(42, &CountsVec{Instructions: 9, CacheMisses: 1})
+	if got := read(t, set); got != (CountsVec{Instructions: 9, CacheMisses: 1}) {
+		t.Fatalf("first tick read %v", got)
 	}
 }
 
 func TestCounterSetClosedRead(t *testing.T) {
 	r := NewRegistry()
-	set, _ := OpenCounterSet(r, []Event{Instructions}, 1, 0)
-	_ = set.Close()
-	if _, err := set.Read(); err == nil {
-		t.Fatal("Read on closed set should fail")
+	set := mustOpen(t, r, []Event{Instructions}, 1)
+	r.AccumulateVec(1, &CountsVec{Instructions: 3})
+	set.Close()
+	set.Close() // closing twice is harmless
+	dst := CountsVec{Instructions: 1}
+	if err := set.ReadDeltaVec(&dst); !errors.Is(err, ErrClosed) {
+		t.Fatalf("read on a closed set: %v, want ErrClosed", err)
 	}
-	if _, err := set.ReadDelta(); err == nil {
-		t.Fatal("ReadDelta on closed set should fail")
+	if dst != (CountsVec{}) {
+		t.Fatalf("a failed read left %v, want zero deltas", dst)
 	}
 }
 
-func TestCounterPerCPUScope(t *testing.T) {
+// TestCounterClosed closes one of two sets over the same process: each set
+// keeps its own baseline, so the open one still reads the counts since it
+// opened.
+func TestCounterClosed(t *testing.T) {
 	r := NewRegistry()
-	c0, _ := OpenCounter(r, Instructions, AllPIDs, 0)
-	c1, _ := OpenCounter(r, Instructions, AllPIDs, 1)
-	_ = c0.Enable()
-	_ = c1.Enable()
-	_ = r.Accumulate(1, 0, Counts{Instructions: 11})
-	_ = r.Accumulate(2, 1, Counts{Instructions: 22})
-	v0, _ := c0.Read()
-	v1, _ := c1.Read()
-	if v0 != 11 || v1 != 22 {
-		t.Fatalf("per-cpu scoped reads = %d, %d; want 11, 22", v0, v1)
+	first := mustOpen(t, r, []Event{Cycles}, 1)
+	r.AccumulateVec(1, &CountsVec{Cycles: 4})
+	second := mustOpen(t, r, []Event{Cycles}, 1)
+	r.AccumulateVec(1, &CountsVec{Cycles: 6})
+	first.Close()
+	var dst CountsVec
+	if err := first.ReadDeltaVec(&dst); !errors.Is(err, ErrClosed) {
+		t.Fatalf("read on the closed set: %v, want ErrClosed", err)
 	}
+	if got := read(t, second); got[Cycles] != 6 {
+		t.Fatalf("the open set read %d cycles, want the 6 since it opened", got[Cycles])
+	}
+}
+
+// BenchmarkReadDeltaVec reads 2 000 process sets of the paper's three
+// events: the Sensor's counter read for one round at daemon-dense's size.
+func BenchmarkReadDeltaVec(b *testing.B) {
+	const procs = 2000
+	r := NewRegistry()
+	sets := make([]*CounterSet, procs)
+	tick := CountsVec{Instructions: 1000, CacheReferences: 40, CacheMisses: 4}
+	for i := range sets {
+		sets[i] = mustOpen(b, r, PaperEvents(), i+1)
+		r.AccumulateVec(i+1, &tick)
+	}
+	var dst CountsVec
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		for _, set := range sets {
+			if err := set.ReadDeltaVec(&dst); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*procs), "ns/process")
 }

@@ -1,9 +1,9 @@
 // Package hpc simulates the Hardware Performance Counter (HPC) subsystem the
 // paper relies on. The real PowerAPI accesses generic counters through
 // libpfm4 / perf_event_open; this package reproduces the same programming
-// model — open a counter for an (event, pid, cpu) triple, enable it, read
-// deltas — on top of a software registry that the machine simulator feeds
-// every tick.
+// model — open a group of counters over one process or the whole machine,
+// then read the group's deltas — on top of a software registry that the
+// machine simulator feeds every tick.
 //
 // The generic events mirror the perf_event_open(2) hardware events the paper
 // studied, among which it identified instructions, cache-references and
@@ -44,11 +44,9 @@ const (
 	StalledCyclesBackend
 )
 
-// AllPIDs is the wildcard PID (mirrors perf's pid == -1 semantics).
+// AllPIDs is the wildcard PID (mirrors perf's pid == -1 semantics): a
+// CounterSet opened on it counts the whole machine.
 const AllPIDs = -1
-
-// AllCPUs is the wildcard CPU (mirrors perf's cpu == -1 semantics).
-const AllCPUs = -1
 
 var eventNames = map[Event]string{
 	Instructions:          "instructions",
@@ -124,17 +122,6 @@ func (v *CountsVec) Get(e Event) uint64 {
 	return v[e]
 }
 
-// Set stores the value for e (ignored when out of range).
-func (v *CountsVec) Set(e Event, value uint64) {
-	if e < 1 || e > MaxEvent {
-		return
-	}
-	v[e] = value
-}
-
-// Zero clears every slot.
-func (v *CountsVec) Zero() { *v = CountsVec{} }
-
 // AddVec accumulates other into v.
 func (v *CountsVec) AddVec(other *CountsVec) {
 	for i := range v {
@@ -142,38 +129,8 @@ func (v *CountsVec) AddVec(other *CountsVec) {
 	}
 }
 
-// AddCounts accumulates a map-form snapshot into v.
-func (v *CountsVec) AddCounts(c Counts) {
-	for e, value := range c {
-		if e >= 1 && e <= MaxEvent {
-			v[e] += value
-		}
-	}
-}
-
-// Counts materialises the vector as a map, keeping only non-zero slots. This
-// is for cold paths and API boundaries; hot paths should stay on the vector.
-func (v *CountsVec) Counts() Counts {
-	out := make(Counts)
-	for i := 1; i <= int(MaxEvent); i++ {
-		if v[i] != 0 {
-			out[Event(i)] = v[i]
-		}
-	}
-	return out
-}
-
 // Counts is a snapshot of event values.
 type Counts map[Event]uint64
-
-// Clone returns a deep copy of c.
-func (c Counts) Clone() Counts {
-	out := make(Counts, len(c))
-	for e, v := range c {
-		out[e] = v
-	}
-	return out
-}
 
 // Add accumulates other into c.
 func (c Counts) Add(other Counts) {
@@ -182,31 +139,8 @@ func (c Counts) Add(other Counts) {
 	}
 }
 
-// Delta returns c - previous, clamping any negative difference to zero (a
-// counter can only move forward; a negative delta indicates a reset).
-func (c Counts) Delta(previous Counts) Counts {
-	out := make(Counts, len(c))
-	for e, v := range c {
-		p := previous[e]
-		if v >= p {
-			out[e] = v - p
-		}
-	}
-	return out
-}
-
 // Get returns the value for e (0 when absent).
 func (c Counts) Get(e Event) uint64 { return c[e] }
-
-// Vector projects the counts onto the given event order as float64s, which is
-// the representation fed to the regression pipeline.
-func (c Counts) Vector(order []Event) []float64 {
-	out := make([]float64, len(order))
-	for i, e := range order {
-		out[i] = float64(c[e])
-	}
-	return out
-}
 
 // String renders the counts in a stable, human-readable order.
 func (c Counts) String() string {

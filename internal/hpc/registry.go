@@ -1,186 +1,53 @@
 package hpc
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // Registry is the kernel-side store of counter values. The machine simulator
-// accumulates per-(pid, cpu) event deltas into it every tick; Counters opened
-// by monitoring code read from it.
+// accumulates every tick's per-process event deltas into it; CounterSets
+// opened by monitoring code read from it.
 //
-// Internally the registry stores dense CountsVec blocks instead of maps: the
-// event space is tiny and fixed, so one small array per (pid, cpu) scope
-// removes the per-tick map churn that dominated the allocation profile. A
-// per-PID aggregate (across CPUs) is maintained alongside the per-(pid, cpu)
-// detail so the AllCPUs wildcard — the Sensor's per-round read — resolves in
-// one map lookup instead of a per-CPU scan.
+// It keeps one cumulative CountsVec per process, summed across CPUs, and one
+// for the whole machine: the two scopes a CounterSet can open. The event
+// space is tiny and fixed, so a dense array per scope replaces per-tick map
+// churn, and a set pins its scope's array at open instead of looking it up
+// on every read.
 //
 // A Registry is safe for concurrent use.
 type Registry struct {
-	mu sync.RWMutex
-	// perPIDCPU[pid][cpu] -> counts
-	perPIDCPU map[int]map[int]*CountsVec
-	// perPID[pid] -> counts summed across CPUs (the AllCPUs fast path)
+	mu     sync.RWMutex
 	perPID map[int]*CountsVec
-	// perCPU[cpu] -> counts (all pids, including kernel/idle work)
-	perCPU []CountsVec
 	system CountsVec
 }
 
 // NewRegistry returns an empty counter registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		perPIDCPU: make(map[int]map[int]*CountsVec),
-		perPID:    make(map[int]*CountsVec),
-	}
+	return &Registry{perPID: make(map[int]*CountsVec)}
 }
 
-// Accumulate adds deltas for work executed by pid on cpu. A pid of AllPIDs
+// AccumulateVec adds the deltas of work executed by pid. A pid of AllPIDs
 // records CPU activity not attributable to any process (idle loops, kernel
-// housekeeping); it still contributes to per-CPU and system totals.
-func (r *Registry) Accumulate(pid, cpu int, deltas Counts) error {
-	var vec CountsVec
-	vec.AddCounts(deltas)
-	return r.AccumulateVec(pid, cpu, &vec)
-}
-
-// AccumulateVec is the allocation-free form of Accumulate: the machine
-// simulator builds the delta block on its stack and hands it over by pointer;
-// the registry copies the values into its own storage.
-func (r *Registry) AccumulateVec(pid, cpu int, deltas *CountsVec) error {
-	if cpu < 0 {
-		return fmt.Errorf("hpc: accumulate on invalid cpu %d", cpu)
-	}
+// housekeeping), which counts toward the machine only. The registry copies
+// the values, so the caller may keep deltas on its stack.
+func (r *Registry) AccumulateVec(pid int, deltas *CountsVec) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	if pid != AllPIDs {
-		byCPU, ok := r.perPIDCPU[pid]
-		if !ok {
-			byCPU = make(map[int]*CountsVec)
-			r.perPIDCPU[pid] = byCPU
-		}
-		vec, ok := byCPU[cpu]
-		if !ok {
-			vec = new(CountsVec)
-			byCPU[cpu] = vec
-		}
-		vec.AddVec(deltas)
-		agg, ok := r.perPID[pid]
-		if !ok {
-			agg = new(CountsVec)
-			r.perPID[pid] = agg
-		}
-		agg.AddVec(deltas)
+		r.scopeLocked(pid).AddVec(deltas)
 	}
-	for cpu >= len(r.perCPU) {
-		r.perCPU = append(r.perCPU, CountsVec{})
-	}
-	r.perCPU[cpu].AddVec(deltas)
 	r.system.AddVec(deltas)
-	return nil
+	r.mu.Unlock()
 }
 
-// ReadPID returns the cumulative counts of pid across every CPU.
-func (r *Registry) ReadPID(pid int) Counts {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if vec, ok := r.perPID[pid]; ok {
-		return vec.Counts()
+// scopeLocked returns the cumulative vector of pid, or of the machine for
+// AllPIDs, creating a process's vector on first use. r.mu must be held for
+// writing.
+func (r *Registry) scopeLocked(pid int) *CountsVec {
+	if pid == AllPIDs {
+		return &r.system
 	}
-	return make(Counts)
-}
-
-// ReadPIDOnCPU returns the cumulative counts of pid on one CPU.
-func (r *Registry) ReadPIDOnCPU(pid, cpu int) Counts {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if byCPU, ok := r.perPIDCPU[pid]; ok {
-		if vec, ok := byCPU[cpu]; ok {
-			return vec.Counts()
-		}
+	vec, ok := r.perPID[pid]
+	if !ok {
+		vec = new(CountsVec)
+		r.perPID[pid] = vec
 	}
-	return make(Counts)
-}
-
-// ReadCPU returns the cumulative counts observed on one CPU (all PIDs).
-func (r *Registry) ReadCPU(cpu int) Counts {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if cpu >= 0 && cpu < len(r.perCPU) {
-		return r.perCPU[cpu].Counts()
-	}
-	return make(Counts)
-}
-
-// ReadSystem returns machine-wide cumulative counts.
-func (r *Registry) ReadSystem() Counts {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.system.Counts()
-}
-
-// Read resolves a (pid, cpu) pair with perf wildcard semantics: AllPIDs
-// and/or AllCPUs widen the scope of the query.
-func (r *Registry) Read(pid, cpu int) Counts {
-	switch {
-	case pid == AllPIDs && cpu == AllCPUs:
-		return r.ReadSystem()
-	case pid == AllPIDs:
-		return r.ReadCPU(cpu)
-	case cpu == AllCPUs:
-		return r.ReadPID(pid)
-	default:
-		return r.ReadPIDOnCPU(pid, cpu)
-	}
-}
-
-// ReadEvent resolves one event of a (pid, cpu) pair with perf wildcard
-// semantics, without materialising a Counts map. This is the monitoring hot
-// path: the Sensor reads every counter of every monitored PID each tick, and
-// the (pid, AllCPUs) case resolves through the per-PID aggregate in one map
-// lookup plus one array index.
-func (r *Registry) ReadEvent(pid, cpu int, event Event) uint64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	switch {
-	case pid == AllPIDs && cpu == AllCPUs:
-		return r.system.Get(event)
-	case pid == AllPIDs:
-		if cpu >= 0 && cpu < len(r.perCPU) {
-			return r.perCPU[cpu].Get(event)
-		}
-		return 0
-	case cpu == AllCPUs:
-		if vec, ok := r.perPID[pid]; ok {
-			return vec.Get(event)
-		}
-		return 0
-	default:
-		if byCPU, ok := r.perPIDCPU[pid]; ok {
-			if vec, ok := byCPU[cpu]; ok {
-				return vec.Get(event)
-			}
-		}
-		return 0
-	}
-}
-
-// PIDs returns the PIDs that have recorded activity.
-func (r *Registry) PIDs() []int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	pids := make([]int, 0, len(r.perPIDCPU))
-	for pid := range r.perPIDCPU {
-		pids = append(pids, pid)
-	}
-	return pids
-}
-
-// Forget drops all data recorded for pid (used when a process exits).
-func (r *Registry) Forget(pid int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.perPIDCPU, pid)
-	delete(r.perPID, pid)
+	return vec
 }

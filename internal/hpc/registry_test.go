@@ -5,160 +5,145 @@ import (
 	"testing"
 )
 
+// TestRegistryAccumulateAndRead checks both scopes: a process's set sums the
+// process's ticks across calls (one per CPU it ran on), and the machine's
+// set sums every tick.
 func TestRegistryAccumulateAndRead(t *testing.T) {
 	r := NewRegistry()
-	if err := r.Accumulate(100, 0, Counts{Instructions: 10, CacheMisses: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Accumulate(100, 1, Counts{Instructions: 20}); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Accumulate(200, 0, Counts{Instructions: 5}); err != nil {
-		t.Fatal(err)
-	}
+	p100 := mustOpen(t, r, []Event{Instructions, CacheMisses}, 100)
+	p200 := mustOpen(t, r, []Event{Instructions, CacheMisses}, 200)
+	machine := mustOpen(t, r, []Event{Instructions, CacheMisses}, AllPIDs)
 
-	if got := r.ReadPID(100)[Instructions]; got != 30 {
-		t.Fatalf("ReadPID(100) instructions = %d, want 30", got)
-	}
-	if got := r.ReadPIDOnCPU(100, 1)[Instructions]; got != 20 {
-		t.Fatalf("ReadPIDOnCPU(100,1) = %d, want 20", got)
-	}
-	if got := r.ReadCPU(0)[Instructions]; got != 15 {
-		t.Fatalf("ReadCPU(0) = %d, want 15", got)
-	}
-	if got := r.ReadSystem()[Instructions]; got != 35 {
-		t.Fatalf("ReadSystem() = %d, want 35", got)
-	}
-}
+	r.AccumulateVec(100, &CountsVec{Instructions: 10, CacheMisses: 1})
+	r.AccumulateVec(100, &CountsVec{Instructions: 20})
+	r.AccumulateVec(200, &CountsVec{Instructions: 5})
 
-func TestRegistryAccumulateInvalidCPU(t *testing.T) {
-	r := NewRegistry()
-	if err := r.Accumulate(1, -1, Counts{Instructions: 1}); err == nil {
-		t.Fatal("negative cpu should be rejected")
+	if got := read(t, p100); got != (CountsVec{Instructions: 30, CacheMisses: 1}) {
+		t.Fatalf("pid 100 read %v, want 30 instructions and 1 miss", got)
+	}
+	if got := read(t, p200); got != (CountsVec{Instructions: 5}) {
+		t.Fatalf("pid 200 read %v, want 5 instructions", got)
+	}
+	if got := read(t, machine); got != (CountsVec{Instructions: 35, CacheMisses: 1}) {
+		t.Fatalf("machine read %v, want 35 instructions and 1 miss", got)
 	}
 }
 
 func TestRegistryWildcardRead(t *testing.T) {
 	r := NewRegistry()
-	_ = r.Accumulate(1, 0, Counts{Instructions: 10})
-	_ = r.Accumulate(2, 1, Counts{Instructions: 7})
-
 	tests := []struct {
-		name     string
-		pid, cpu int
-		want     uint64
+		name string
+		pid  int
+		want uint64
 	}{
-		{name: "system wide", pid: AllPIDs, cpu: AllCPUs, want: 17},
-		{name: "one cpu all pids", pid: AllPIDs, cpu: 1, want: 7},
-		{name: "one pid all cpus", pid: 1, cpu: AllCPUs, want: 10},
-		{name: "specific", pid: 2, cpu: 1, want: 7},
-		{name: "missing pid", pid: 99, cpu: AllCPUs, want: 0},
+		{name: "system wide", pid: AllPIDs, want: 17},
+		{name: "one pid all cpus", pid: 1, want: 10},
+		{name: "missing pid", pid: 99, want: 0},
 	}
-	for _, tt := range tests {
+	sets := make([]*CounterSet, len(tests))
+	for i, tt := range tests {
+		sets[i] = mustOpen(t, r, []Event{Instructions}, tt.pid)
+	}
+	r.AccumulateVec(1, &CountsVec{Instructions: 10})
+	r.AccumulateVec(2, &CountsVec{Instructions: 7})
+	for i, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := r.Read(tt.pid, tt.cpu)[Instructions]; got != tt.want {
-				t.Fatalf("Read(%d,%d) = %d, want %d", tt.pid, tt.cpu, got, tt.want)
+			if got := read(t, sets[i])[Instructions]; got != tt.want {
+				t.Fatalf("pid %d read %d instructions, want %d", tt.pid, got, tt.want)
 			}
 		})
 	}
 }
 
-func TestRegistryReadEventMatchesRead(t *testing.T) {
-	// ReadEvent is the allocation-free fast path of Read(...).Get(event); the
-	// two must agree under every wildcard combination.
-	r := NewRegistry()
-	_ = r.Accumulate(1, 0, Counts{Instructions: 10, Cycles: 3})
-	_ = r.Accumulate(1, 1, Counts{Instructions: 5})
-	_ = r.Accumulate(2, 1, Counts{Instructions: 7})
-
-	scopes := []struct{ pid, cpu int }{
-		{AllPIDs, AllCPUs}, {AllPIDs, 0}, {AllPIDs, 1}, {AllPIDs, 9},
-		{1, AllCPUs}, {2, AllCPUs}, {1, 0}, {1, 1}, {2, 0}, {99, AllCPUs}, {99, 3},
-	}
-	for _, scope := range scopes {
-		for _, event := range []Event{Instructions, Cycles, CacheMisses} {
-			want := r.Read(scope.pid, scope.cpu).Get(event)
-			if got := r.ReadEvent(scope.pid, scope.cpu, event); got != want {
-				t.Fatalf("ReadEvent(%d,%d,%v) = %d, Read().Get() = %d", scope.pid, scope.cpu, event, got, want)
-			}
-		}
-	}
-}
-
+// TestRegistryIdleWorkNotAttributedToPID runs housekeeping (AllPIDs) and a
+// second process beside the monitored one: its set sees only its own work,
+// and the machine's set sees all of it.
 func TestRegistryIdleWorkNotAttributedToPID(t *testing.T) {
 	r := NewRegistry()
-	// Kernel / idle work on cpu 0 (pid wildcard).
-	_ = r.Accumulate(AllPIDs, 0, Counts{Cycles: 100})
-	if got := len(r.PIDs()); got != 0 {
-		t.Fatalf("idle work should not create a pid entry, got %d pids", got)
+	proc := mustOpen(t, r, []Event{Cycles}, 7)
+	machine := mustOpen(t, r, []Event{Cycles}, AllPIDs)
+	r.AccumulateVec(AllPIDs, &CountsVec{Cycles: 100})
+	r.AccumulateVec(8, &CountsVec{Cycles: 20})
+	r.AccumulateVec(7, &CountsVec{Cycles: 3})
+	if got := read(t, proc)[Cycles]; got != 3 {
+		t.Fatalf("pid 7 read %d cycles, want its own 3", got)
 	}
-	if got := r.ReadCPU(0)[Cycles]; got != 100 {
-		t.Fatalf("ReadCPU(0) cycles = %d, want 100", got)
-	}
-	if got := r.ReadSystem()[Cycles]; got != 100 {
-		t.Fatalf("ReadSystem cycles = %d, want 100", got)
-	}
-}
-
-func TestRegistryForget(t *testing.T) {
-	r := NewRegistry()
-	_ = r.Accumulate(1, 0, Counts{Instructions: 10})
-	r.Forget(1)
-	if got := r.ReadPID(1)[Instructions]; got != 0 {
-		t.Fatalf("after Forget, ReadPID = %d, want 0", got)
-	}
-	// System totals are preserved: the work did happen.
-	if got := r.ReadSystem()[Instructions]; got != 10 {
-		t.Fatalf("system totals must survive Forget, got %d", got)
+	if got := read(t, machine)[Cycles]; got != 123 {
+		t.Fatalf("machine read %d cycles, want 123", got)
 	}
 }
 
-func TestRegistryPIDs(t *testing.T) {
-	r := NewRegistry()
-	_ = r.Accumulate(5, 0, Counts{Instructions: 1})
-	_ = r.Accumulate(9, 1, Counts{Instructions: 1})
-	pids := r.PIDs()
-	if len(pids) != 2 {
-		t.Fatalf("PIDs() = %v, want 2 entries", pids)
-	}
-	seen := map[int]bool{}
-	for _, p := range pids {
-		seen[p] = true
-	}
-	if !seen[5] || !seen[9] {
-		t.Fatalf("PIDs() = %v, want {5,9}", pids)
-	}
-}
-
+// TestRegistryConcurrentAccumulate runs writers on eight processes while two
+// readers per set read them, the machine's set included. Reads take
+// disjoint deltas, so every count is read exactly once. Each goroutine does
+// a fixed number of operations, so none waits on another to finish.
 func TestRegistryConcurrentAccumulate(t *testing.T) {
-	r := NewRegistry()
-	var wg sync.WaitGroup
 	const workers = 8
 	const perWorker = 1000
-	for w := 0; w < workers; w++ {
+	const readersPerSet = 2
+	r := NewRegistry()
+	sets := make([]*CounterSet, workers+1)
+	for pid := 0; pid < workers; pid++ {
+		sets[pid] = mustOpen(t, r, []Event{Instructions}, pid)
+	}
+	sets[workers] = mustOpen(t, r, []Event{Instructions}, AllPIDs)
+
+	sums := make([]uint64, len(sets)*readersPerSet)
+	var wg sync.WaitGroup
+	for i := range sums {
+		wg.Add(1)
+		go func(set *CounterSet, sum *uint64) {
+			defer wg.Done()
+			var dst CountsVec
+			for n := 0; n < perWorker; n++ {
+				if err := set.ReadDeltaVec(&dst); err != nil {
+					t.Error(err)
+					return
+				}
+				*sum += dst[Instructions]
+			}
+		}(sets[i/readersPerSet], &sums[i])
+	}
+	for pid := 0; pid < workers; pid++ {
 		wg.Add(1)
 		go func(pid int) {
 			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				_ = r.Accumulate(pid, pid%2, Counts{Instructions: 1})
+			one := CountsVec{Instructions: 1}
+			for n := 0; n < perWorker; n++ {
+				r.AccumulateVec(pid, &one)
 			}
-		}(w)
+		}(pid)
 	}
 	wg.Wait()
-	if got := r.ReadSystem()[Instructions]; got != workers*perWorker {
-		t.Fatalf("system instructions = %d, want %d", got, workers*perWorker)
+
+	for i, set := range sets {
+		total := read(t, set)[Instructions]
+		for _, sum := range sums[i*readersPerSet : (i+1)*readersPerSet] {
+			total += sum
+		}
+		want := uint64(perWorker)
+		if i == workers {
+			want = workers * perWorker
+		}
+		if total != want {
+			t.Errorf("set %d read %d instructions in all, want %d", i, total, want)
+		}
 	}
 }
 
+// TestRegistryMonotonicSystemCounts reads the machine's set after every
+// tick: the deltas add up to exactly what was accumulated.
 func TestRegistryMonotonicSystemCounts(t *testing.T) {
 	r := NewRegistry()
-	var last uint64
+	machine := mustOpen(t, r, []Event{Cycles}, AllPIDs)
+	var accumulated, seen uint64
 	for i := 0; i < 100; i++ {
-		_ = r.Accumulate(1, 0, Counts{Cycles: uint64(i % 7)})
-		got := r.ReadSystem()[Cycles]
-		if got < last {
-			t.Fatalf("system counter went backwards: %d -> %d", last, got)
+		n := uint64(i % 7)
+		r.AccumulateVec(1, &CountsVec{Cycles: n})
+		accumulated += n
+		seen += read(t, machine)[Cycles]
+		if seen != accumulated {
+			t.Fatalf("after tick %d the machine read %d cycles in all, want %d", i, seen, accumulated)
 		}
-		last = got
 	}
 }

@@ -165,7 +165,7 @@ func (m *Machine) Topology() *cpu.Topology { return m.topo }
 func (m *Machine) DVFS() *cpu.DVFS { return m.dvfs }
 
 // Registry returns the hardware-counter registry (the simulated perf
-// subsystem). Monitoring code opens hpc.Counters against it.
+// subsystem). Monitoring code opens hpc.CounterSets against it.
 func (m *Machine) Registry() *hpc.Registry { return m.registry }
 
 // Processes returns the process table.

@@ -20,6 +20,28 @@ func newTestMachine(t *testing.T, cfg Config) *Machine {
 	return m
 }
 
+// openCounters opens a counter set over every generic event for pid, or
+// for the machine when pid is hpc.AllPIDs.
+func openCounters(t *testing.T, m *Machine, pid int) *hpc.CounterSet {
+	t.Helper()
+	set, err := hpc.OpenCounterSet(m.Registry(), hpc.GenericEvents(), pid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set
+}
+
+// readCounters returns the counts set has seen since it opened or was last
+// read.
+func readCounters(t *testing.T, set *hpc.CounterSet) hpc.CountsVec {
+	t.Helper()
+	var counts hpc.CountsVec
+	if err := set.ReadDeltaVec(&counts); err != nil {
+		t.Fatal(err)
+	}
+	return counts
+}
+
 func TestNewFillsDefaults(t *testing.T) {
 	m := newTestMachine(t, Config{})
 	if m.Spec().Model != "2120" {
@@ -120,10 +142,11 @@ func TestCountersAccrueUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	set := openCounters(t, m, p.PID())
 	if _, err := m.Run(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	counts := m.Registry().ReadPID(p.PID())
+	counts := readCounters(t, set)
 	if counts[hpc.Instructions] == 0 {
 		t.Fatal("no instructions recorded for the busy process")
 	}
@@ -140,7 +163,7 @@ func TestCountersAccrueUnderLoad(t *testing.T) {
 }
 
 func TestMemoryWorkloadHasMoreMissesThanCPUWorkload(t *testing.T) {
-	run := func(gen workload.Generator) hpc.Counts {
+	run := func(gen workload.Generator) hpc.CountsVec {
 		cfg := DefaultConfig()
 		cfg.PowerNoiseStdDevWatts = 0
 		m := newTestMachine(t, cfg)
@@ -148,10 +171,11 @@ func TestMemoryWorkloadHasMoreMissesThanCPUWorkload(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		set := openCounters(t, m, p.PID())
 		if _, err := m.Run(2 * time.Second); err != nil {
 			t.Fatal(err)
 		}
-		return m.Registry().ReadPID(p.PID())
+		return readCounters(t, set)
 	}
 	cpuGen, _ := workload.CPUStress(0.9, 0)
 	memGen, _ := workload.MemoryStress(0.9, 0)
@@ -171,16 +195,17 @@ func TestCountersMonotonic(t *testing.T) {
 	if _, err := m.Spawn(gen); err != nil {
 		t.Fatal(err)
 	}
-	var last uint64
+	// Kernel housekeeping runs on every CPU every tick, so the machine's
+	// instruction count moves forward on every step; a counter that went
+	// backwards would read a zero delta.
+	set := openCounters(t, m, hpc.AllPIDs)
 	for i := 0; i < 200; i++ {
 		if err := m.Step(); err != nil {
 			t.Fatal(err)
 		}
-		v := m.Registry().ReadSystem()[hpc.Instructions]
-		if v < last {
-			t.Fatalf("system instruction counter went backwards at step %d", i)
+		if readCounters(t, set)[hpc.Instructions] == 0 {
+			t.Fatalf("system instruction counter did not advance at step %d", i)
 		}
-		last = v
 	}
 }
 
@@ -264,6 +289,7 @@ func TestKill(t *testing.T) {
 	m := newTestMachine(t, DefaultConfig())
 	gen, _ := workload.CPUStress(0.5, 0)
 	p, _ := m.Spawn(gen)
+	set := openCounters(t, m, p.PID())
 	if err := m.Kill(p.PID()); err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +299,7 @@ func TestKill(t *testing.T) {
 	if _, err := m.Run(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if counts := m.Registry().ReadPID(p.PID()); counts[hpc.Instructions] != 0 {
+	if counts := readCounters(t, set); counts[hpc.Instructions] != 0 {
 		t.Fatal("killed process kept executing")
 	}
 }
@@ -307,6 +333,7 @@ func TestDeterministicReplay(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Seed = 7
 		m := newTestMachine(t, cfg)
+		set := openCounters(t, m, hpc.AllPIDs)
 		gen, _ := workload.MemoryStress(0.7, 0)
 		if _, err := m.Spawn(gen); err != nil {
 			t.Fatal(err)
@@ -314,7 +341,7 @@ func TestDeterministicReplay(t *testing.T) {
 		if _, err := m.Run(2 * time.Second); err != nil {
 			t.Fatal(err)
 		}
-		return m.EnergyJoules(), m.Registry().ReadSystem()[hpc.Instructions]
+		return m.EnergyJoules(), readCounters(t, set)[hpc.Instructions]
 	}
 	e1, i1 := run()
 	e2, i2 := run()
@@ -331,6 +358,7 @@ func TestSMTContentionReducesThroughput(t *testing.T) {
 		cfg.PowerNoiseStdDevWatts = 0
 		cfg.Governor = cpu.GovernorPerformance
 		m := newTestMachine(t, cfg)
+		set := openCounters(t, m, hpc.AllPIDs)
 		for _, affinity := range cpus {
 			gen, _ := workload.CPUStress(1.0, 0)
 			if _, err := m.Spawn(gen, proc.WithAffinity(affinity...)); err != nil {
@@ -340,7 +368,7 @@ func TestSMTContentionReducesThroughput(t *testing.T) {
 		if _, err := m.Run(time.Second); err != nil {
 			t.Fatal(err)
 		}
-		return m.Registry().ReadSystem()[hpc.Instructions]
+		return readCounters(t, set)[hpc.Instructions]
 	}
 	// cpu0 and cpu2 share physical core 0 on the i3-2120 topology.
 	sameCore := runPinned([][]int{{0}, {2}})

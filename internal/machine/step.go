@@ -165,9 +165,7 @@ func (m *Machine) Step() error {
 		counts[hpc.BusCycles] = uint64(busCycles)
 		counts[hpc.StalledCyclesFrontend] = uint64(stalledFrontend)
 		counts[hpc.StalledCyclesBackend] = uint64(stalledBackend)
-		if err := m.registry.AccumulateVec(a.PID, a.LogicalCPU, &counts); err != nil {
-			return fmt.Errorf("machine: %w", err)
-		}
+		m.registry.AccumulateVec(a.PID, &counts)
 		if p := processes[a.PID]; p != nil {
 			p.AddCPUTime(time.Duration(a.Share * float64(m.cfg.Tick)))
 		}
@@ -202,9 +200,7 @@ func (m *Machine) Step() error {
 		counts[hpc.Cycles] = uint64(cycles)
 		counts[hpc.CacheReferences] = uint64(instr * 0.004)
 		counts[hpc.CacheMisses] = uint64(instr * 0.001)
-		if err := m.registry.AccumulateVec(hpc.AllPIDs, lcpuID, &counts); err != nil {
-			return fmt.Errorf("machine: %w", err)
-		}
+		m.registry.AccumulateVec(hpc.AllPIDs, &counts)
 	}
 
 	// 6. Per-core utilisation, C-state residency and DVFS reaction.

@@ -334,7 +334,9 @@ func TestCompiledMatchesModel(t *testing.T) {
 			}
 			for _, counts := range countSets {
 				var vec hpc.CountsVec
-				vec.AddCounts(counts)
+				for e, n := range counts {
+					vec[e] = n
+				}
 				for _, w := range []time.Duration{time.Second, 250 * time.Millisecond} {
 					want, err := m.EstimateActiveWatts(f, counts, w)
 					if err != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 
 	"powerapi/internal/hpc"
 	"powerapi/internal/machine"
@@ -75,12 +74,9 @@ func (s *HPC) Add(t target.Target) error {
 	if _, err := s.machine.Processes().Get(t.PID); err != nil {
 		return fmt.Errorf("source: attach: %w", err)
 	}
-	set, err := hpc.OpenCounterSet(s.machine.Registry(), s.events, t.PID, hpc.AllCPUs)
+	set, err := hpc.OpenCounterSet(s.machine.Registry(), s.events, t.PID)
 	if err != nil {
 		return fmt.Errorf("source: attach pid %d: %w", t.PID, err)
-	}
-	if err := set.Enable(); err != nil {
-		return fmt.Errorf("source: enable counters for pid %d: %w", t.PID, err)
 	}
 	s.index[t] = len(s.entries)
 	s.entries = append(s.entries, hpcEntry{target: t, set: set})
@@ -97,7 +93,7 @@ func (s *HPC) Remove(t target.Target) error {
 	if !exists {
 		return fmt.Errorf("source: detach: %v is not monitored", t)
 	}
-	set := s.entries[pos].set
+	s.entries[pos].set.Close()
 	last := len(s.entries) - 1
 	if pos != last {
 		s.entries[pos] = s.entries[last]
@@ -106,9 +102,6 @@ func (s *HPC) Remove(t target.Target) error {
 	s.entries[last] = hpcEntry{}
 	s.entries = s.entries[:last]
 	delete(s.index, t)
-	if err := set.Close(); err != nil {
-		return fmt.Errorf("source: detach %v: %w", t, err)
-	}
 	return nil
 }
 
@@ -132,7 +125,6 @@ func (s *HPC) Sample(_ context.Context) (Sample, error) {
 		ts := &out.Targets[len(out.Targets)-1]
 		if err := e.set.ReadDeltaVec(&ts.Deltas); err != nil {
 			errs = append(errs, fmt.Errorf("source: read counters for %v: %w", e.target, err))
-			ts.Deltas.Zero()
 		}
 	}
 	return out, errors.Join(errs...)
@@ -144,15 +136,10 @@ func (s *HPC) Close() error {
 		return nil
 	}
 	s.closed = true
-	entries := append([]hpcEntry(nil), s.entries...)
-	sort.Slice(entries, func(i, j int) bool { return entries[i].target.PID < entries[j].target.PID })
-	var errs []error
-	for _, e := range entries {
-		if err := e.set.Close(); err != nil {
-			errs = append(errs, fmt.Errorf("source: close counters of %v: %w", e.target, err))
-		}
+	for _, e := range s.entries {
+		e.set.Close()
 	}
 	s.entries = nil
 	s.index = nil
-	return errors.Join(errs...)
+	return nil
 }
