@@ -11,12 +11,12 @@
 // slots by the collector's key table — so the steady state allocates nothing
 // per frame, and a collector that falls behind backs the link up until the
 // publisher sheds. Rollup runs on the goroutine that calls it: one sweep of
-// every node, in join order, into an epoch-reset accumulator
-// (core.SparseSet) and a pooled, refcounted FleetReport whose maps are
-// cleared, never reallocated — steady-state allocations per fleet round do
-// not depend on how many nodes or targets the fleet carries. A slow or
-// silent node never stalls a round: its last contribution is used until it
-// goes stale (Config.StaleAfter), then it is skipped and accounted as such.
+// every node, in join order, into an epoch-reset accumulator (sparseSet)
+// and a pooled, refcounted FleetReport whose maps are cleared, never
+// reallocated — steady-state allocations per fleet round do not depend on
+// how many nodes or targets the fleet carries. A slow or silent node never
+// stalls a round: its last contribution is used until it goes stale
+// (Config.StaleAfter), then it is skipped and accounted as such.
 package collector
 
 import (
@@ -95,7 +95,7 @@ type Collector struct {
 	// the scratch behind it is retained so a round allocates nothing here.
 	roundMu    sync.Mutex
 	roundNodes []*nodeConn
-	merged     core.SparseSet
+	merged     sparseSet
 	samples    []history.TargetSample
 	seq        atomic.Uint64
 	lastLive   atomic.Int64

@@ -50,6 +50,29 @@ func frames(c *Collector, name string) uint64 {
 	return 0
 }
 
+func TestSparseSetAccumulatesAndResets(t *testing.T) {
+	var s sparseSet
+	s.Reset()
+	s.Add(3, 1.5)
+	s.Add(3, 0.5)
+	s.Add(0, 2)
+	if len(s.Touched()) != 2 {
+		t.Fatalf("touched = %v, want 2 slots", s.Touched())
+	}
+	if s.values[3] != 2 || s.values[0] != 2 {
+		t.Fatalf("values = %v", s.values[:4])
+	}
+	// A reset must invalidate every slot without clearing the arrays.
+	s.Reset()
+	if len(s.Touched()) != 0 {
+		t.Fatalf("touched after reset = %v", s.Touched())
+	}
+	s.Add(3, 7)
+	if s.values[3] != 7 {
+		t.Fatalf("slot 3 after reset = %v, want the new round's value", s.values[3])
+	}
+}
+
 func TestFleetConservation(t *testing.T) {
 	// The subtest is named for the wire format the node links speak.
 	t.Run("binary", func(t *testing.T) {

@@ -180,6 +180,12 @@ func TestRollupSameAcrossGOMAXPROCS(t *testing.T) {
 				{Key: fmt.Sprintf("cgroup:own-%02d", i%5), Watts: 3 + float64(i)/11},
 			}))
 		}
+		// Empty the process-wide fleet pool first: a buffer an earlier test
+		// pooled has maps sized for a smaller fleet, and a measured round
+		// that draws one grows them without a pool miss. Two collections
+		// drop both the pool and its victim cache.
+		runtime.GC()
+		runtime.GC()
 		for range 12 {
 			c.Rollup().Release() // warm the pooled report, scratch and history rings
 		}

@@ -13,11 +13,73 @@ import (
 
 // Rollup is the fleet round: the goroutine that calls Rollup sweeps every
 // node in join order — skipping contributions older than StaleAfter — into
-// an epoch-reset SparseSet and a pooled FleetReport. Everything a round
+// an epoch-reset sparseSet and a pooled FleetReport. Everything a round
 // touches is retained across rounds (the set, the history samples, report
 // maps with warm buckets), so a steady-state round allocates nothing:
 // growing the fleet from 10 nodes to 1000 changes the work per round, not the
 // garbage.
+
+// sparseSet accumulates one float64 per route-key slot for a single round
+// without clearing its backing arrays between rounds: an epoch stamp per slot
+// tells stale values from live ones, so reset is O(1) and only the slots
+// actually touched by a round are ever visited again.
+type sparseSet struct {
+	epoch   uint32
+	epochs  []uint32
+	values  []float64
+	touched []int32
+}
+
+// Reset starts a new round. Amortised O(1): the epoch bump invalidates every
+// stale slot at once (with a full wipe every 2^32 rounds when it wraps).
+//
+//powerapi:hotpath
+func (s *sparseSet) Reset() {
+	s.touched = s.touched[:0]
+	s.epoch++
+	if s.epoch == 0 {
+		clear(s.epochs)
+		s.epoch = 1
+	}
+}
+
+// Add accumulates v into the slot, growing the backing arrays on demand.
+//
+//powerapi:hotpath
+func (s *sparseSet) Add(slot int32, v float64) {
+	if int(slot) >= len(s.epochs) {
+		grown := int(slot) + 1
+		if grown < 2*len(s.epochs) {
+			grown = 2 * len(s.epochs)
+		}
+		//powerapi:allow hotpath amortized doubling growth, same argument as append
+		epochs := make([]uint32, grown)
+		//powerapi:allow hotpath amortized doubling growth, same argument as append
+		values := make([]float64, grown)
+		copy(epochs, s.epochs)
+		copy(values, s.values)
+		s.epochs, s.values = epochs, values
+	}
+	if s.epochs[slot] != s.epoch {
+		s.epochs[slot] = s.epoch
+		s.values[slot] = v
+		s.touched = append(s.touched, slot)
+		return
+	}
+	s.values[slot] += v
+}
+
+// Touched returns the slots the current round touched, in touch order. The
+// slice aliases the set's internals and is invalidated by Reset; together with
+// Value it lets a merge loop iterate without a closure.
+//
+//powerapi:hotpath
+func (s *sparseSet) Touched() []int32 { return s.touched }
+
+// Value returns the accumulated value of a slot returned by Touched.
+//
+//powerapi:hotpath
+func (s *sparseSet) Value(slot int32) float64 { return s.values[slot] }
 
 // FleetReport is one fleet round's rollup. Reports delivered through Rollup
 // or a subscription are pooled: each holder owns one reference and must call

@@ -32,10 +32,9 @@ type sensorBehavior struct {
 	// with this same instance, so the stamp survives the panic.
 	lastSample time.Duration
 
-	// pidSlots remembers the round slot (+1; 0 means none) the facade
-	// assigned to each attached process, so every tick can stamp the
-	// source's samples without the facade on the hot path.
-	pidSlots map[int]int32
+	// attached holds the PIDs attached through the facade: a tick drops a
+	// sample of any other process (a custom source emitting extra targets).
+	attached map[int]bool
 }
 
 func newSensorBehavior(attr, total source.Source, sampleTimeout time.Duration, tracer *obs.Tracer, start time.Duration) *sensorBehavior {
@@ -45,7 +44,7 @@ func newSensorBehavior(attr, total source.Source, sampleTimeout time.Duration, t
 		sampleTimeout: sampleTimeout,
 		tracer:        tracer,
 		lastSample:    start,
-		pidSlots:      make(map[int]int32),
+		attached:      make(map[int]bool),
 	}
 }
 
@@ -53,7 +52,7 @@ func newSensorBehavior(attr, total source.Source, sampleTimeout time.Duration, t
 func (s *sensorBehavior) Receive(ctx *actor.Context, msg actor.Message) {
 	switch m := msg.(type) {
 	case attachRequest:
-		m.Reply <- s.attach(m)
+		m.Reply <- s.attach(m.Target)
 	case detachRequest:
 		m.Reply <- s.detach(m.Target)
 	case tickRequest:
@@ -66,17 +65,15 @@ func (s *sensorBehavior) Receive(ctx *actor.Context, msg actor.Message) {
 	}
 }
 
-func (s *sensorBehavior) attach(req attachRequest) error {
+func (s *sensorBehavior) attach(t target.Target) error {
 	dyn, ok := s.attr.(source.Dynamic)
 	if !ok {
 		return fmt.Errorf("core: %s source does not support attaching targets", s.attr.Name())
 	}
-	if err := dyn.Add(req.Target); err != nil {
+	if err := dyn.Add(t); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	if req.Slot >= 0 {
-		s.pidSlots[req.Target.PID] = req.Slot + 1
-	}
+	s.attached[t.PID] = true
 	return nil
 }
 
@@ -88,7 +85,7 @@ func (s *sensorBehavior) detach(t target.Target) error {
 	if err := dyn.Remove(t); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	delete(s.pidSlots, t.PID)
+	delete(s.attached, t.PID)
 	return nil
 }
 
@@ -119,19 +116,16 @@ func (s *sensorBehavior) tick(ctx *actor.Context, req tickRequest) {
 	// hands the slice over (it never reuses it), so the batch can adopt it
 	// wholesale instead of reallocating and copying per tick.
 	batch.Samples = sample.Targets
-	// Stamp each sample with its round slot. A process the facade never
-	// attached (a custom source emitting extra targets) has none: its sample
-	// is dropped and the batch compacted, which copies nothing while every
-	// sample has a slot.
+	// A sample of a process the facade never attached (a custom source
+	// emitting extra targets) is dropped and the batch compacted, which
+	// copies nothing while every sample is of an attached process.
 	kept := 0
 	for i := range batch.Samples {
-		ts := &batch.Samples[i]
-		ts.Slot = s.pidSlots[ts.Target.PID]
-		if ts.Slot == 0 {
+		if !s.attached[batch.Samples[i].Target.PID] {
 			continue
 		}
 		if kept != i {
-			batch.Samples[kept] = *ts
+			batch.Samples[kept] = batch.Samples[i]
 		}
 		kept++
 	}
@@ -231,7 +225,7 @@ func (f *formulaBehavior) estimateBatch(ctx *actor.Context, batch SensorReportBa
 	}
 	for i := range batch.Samples {
 		sample := &batch.Samples[i]
-		est := TargetEstimate{Target: sample.Target, Slot: sample.Slot}
+		est := TargetEstimate{Target: sample.Target}
 		if counterMode {
 			var watts float64
 			var err error
@@ -275,10 +269,9 @@ func (f *formulaBehavior) estimateBatch(ctx *actor.Context, batch SensorReportBa
 // application name), as the paper's Aggregator description allows.
 //
 // The per-round hot path is allocation-free in steady state: estimates
-// accumulate by round slot into an epoch-stamped sparse set (no per-round map
-// rebuild), the round scratch is reused from round to round, and published
-// reports live in pooled buffers whose maps keep their buckets across rounds
-// (see round.go).
+// accumulate by PID straight into the round's pooled report, whose maps keep
+// their buckets across rounds (see round.go), and the round scratch is reused
+// from round to round.
 type aggregatorBehavior struct {
 	idleWatts float64
 	mode      source.Mode
@@ -287,7 +280,6 @@ type aggregatorBehavior struct {
 	// vms are the host's VM definitions in name order; every round the
 	// per-VM rollup projects the per-process estimates onto them.
 	vms    []VMDef
-	index  *slotIndex
 	tracer *obs.Tracer
 	// self attributes the monitoring process's own power into each report
 	// (WithSelfPower); nil when disabled.
@@ -300,13 +292,11 @@ type aggregatorBehavior struct {
 	prevPIDs, prevCgroups, prevVMs, prevGroups int
 }
 
-// roundState is the scratch of one sampling round. Estimates accumulate in
-// set by round slot; finish scales them (in attributed modes) into the
-// report's maps.
+// roundState is the scratch of one sampling round. Estimates accumulate by
+// PID in the report's PerPID map; finish scales them in attributed modes.
 type roundState struct {
 	// buf is the round's pooled report; nil once published.
 	buf *pooledReport
-	set SparseSet
 	// claimed is the vmRollup's per-round duplicate-PID guard.
 	claimed map[int]string
 	// sumWeight accumulates the raw attribution weights (attributed modes);
@@ -315,17 +305,13 @@ type roundState struct {
 	activeSum float64
 }
 
-func newAggregatorBehavior(idleWatts float64, mode source.Mode, resolve func(pid int) string, hierarchy *cgroup.Hierarchy, vms []VMDef, index *slotIndex, tracer *obs.Tracer, self *obs.SelfMeter) *aggregatorBehavior {
-	if index == nil {
-		index = newSlotIndex()
-	}
+func newAggregatorBehavior(idleWatts float64, mode source.Mode, resolve func(pid int) string, hierarchy *cgroup.Hierarchy, vms []VMDef, tracer *obs.Tracer, self *obs.SelfMeter) *aggregatorBehavior {
 	return &aggregatorBehavior{
 		idleWatts: idleWatts,
 		mode:      mode,
 		resolve:   resolve,
 		hierarchy: hierarchy,
 		vms:       vms,
-		index:     index,
 		tracer:    tracer,
 		self:      self,
 	}
@@ -363,7 +349,6 @@ func (a *aggregatorBehavior) begin(ts time.Duration) *roundState {
 	if round.buf != nil {
 		round.buf.report.Release()
 	}
-	round.set.Reset()
 	clear(round.claimed)
 	round.sumWeight, round.activeSum = 0, 0
 	round.buf = getPooledReport(a.prevPIDs)
@@ -374,15 +359,15 @@ func (a *aggregatorBehavior) begin(ts time.Duration) *roundState {
 	return round
 }
 
-// merge accumulates one estimate into its round slot (the sensor stamped
-// every sample with one); kinds resolve at materialisation time from the
-// slot index.
+// merge adds one estimate into its process's row: watts in the
+// formula-driven mode, the raw weight in attributed modes (finish scales
+// it). A second sample of one process adds into the same row.
 func (a *aggregatorBehavior) merge(round *roundState, est *TargetEstimate) {
 	value := est.Watts
 	if a.mode.Attributed() {
 		value = est.Weight
 	}
-	round.set.Add(est.Slot-1, value)
+	round.buf.report.PerPID[est.Target.PID] += value
 	if a.mode.Attributed() {
 		round.sumWeight += value
 	} else {
@@ -398,57 +383,30 @@ func (a *aggregatorBehavior) finish(ctx *actor.Context, round *roundState, measu
 	if hasMeasured {
 		report.MeasuredWatts = measuredWatts
 	}
-	// scale/even turn the dense raw values into published watts during
-	// materialisation.
-	scale, even := 1.0, false
 	if a.mode.Attributed() {
 		total := measuredWatts
 		if !hasMeasured {
 			total = 0
 		}
 		report.ActiveWatts = total
+		// Scale the raw weights into shares of the measured total. An
+		// all-idle window splits the measurement evenly. With nothing
+		// monitored at all the measurement is still reported as
+		// ActiveWatts, unattributed.
 		switch {
 		case round.sumWeight > 0:
-			scale = total / round.sumWeight
-		case round.set.Len() > 0:
-			// An all-idle window splits the measurement evenly. With nothing
-			// monitored at all the measurement is still reported as
-			// ActiveWatts, unattributed.
-			scale = total / float64(round.set.Len())
-			even = true
+			scale := total / round.sumWeight
+			for pid, weight := range report.PerPID {
+				report.PerPID[pid] = weight * scale
+			}
+		case len(report.PerPID) > 0:
+			share := total / float64(len(report.PerPID))
+			for pid := range report.PerPID {
+				report.PerPID[pid] = share
+			}
 		}
 	} else {
 		report.ActiveWatts = round.activeSum
-	}
-	// Materialise the dense slots into the published breakdown, resolving
-	// every slot of the round under a single index lock.
-	if round.set.Len() > 0 {
-		lost := 0
-		a.index.view(func(targets []target.Target) {
-			for _, slot := range round.set.touched {
-				v := round.set.values[slot]
-				if a.mode.Attributed() {
-					if even {
-						v = scale
-					} else {
-						v *= scale
-					}
-				}
-				if int(slot) >= len(targets) {
-					// Detached and compacted away while the round was in
-					// flight: the owner is unknown, the row is dropped.
-					lost++
-					continue
-				}
-				report.PerPID[targets[slot].PID] += v
-			}
-		})
-		if lost > 0 {
-			ctx.Publish(TopicErrors, PipelineError{
-				Stage: "aggregator",
-				Err:   fmt.Errorf("core: dropped %d estimate(s) whose slots were recycled mid-round", lost),
-			})
-		}
 	}
 	// One membership snapshot serves both rollups; the hierarchy recompiles
 	// it only after a membership change.

@@ -68,11 +68,8 @@ type tickRequest struct {
 
 // attachRequest asks the Sensor to start monitoring a target. It is sent
 // through actor.Ask; Reply receives nil on success or the error encountered.
-// Slot is the dense round slot the facade's slot index assigned to the target;
-// the Sensor remembers it and stamps every sample of the target with it.
 type attachRequest struct {
 	Target target.Target
-	Slot   int32
 	Reply  chan<- actor.Message
 }
 
@@ -110,13 +107,9 @@ type SensorReportBatch struct {
 // TargetEstimate is one target's power estimate within a PowerEstimateBatch.
 // In the formula-driven mode Watts is the final per-target power; in
 // attributed modes Weight is the raw attribution key the Aggregator
-// normalizes against the round's measured total. Slot carries the sample's
-// dense round slot through the formula stage, encoded as slot+1 (the Sensor
-// drops samples without one); the Aggregator subtracts one and accumulates
-// into its slot-indexed sparse set.
+// normalizes against the round's measured total.
 type TargetEstimate struct {
 	Target target.Target `json:"target"`
-	Slot   int32         `json:"-"`
 	Watts  float64       `json:"watts"`
 	Weight float64       `json:"weight,omitempty"`
 }

@@ -46,7 +46,6 @@ type SourceFactories struct {
 }
 
 type options struct {
-	events          []hpc.Event
 	shards          int
 	mode            source.Mode
 	factories       SourceFactories
@@ -73,12 +72,6 @@ type namedReporter struct {
 	// has drained, so buffered writers end up on disk before the pipeline
 	// reports completion.
 	flush func() error
-}
-
-// WithEvents overrides the hardware events the Sensor monitors (defaults to
-// the events used by the power model).
-func WithEvents(events []hpc.Event) Option {
-	return func(o *options) { o.events = append([]hpc.Event(nil), events...) }
 }
 
 // WithReportRetention caps how many rounds RunMonitored and
@@ -286,7 +279,6 @@ type PowerAPI struct {
 	model          *model.CPUPowerModel
 	system         *actor.System
 	sensor         *actor.Ref
-	slots          *slotIndex
 	mode           source.Mode
 	collectTimeout time.Duration
 	sources        []source.Source
@@ -387,20 +379,17 @@ func New(m *machine.Machine, powerModel *model.CPUPowerModel, opts ...Option) (a
 		// delegated frames as another mode's machine measurement.
 		return nil, fmt.Errorf("core: WithVMBridge selects the delegated mode; it cannot combine with WithSources(%v)", cfg.mode)
 	}
-	if len(cfg.events) == 0 {
-		events, err := powerModel.Events()
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		cfg.events = events
+	// The counter sources read the hardware events the model uses.
+	events, err := powerModel.Events()
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	fillDefaultFactories(&cfg, m)
+	fillDefaultFactories(&cfg, m, events)
 
 	api = &PowerAPI{
 		machine:        m,
 		model:          powerModel,
 		system:         actor.NewSystem("powerapi"),
-		slots:          newSlotIndex(),
 		mode:           cfg.mode,
 		collectTimeout: cfg.collectTimeout,
 		hierarchy:      cfg.hierarchy,
@@ -524,7 +513,7 @@ func New(m *machine.Machine, powerModel *model.CPUPowerModel, opts ...Option) (a
 	if cfg.mode == source.ModeRAPL || cfg.mode == source.ModeBlended || cfg.mode == source.ModeDelegated {
 		idleWatts = 0
 	}
-	aggregatorBhv := newAggregatorBehavior(idleWatts, cfg.mode, cfg.groupResolver, cfg.hierarchy, sortedVMDefs(vms), api.slots, api.tracer, api.self)
+	aggregatorBhv := newAggregatorBehavior(idleWatts, cfg.mode, cfg.groupResolver, cfg.hierarchy, sortedVMDefs(vms), api.tracer, api.self)
 	aggregator, err := api.system.SpawnSupervised("aggregator",
 		func() actor.Behavior { return aggregatorBhv }, 0, supervised("aggregator"))
 	if err != nil {
@@ -585,12 +574,11 @@ func New(m *machine.Machine, powerModel *model.CPUPowerModel, opts ...Option) (a
 // the sensing mode: hpc/blended attribute by hardware counters, procfs/rapl
 // by CPU-time share; procfs measures a utilisation proxy, rapl and blended
 // measure the simulated RAPL domains (package+DRAM and package-only
-// respectively).
-func fillDefaultFactories(cfg *options, m *machine.Machine) {
+// respectively). The counter sources read events.
+func fillDefaultFactories(cfg *options, m *machine.Machine, events []hpc.Event) {
 	if cfg.factories.Attribution == nil {
 		switch cfg.mode {
 		case source.ModeHPC, source.ModeBlended, source.ModeDelegated:
-			events := cfg.events
 			cfg.factories.Attribution = func() (source.Source, error) {
 				return source.NewHPC(m, events)
 			}
@@ -924,28 +912,15 @@ func cgroupPathsOverlap(a, b string) bool {
 	return strings.HasPrefix(a, b+cgroup.Separator) || strings.HasPrefix(b, a+cgroup.Separator)
 }
 
-// askAttach is the single choke point for attaching a target to the sensor:
-// it assigns the target's dense round slot first, so the sensor can stamp
-// every sample with it, and gives a newly-assigned slot back if the sensor
-// rejects the attach.
+// askAttach is the single choke point for attaching a target to the sensor.
 func (p *PowerAPI) askAttach(t target.Target) error {
-	slot, existed := p.slots.assign(t)
 	res, err := actor.Ask(p.sensor, func(reply chan<- actor.Message) actor.Message {
-		return attachRequest{Target: t, Slot: slot, Reply: reply}
+		return attachRequest{Target: t, Reply: reply}
 	}, p.collectTimeout)
 	if err != nil {
-		if !existed {
-			p.slots.release(t)
-		}
 		return fmt.Errorf("core: %w", err)
 	}
-	if aerr := asError(res); aerr != nil {
-		if !existed {
-			p.slots.release(t)
-		}
-		return aerr
-	}
-	return nil
+	return asError(res)
 }
 
 func (p *PowerAPI) askDetach(t target.Target) error {
@@ -955,11 +930,7 @@ func (p *PowerAPI) askDetach(t target.Target) error {
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	if aerr := asError(res); aerr != nil {
-		return aerr
-	}
-	p.slots.release(t)
-	return nil
+	return asError(res)
 }
 
 // asError converts an Ask reply carrying an error (or nil) back to an error.

@@ -59,7 +59,7 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(m, &model.CPUPowerModel{}); err == nil {
 		t.Fatal("invalid model should fail")
 	}
-	api, err := New(m, testModel(), WithEvents(hpc.PaperEvents()))
+	api, err := New(m, testModel())
 	if err != nil {
 		t.Fatal(err)
 	}

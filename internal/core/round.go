@@ -7,89 +7,10 @@ import (
 )
 
 // This file holds the allocation machinery of the per-round hot path: the
-// slot-indexed sparse accumulator the aggregator merges each round's
-// estimates into, the pooled report buffers aggregated rounds are published
-// from (recycled by reference counting once the last holder releases a
-// round), and the pooled estimate slices the formula hands to the aggregator.
-
-// SparseSet accumulates one float64 per slot for a single round without
-// clearing its backing arrays between rounds: an epoch stamp per slot tells
-// stale values from live ones, so reset is O(1) and only the slots actually
-// touched by a round are ever visited again. The aggregator merges each
-// round's estimates into one; the fleet collector reuses it (keyed by its route-key
-// slots) to roll nodes up without per-round map churn.
-type SparseSet struct {
-	epoch   uint32
-	epochs  []uint32
-	values  []float64
-	touched []int32
-}
-
-// Reset starts a new round. Amortised O(1): the epoch bump invalidates every
-// stale slot at once (with a full wipe every 2^32 rounds when it wraps).
-//
-//powerapi:hotpath
-func (s *SparseSet) Reset() {
-	s.touched = s.touched[:0]
-	s.epoch++
-	if s.epoch == 0 {
-		clear(s.epochs)
-		s.epoch = 1
-	}
-}
-
-// Add accumulates v into the slot, growing the backing arrays on demand.
-//
-//powerapi:hotpath
-func (s *SparseSet) Add(slot int32, v float64) {
-	if int(slot) >= len(s.epochs) {
-		grown := int(slot) + 1
-		if grown < 2*len(s.epochs) {
-			grown = 2 * len(s.epochs)
-		}
-		//powerapi:allow hotpath amortized doubling growth, same argument as append
-		epochs := make([]uint32, grown)
-		//powerapi:allow hotpath amortized doubling growth, same argument as append
-		values := make([]float64, grown)
-		copy(epochs, s.epochs)
-		copy(values, s.values)
-		s.epochs, s.values = epochs, values
-	}
-	if s.epochs[slot] != s.epoch {
-		s.epochs[slot] = s.epoch
-		s.values[slot] = v
-		s.touched = append(s.touched, slot)
-		return
-	}
-	s.values[slot] += v
-}
-
-// Len returns how many distinct slots the current round touched.
-//
-//powerapi:hotpath
-func (s *SparseSet) Len() int { return len(s.touched) }
-
-// ForEach visits every slot the current round touched, in touch order, without
-// allocating.
-//
-//powerapi:hotpath
-func (s *SparseSet) ForEach(fn func(slot int32, v float64)) {
-	for _, slot := range s.touched {
-		fn(slot, s.values[slot])
-	}
-}
-
-// Touched returns the slots the current round touched, in touch order. The
-// slice aliases the set's internals and is invalidated by Reset; together with
-// Value it lets a merge loop iterate without a closure.
-//
-//powerapi:hotpath
-func (s *SparseSet) Touched() []int32 { return s.touched }
-
-// Value returns the accumulated value of a slot returned by Touched.
-//
-//powerapi:hotpath
-func (s *SparseSet) Value(slot int32) float64 { return s.values[slot] }
+// pooled report buffers aggregated rounds are published from (recycled by
+// reference counting once the last holder releases a round; the aggregator
+// accumulates each round's estimates straight into one), and the pooled
+// estimate slices the formula hands to the aggregator.
 
 // pooledReport is one recyclable report buffer: the report struct plus the
 // maps it publishes. The maps are retained across rounds (clearing a map

@@ -597,9 +597,9 @@ func (s *extraSampleSource) Sample(ctx context.Context) (source.Sample, error) {
 }
 
 // TestUnattachedSampleDropped pins the one accumulation path: a sample for a
-// process the facade never attached has no round slot, so the sensor drops
-// it and reports the drop. The attached processes alone share the measured
-// total.
+// process the facade never attached is not in the sensor's attached set, so
+// the sensor drops it and reports the drop. The attached processes alone
+// share the measured total.
 func TestUnattachedSampleDropped(t *testing.T) {
 	m := newTestMachine(t)
 	pids := spawnMix(t, m, 0.9, 0.3, 0.7)

@@ -44,18 +44,13 @@ type SelfStats struct {
 }
 
 // MonitorStats is the one-call observability snapshot of a monitor: sensing
-// mode, error and subscription counters, slot-index and history occupancy,
+// mode, error and subscription counters, history occupancy,
 // report-pool traffic, per-stage latency distributions and the end-to-end
 // round distribution, plus the self-power figures.
 type MonitorStats struct {
 	SourceMode string `json:"sourceMode"`
 	// Errors is the pipeline error count (ErrorCount).
 	Errors int64 `json:"errors"`
-	// SlotsLive/SlotsCapacity are the round-slot index occupancy: live
-	// attached targets and the backing-array length (live plus
-	// not-yet-compacted free slots).
-	SlotsLive     int `json:"slotsLive"`
-	SlotsCapacity int `json:"slotsCapacity"`
 	// TraceCapacity is the round-trace ring size (obs.DefaultTraceRing).
 	TraceCapacity int                `json:"traceCapacity"`
 	Subscriptions []SubscriptionInfo `json:"subscriptions,omitempty"`
@@ -80,8 +75,6 @@ func (p *PowerAPI) Stats() MonitorStats {
 	stats := MonitorStats{
 		SourceMode:    p.mode.String(),
 		Errors:        p.errCount.Load(),
-		SlotsLive:     p.slots.size(),
-		SlotsCapacity: p.slots.capacity(),
 		TraceCapacity: p.tracer.Capacity(),
 		Subscriptions: p.subs.Info(),
 		ReportPool:    ReportPoolStats{Gets: gets, Misses: misses, Puts: puts, Outstanding: outstanding},

@@ -78,16 +78,10 @@ func writeQuantileSeries(b *strings.Builder, name, labels string, st obs.StageSt
 }
 
 // writeObsMetrics appends the pipeline self-observability families to the
-// /metrics exposition: slot/pool gauges, the end-to-end round duration
-// histogram, per-stage latency histograms and quantiles, and the self-power
-// meter readings.
+// /metrics exposition: trace-ring and pool gauges, the end-to-end round
+// duration histogram, per-stage latency histograms and quantiles, and the
+// self-power meter readings.
 func writeObsMetrics(b *strings.Builder, stats core.MonitorStats) {
-	b.WriteString("# HELP powerapi_slot_index_live Targets attached to the dense round-slot index.\n")
-	b.WriteString("# TYPE powerapi_slot_index_live gauge\n")
-	fmt.Fprintf(b, "powerapi_slot_index_live %d\n", stats.SlotsLive)
-	b.WriteString("# HELP powerapi_slot_index_capacity Backing-array length of the round-slot index (live plus not-yet-compacted free slots).\n")
-	b.WriteString("# TYPE powerapi_slot_index_capacity gauge\n")
-	fmt.Fprintf(b, "powerapi_slot_index_capacity %d\n", stats.SlotsCapacity)
 	b.WriteString("# HELP powerapi_trace_ring_capacity Rounds retained by the debug trace ring.\n")
 	b.WriteString("# TYPE powerapi_trace_ring_capacity gauge\n")
 	fmt.Fprintf(b, "powerapi_trace_ring_capacity %d\n", stats.TraceCapacity)

@@ -178,7 +178,6 @@ func TestMetricsObservabilityFamilies(t *testing.T) {
 		`powerapi_stage_duration_seconds_bucket{stage="sensor",le="+Inf"} `,
 		`powerapi_stage_duration_seconds_sum{stage="aggregate"} `,
 		`powerapi_stage_duration_quantile_seconds{stage="fanout",quantile="0.5"} `,
-		"powerapi_slot_index_live 1",
 		"powerapi_trace_ring_capacity ",
 		"powerapi_report_pool_gets_total ",
 		"powerapi_report_pool_misses_total ",

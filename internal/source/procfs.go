@@ -10,13 +10,25 @@ import (
 	"powerapi/internal/target"
 )
 
+// procfsEntry pairs an attached target with its CPU time at the previous
+// sample.
+type procfsEntry struct {
+	target  target.Target
+	lastCPU time.Duration
+}
+
 // Procfs is the counters-unavailable fallback backend: it attributes power
 // by per-PID CPU-time share, the only signal /proc/<pid>/stat offers when
 // perf_event_open is off the table. Weights are the CPU seconds each process
 // consumed during the window; the pipeline normalizes them per round.
+//
+// Entries live in a dense slice in attach order, as in HPC, so every round
+// samples its processes in the same order and the pipeline's weight sum
+// comes out the same from run to run.
 type Procfs struct {
 	machine *machine.Machine
-	lastCPU map[target.Target]time.Duration
+	entries []procfsEntry
+	index   map[target.Target]int // target -> entries position
 	closed  bool
 }
 
@@ -26,7 +38,7 @@ func NewProcfs(m *machine.Machine) (*Procfs, error) {
 	if m == nil {
 		return nil, errors.New("source: nil machine")
 	}
-	return &Procfs{machine: m, lastCPU: make(map[target.Target]time.Duration)}, nil
+	return &Procfs{machine: m, index: make(map[target.Target]int)}, nil
 }
 
 // Name implements Source.
@@ -51,26 +63,35 @@ func (s *Procfs) Add(t target.Target) error {
 	if t.Kind != target.KindProcess {
 		return fmt.Errorf("source: procfs source cannot sample %v targets", t.Kind)
 	}
-	if _, exists := s.lastCPU[t]; exists {
+	if _, exists := s.index[t]; exists {
 		return nil
 	}
 	p, err := s.machine.Processes().Get(t.PID)
 	if err != nil {
 		return fmt.Errorf("source: attach: %w", err)
 	}
-	s.lastCPU[t] = p.CPUTime()
+	s.index[t] = len(s.entries)
+	s.entries = append(s.entries, procfsEntry{target: t, lastCPU: p.CPUTime()})
 	return nil
 }
 
-// Remove implements Dynamic.
+// Remove implements Dynamic. The vacated entry is filled by swapping the last
+// one in, keeping the slice dense.
 func (s *Procfs) Remove(t target.Target) error {
 	if s.closed {
 		return errors.New("source: procfs source is closed")
 	}
-	if _, exists := s.lastCPU[t]; !exists {
+	pos, exists := s.index[t]
+	if !exists {
 		return fmt.Errorf("source: detach: %v is not monitored", t)
 	}
-	delete(s.lastCPU, t)
+	last := len(s.entries) - 1
+	if pos != last {
+		s.entries[pos] = s.entries[last]
+		s.index[s.entries[pos].target] = pos
+	}
+	s.entries = s.entries[:last]
+	delete(s.index, t)
 	return nil
 }
 
@@ -82,24 +103,25 @@ func (s *Procfs) Sample(_ context.Context) (Sample, error) {
 		return Sample{}, errors.New("source: procfs source is closed")
 	}
 	out := Sample{FrequencyMHz: s.machine.DominantFrequencyMHz()}
-	if len(s.lastCPU) == 0 {
+	if len(s.entries) == 0 {
 		return out, nil
 	}
-	out.Targets = make([]TargetSample, 0, len(s.lastCPU))
+	out.Targets = GetTargetSlice(len(s.entries))
 	var errs []error
-	for t, last := range s.lastCPU {
+	for i := range s.entries {
+		e := &s.entries[i]
 		var weight float64
-		p, err := s.machine.Processes().Get(t.PID)
+		p, err := s.machine.Processes().Get(e.target.PID)
 		if err != nil {
-			errs = append(errs, fmt.Errorf("source: read cpu time of %v: %w", t, err))
+			errs = append(errs, fmt.Errorf("source: read cpu time of %v: %w", e.target, err))
 		} else {
 			now := p.CPUTime()
-			if now > last {
-				weight = (now - last).Seconds()
+			if now > e.lastCPU {
+				weight = (now - e.lastCPU).Seconds()
 			}
-			s.lastCPU[t] = now
+			e.lastCPU = now
 		}
-		out.Targets = append(out.Targets, TargetSample{Target: t, Weight: weight})
+		out.Targets = append(out.Targets, TargetSample{Target: e.target, Weight: weight})
 	}
 	return out, errors.Join(errs...)
 }
@@ -110,7 +132,8 @@ func (s *Procfs) Close() error {
 		return nil
 	}
 	s.closed = true
-	s.lastCPU = nil
+	s.entries = nil
+	s.index = nil
 	return nil
 }
 

@@ -32,12 +32,6 @@ import (
 type TargetSample struct {
 	// Target identifies the monitored process.
 	Target target.Target `json:"target"`
-	// Slot is the dense round-slot index the pipeline assigned to the process
-	// at attach time, encoded as slot+1 so the zero value means "no slot"
-	// (the sensor stamps it, and drops a sample of a process it never
-	// attached). It lets the aggregator accumulate into slice-backed sparse
-	// sets instead of rebuilding maps every round. Sources leave it alone.
-	Slot int32 `json:"-"`
 	// Deltas are the hardware-counter increments since the previous sample
 	// (counter-backed sources; zero otherwise). The dense vector form keeps
 	// per-round sampling allocation-free.

@@ -181,6 +181,56 @@ func TestProcfsSourceWeighsByCPUTime(t *testing.T) {
 	}
 }
 
+// TestProcfsSamplesInAttachOrder checks that a round samples the attached
+// processes in attach order, with a removed process's place taken by the
+// last one, so the pipeline sums their weights in the same order every run.
+func TestProcfsSamplesInAttachOrder(t *testing.T) {
+	m := newTestMachine(t)
+	pids := []int{spawn(t, m, 0.9), spawn(t, m, 0.6), spawn(t, m, 0.4), spawn(t, m, 0.2)}
+	src, err := NewProcfs(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pid := range pids {
+		if err := src.Add(target.Process(pid)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	order := func() []int {
+		t.Helper()
+		if _, err := m.Run(time.Second); err != nil {
+			t.Fatal(err)
+		}
+		sample, err := src.Sample(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]int, len(sample.Targets))
+		for i, ts := range sample.Targets {
+			if ts.Weight <= 0 {
+				t.Fatalf("%v has weight %v over a busy second", ts.Target, ts.Weight)
+			}
+			got[i] = ts.Target.PID
+		}
+		return got
+	}
+	for round := 0; round < 3; round++ {
+		if got := order(); fmt.Sprint(got) != fmt.Sprint(pids) {
+			t.Fatalf("round %d sampled %v, want attach order %v", round, got, pids)
+		}
+	}
+	if err := src.Remove(target.Process(pids[1])); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Add(target.Process(pids[1])); err != nil {
+		t.Fatal(err)
+	}
+	want := []int{pids[0], pids[3], pids[2], pids[1]}
+	if got := order(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("after remove and re-add sampled %v, want %v", got, want)
+	}
+}
+
 func TestUtilizationTotalTracksLoad(t *testing.T) {
 	m := newTestMachine(t)
 	src, err := NewUtilizationTotal(m)
